@@ -15,11 +15,10 @@ from .evolve import (ComplexField, EvolveOptions, PhaseCheck, Trajectory,
                      evolve_nls, kink_drift, make_ansatz, modulus_deviation,
                      phase_rotation_check)
 from .exprparse import CompiledExpression, compile_expression
-from .kink import (DescentState, MinimizeOptions, MinimizeResult,
-                   PolishResult, decay_rate_bound, descent_step,
-                   front_existence_margin, guess_rate, initial_guess,
-                   make_truncated_grid, minimize, newton_polish,
-                   report_crossing, select_truncation)
+from .kink import (MinimizeOptions, MinimizeResult, PolishResult,
+                   decay_rate_bound, front_existence_margin, guess_rate,
+                   initial_guess, make_truncated_grid, minimize,
+                   newton_polish, report_crossing, select_truncation)
 from .model import (Coefficient, Grid, Problem, Profile,
                     UniquenessDiagnostic, make_uniform_grid,
                     sample_coefficient, uniqueness_diagnostic,

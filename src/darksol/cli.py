@@ -1,10 +1,10 @@
 """Command line: solve, verify, evolve and sweep from INI configs.
 
-Exit codes: 0 converged and verified, 2 rejected input, 3 failure to
-converge, 4 converged but a structural property failed. All file
-output is deterministic for a given config: floats are written with
-17 significant digits (exact round-trip), JSON keys are sorted, and
-sweep rows are emitted in config order regardless of worker count.
+Every command returns the exit code `errors.EXIT_CODES` gives for the
+status it writes or the error it raised. All file output is
+deterministic for a given config: floats are written with 17
+significant digits (exact round-trip), JSON keys are sorted, and sweep
+rows are emitted in config order regardless of worker count.
 """
 
 import argparse
@@ -19,10 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import svgplot
-from .errors import (BracketViolation, ConfigError, DarksolError,
-                     LineSearchFailure, MonotonicityLoss, NonConvergence,
-                     NoSignChange, PhaseUndefined, SingularLinearization,
-                     StepDivergence, TailUnderflow, ValidationError)
+from .errors import EXIT_CODES, ConfigError, DarksolError
 from .evolve import (EvolveOptions, evolve_nls, kink_drift, make_ansatz,
                      modulus_deviation, phase_rotation_check)
 from .kink import MinimizeOptions, make_truncated_grid, select_truncation
@@ -58,7 +55,6 @@ class RunConfig:
     half_length: float | None
     tail_fraction: float
     periodic: PeriodicOptions
-    oracle_tol: float
     minimize: MinimizeOptions
     dt: float | None
     t_max: float | None
@@ -142,7 +138,8 @@ def load_config(path) -> RunConfig:
     periodic = PeriodicOptions(
         residual_tol=get("periodic", "residual_tol", float, default=1e-10),
         max_newton_iters=get("periodic", "max_newton_iters", int, default=50),
-        damping=get("periodic", "damping", float, default=1.0))
+        damping=get("periodic", "damping", float, default=1.0),
+        oracle_tol=get("periodic", "oracle_tol", float, default=1e-10))
     minimize_opts = MinimizeOptions(
         grad_tol=get("minimize", "grad_tol", float, default=1e-8),
         max_outer_iters=get("minimize", "max_outer_iters", int, default=20000),
@@ -155,7 +152,6 @@ def load_config(path) -> RunConfig:
         half_length=get("domain", "l", float),
         tail_fraction=get("domain", "tail_fraction", float, default=0.25),
         periodic=periodic,
-        oracle_tol=get("periodic", "oracle_tol", float, default=1e-10),
         minimize=minimize_opts,
         dt=get("evolve", "dt", float),
         t_max=get("evolve", "t_max", float),
@@ -273,17 +269,13 @@ def _base_report(command, cfg: RunConfig, seed) -> dict:
     }
 
 
-def cmd_solve_periodic(cfg: RunConfig, out_dir, seed) -> int:
-    problem = build_problem(cfg)
-    problem, periodic, monotone, agreement = run_background(
-        problem, cfg.periodic, oracle_tol=cfg.oracle_tol)
-    x = periodic.profile.grid.x()
-    write_csv(os.path.join(out_dir, "phi_plus.csv"), ["x", "phi_plus"],
-              [x, periodic.profile.values])
-    report = _base_report("solve-periodic", cfg, seed)
-    verified = periodic.residual_sup <= cfg.periodic.residual_tol
-    report.update({
-        "problem": _problem_block(problem),
+def _status(verified: bool) -> str:
+    return "ok" if verified else "property_violation"
+
+
+def _background_blocks(periodic, monotone, agreement) -> dict:
+    """The `bracket` and `periodic` report blocks of a background solve."""
+    return {
         "bracket": {"lower": periodic.bracket.lower,
                     "upper": periodic.bracket.upper},
         "periodic": {
@@ -294,31 +286,46 @@ def cmd_solve_periodic(cfg: RunConfig, out_dir, seed) -> int:
             "monotone_gap_sup": monotone.gap_sup,
             "monotone_agreement_sup": agreement,
         },
+    }
+
+
+def cmd_solve_periodic(cfg: RunConfig, out_dir, seed) -> int:
+    problem = build_problem(cfg)
+    problem, periodic, monotone, agreement = run_background(problem,
+                                                            cfg.periodic)
+    x = periodic.profile.grid.x()
+    write_csv(os.path.join(out_dir, "phi_plus.csv"), ["x", "phi_plus"],
+              [x, periodic.profile.values])
+    report = _base_report("solve-periodic", cfg, seed)
+    verified = periodic.residual_sup <= cfg.periodic.residual_tol
+    report.update({
+        "problem": _problem_block(problem),
+        **_background_blocks(periodic, monotone, agreement),
         "verified": verified,
-        "status": "ok" if verified else "property_violation",
+        "status": _status(verified),
     })
     write_json(os.path.join(out_dir, "report.json"), report)
     svgplot.line_plot(os.path.join(out_dir, "plot.svg"),
                       [("phi_plus", x, periodic.profile.values)],
                       title="periodic background", xlabel="x",
                       ylabel="phi_plus")
-    return 0 if verified else 4
+    return EXIT_CODES[report["status"]]
+
+
+def _run_soliton(cfg: RunConfig, problem: Problem):
+    """The one soliton run every command makes, with the config's settings."""
+    return run_soliton(problem, half_length=cfg.half_length,
+                       periodic_options=cfg.periodic,
+                       minimize_options=cfg.minimize,
+                       tail_fraction=cfg.tail_fraction)
 
 
 def _soliton_report_payload(cfg: RunConfig, seed, run) -> dict:
     report = _base_report("solve-soliton", cfg, seed)
     report.update({
         "problem": _problem_block(run.problem),
-        "bracket": {"lower": run.periodic.bracket.lower,
-                    "upper": run.periodic.bracket.upper},
-        "periodic": {
-            "residual_sup": run.periodic.residual_sup,
-            "newton_iterations": run.periodic.iterations,
-            "clamp_count": run.periodic.clamp_count,
-            "monotone_iterations": run.monotone.iterations,
-            "monotone_gap_sup": run.monotone.gap_sup,
-            "monotone_agreement_sup": run.monotone_agreement_sup,
-        },
+        **_background_blocks(run.periodic, run.monotone,
+                             run.monotone_agreement_sup),
         "truncation": {
             "half_length": run.half_length,
             "n_nodes": run.grid.n,
@@ -342,11 +349,7 @@ def _soliton_report_payload(cfg: RunConfig, seed, run) -> dict:
 
 
 def cmd_solve_soliton(cfg: RunConfig, out_dir, seed) -> int:
-    problem = build_problem(cfg)
-    run = run_soliton(problem, half_length=cfg.half_length,
-                      periodic_options=cfg.periodic,
-                      minimize_options=cfg.minimize,
-                      tail_fraction=cfg.tail_fraction)
+    run = _run_soliton(cfg, build_problem(cfg))
     xp = run.periodic.profile.grid.x()
     write_csv(os.path.join(out_dir, "phi_plus.csv"), ["x", "phi_plus"],
               [xp, run.periodic.profile.values])
@@ -364,7 +367,7 @@ def cmd_solve_soliton(cfg: RunConfig, out_dir, seed) -> int:
                        ("phi_plus_ext", x, run.background_ext.values),
                        ("w", x, run.w.values)],
                       title="front profile", xlabel="x", ylabel="value")
-    return 0 if run.status == "ok" else 4
+    return EXIT_CODES[run.status]
 
 
 def cmd_verify(cfg: RunConfig, out_dir, seed) -> int:
@@ -417,7 +420,7 @@ def cmd_verify(cfg: RunConfig, out_dir, seed) -> int:
         "verified": recomputed.verified and not mismatches,
     })
     write_json(os.path.join(out_dir, "verify_report.json"), payload)
-    return 0 if payload["verified"] else 4
+    return EXIT_CODES[_status(payload["verified"])]
 
 
 def cmd_evolve(cfg: RunConfig, out_dir, seed) -> int:
@@ -431,14 +434,10 @@ def cmd_evolve(cfg: RunConfig, out_dir, seed) -> int:
     problem = build_problem(cfg)
     track_front = cfg.initial == "soliton"
     if track_front:
-        run = run_soliton(problem, half_length=cfg.half_length,
-                          periodic_options=cfg.periodic,
-                          minimize_options=cfg.minimize,
-                          tail_fraction=cfg.tail_fraction)
+        run = _run_soliton(cfg, problem)
         problem, reference = run.problem, run.phi
     else:
-        problem, periodic, _, _ = run_background(problem, cfg.periodic,
-                                                 oracle_tol=cfg.oracle_tol)
+        problem, periodic, _, _ = run_background(problem, cfg.periodic)
         half = cfg.half_length
         if half is None:
             half = select_truncation(problem)
@@ -476,7 +475,7 @@ def cmd_evolve(cfg: RunConfig, out_dir, seed) -> int:
         "dt": options.dt,
         "t_max_effective": traj.n_steps * options.dt,
         "n_steps": traj.n_steps,
-        "boundary": options.bc,
+        "boundary": "pinned-rotating",
         "initial": cfg.initial,
         "modulus_deviation_sup": deviation,
         "modulus_tol": cfg.modulus_tol,
@@ -485,7 +484,7 @@ def cmd_evolve(cfg: RunConfig, out_dir, seed) -> int:
         "front_drift": drift,
         "front_drift_limit": 2.0 * h if track_front else None,
         "verified": verified,
-        "status": "ok" if verified else "property_violation",
+        "status": _status(verified),
     })
     write_json(os.path.join(out_dir, "dynamics.json"), payload)
     svgplot.line_plot(os.path.join(out_dir, "plot.svg"),
@@ -494,21 +493,13 @@ def cmd_evolve(cfg: RunConfig, out_dir, seed) -> int:
                         traj.fields[-1].modulus())],
                       title="evolution snapshots", xlabel="x",
                       ylabel="modulus")
-    return 0 if verified else 4
+    return EXIT_CODES[payload["status"]]
 
 
 _SWEEP_COLUMNS = ["index", "lambda", "amplitude", "half_length", "energy",
                   "crossing", "residual_reduced_sup", "amplitude_margin",
                   "monotonicity_margin", "c0_left", "c0_right", "r2_left",
                   "r2_right", "status"]
-
-
-def _classify(exc: DarksolError) -> str:
-    if isinstance(exc, ValidationError):
-        return "validation_error"
-    if isinstance(exc, (MonotonicityLoss, NoSignChange)):
-        return "property_violation"
-    return "nonconvergence"
 
 
 def _sweep_row(payload) -> dict:
@@ -521,11 +512,8 @@ def _sweep_row(payload) -> dict:
     row["lambda"] = lam
     row["amplitude"] = float("nan") if amplitude is None else amplitude
     try:
-        problem = build_problem(cfg, lam=lam, amplitude=amplitude)
-        run = run_soliton(problem, half_length=cfg.half_length,
-                          periodic_options=cfg.periodic,
-                          minimize_options=cfg.minimize,
-                          tail_fraction=cfg.tail_fraction)
+        run = _run_soliton(cfg, build_problem(cfg, lam=lam,
+                                              amplitude=amplitude))
         rep = run.report
         row.update({
             "half_length": run.half_length,
@@ -541,7 +529,7 @@ def _sweep_row(payload) -> dict:
         })
         row["status"] = run.status
     except DarksolError as exc:
-        row["status"] = _classify(exc)
+        row["status"] = exc.status
     return row
 
 
@@ -560,15 +548,8 @@ def cmd_sweep(cfg: RunConfig, out_dir, seed, workers: int) -> int:
     else:
         rows = [_sweep_row(payload) for payload in payloads]
 
-    columns = []
-    for name in _SWEEP_COLUMNS:
-        if name == "status":
-            columns.append([row[name] for row in rows])
-        elif name == "index":
-            columns.append([format(int(row[name])) for row in rows])
-        else:
-            columns.append([row[name] for row in rows])
-    write_csv(os.path.join(out_dir, "summary.csv"), _SWEEP_COLUMNS, columns)
+    write_csv(os.path.join(out_dir, "summary.csv"), _SWEEP_COLUMNS,
+              [[row[name] for row in rows] for name in _SWEEP_COLUMNS])
 
     payload = _base_report("sweep", cfg, seed)
     payload.update({
@@ -587,7 +568,7 @@ def cmd_sweep(cfg: RunConfig, out_dir, seed, workers: int) -> int:
                             c0_axis[order])],
                           title="decay rate sweep", xlabel="lambda",
                           ylabel="C0")
-    return 0
+    return EXIT_CODES["ok"]
 
 
 _COMMANDS = {
@@ -619,17 +600,9 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg, args.out, args.seed, max(1, args.workers))
         return _COMMANDS[args.command](cfg, args.out, args.seed)
-    except ValidationError as exc:
+    except DarksolError as exc:
         print(f"darksol: {exc}", file=sys.stderr)
-        return 2
-    except (NonConvergence, BracketViolation, LineSearchFailure,
-            SingularLinearization, StepDivergence, PhaseUndefined,
-            TailUnderflow) as exc:
-        print(f"darksol: {exc}", file=sys.stderr)
-        return 3
-    except (MonotonicityLoss, NoSignChange) as exc:
-        print(f"darksol: {exc}", file=sys.stderr)
-        return 4
+        return EXIT_CODES[exc.status]
 
 
 def run():

@@ -1,13 +1,27 @@
 """Exception hierarchy shared by all darksol modules.
 
-Grouped by how the command line maps them to exit codes: validation
-problems (bad input, exit 2), failures to converge (exit 3), and
-structural defects of a converged answer (exit 4).
+Every class carries `status`, the outcome a run that raises it is
+booked as (a sweep row's status). `EXIT_CODES` is the one table from
+a status, raised or written by a successful run, to the command-line
+exit code.
 """
+
+EXIT_CODES = {
+    "ok": 0,
+    "validation_error": 2,
+    "nonconvergence": 3,
+    "property_violation": 4,
+    "unsupported_regime": 4,
+}
 
 
 class DarksolError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    Unless a subclass says otherwise, the run failed to converge.
+    """
+
+    status = "nonconvergence"
 
 
 class ValidationError(DarksolError):
@@ -16,6 +30,8 @@ class ValidationError(DarksolError):
     `reason` is a short machine-readable tag so callers can distinguish
     failure modes without parsing the message.
     """
+
+    status = "validation_error"
 
     def __init__(self, message: str, reason: str = "invalid"):
         super().__init__(message)
@@ -69,9 +85,13 @@ class SingularLinearization(DarksolError):
 class MonotonicityLoss(DarksolError):
     """Converged front profile is not monotone, so the run is not trustworthy."""
 
+    status = "property_violation"
+
 
 class NoSignChange(DarksolError):
     """Profile has no sign change, so there is no front position to report."""
+
+    status = "property_violation"
 
 
 class StepDivergence(DarksolError):
@@ -84,3 +104,5 @@ class PhaseUndefined(DarksolError):
 
 class TailUnderflow(DarksolError):
     """Too few tail samples above the floating-point floor to fit a decay rate."""
+
+    status = "property_violation"

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._banded import solve_tridiagonal
-from .errors import (NoSignChange, PhaseUndefined, StepDivergence,
-                     ValidationError)
+from .errors import PhaseUndefined, StepDivergence, ValidationError
+from .kink import report_crossing
 from .model import Grid, Problem, Profile
 
 __all__ = [
@@ -56,7 +56,6 @@ class EvolveOptions:
     dt: float
     t_max: float
     snapshot_every: int = 100
-    bc: str = "pinned-rotating"
 
     def __post_init__(self):
         if not (np.isfinite(self.dt) and self.dt > 0):
@@ -65,8 +64,6 @@ class EvolveOptions:
             raise ValidationError("horizon t_max must be positive")
         if self.snapshot_every < 1:
             raise ValidationError("snapshot_every must be at least 1")
-        if self.bc != "pinned-rotating":
-            raise ValidationError(f"unsupported boundary condition {self.bc!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,18 +204,11 @@ def phase_rotation_check(traj: Trajectory, lam: float,
 
 def kink_drift(traj: Trajectory, lam: float) -> float:
     """Largest wander of the front position in the co-rotating frame."""
-    x = traj.fields[0].grid.x()
+    grid = traj.fields[0].grid
 
     def crossing(field, t):
-        y = np.real(field.psi * np.exp(-1j * lam * t))
-        flips = np.flatnonzero(y[:-1] * y[1:] < 0.0)
-        zeros = np.flatnonzero(y == 0.0)
-        if zeros.size and (not flips.size or zeros[0] <= flips[0]):
-            return float(x[zeros[0]])
-        if not flips.size:
-            raise NoSignChange("field has no front to track")
-        i = int(flips[0])
-        return float(x[i] - y[i] * (x[i + 1] - x[i]) / (y[i + 1] - y[i]))
+        return report_crossing(
+            Profile(grid, np.real(field.psi * np.exp(-1j * lam * t))))
 
     base = crossing(traj.fields[0], traj.times[0])
     worst = 0.0

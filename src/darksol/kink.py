@@ -22,9 +22,9 @@ from .periodic import bracket_bounds
 from .reduction import WeightedAC, _energy_values, _residual_values
 
 __all__ = [
-    "DescentState", "MinimizeOptions", "MinimizeResult", "PolishResult",
+    "MinimizeOptions", "MinimizeResult", "PolishResult",
     "decay_rate_bound", "select_truncation", "make_truncated_grid",
-    "guess_rate", "initial_guess", "front_existence_margin", "descent_step",
+    "guess_rate", "initial_guess", "front_existence_margin",
     "minimize", "newton_polish", "report_crossing",
 ]
 
@@ -215,44 +215,6 @@ def _line_search(ac, w, energy, grad, step, max_halvings):
     return None, energy, step, max_halvings
 
 
-@dataclass(frozen=True)
-class DescentState:
-    """Carry-over between descent steps: step size and current energy."""
-
-    step: float
-    energy: float
-
-
-def descent_step(w: Profile, ac: WeightedAC,
-                 state: DescentState | None = None,
-                 max_halvings: int = 60):
-    """One accepted step of the clamped gradient flow.
-
-    Returns (w', E', state') with E' <= E(w): the step moves against
-    the energy gradient, clamps into [-1, 1] (clamping never raises
-    the energy) and leaves the boundary nodes untouched. With no
-    state the step size starts from the same stability-limit guess
-    the outer minimizer uses.
-    """
-    if w.grid != ac.grid:
-        raise GridMismatchError("profile grid differs from weights")
-    vals = np.array(w.values, dtype=float)
-    if state is None:
-        state = DescentState(
-            step=ac.h / (8.0 * ac.kinetic_factor * float(np.max(ac.a))),
-            energy=_energy_values(ac, vals))
-    grad = -2.0 * ac.kinetic_factor * ac.h * _residual_values(ac, vals)
-    trial, trial_energy, step, k = _line_search(
-        ac, vals, state.energy, grad, state.step, max_halvings)
-    if trial is None:
-        raise LineSearchFailure(
-            f"no acceptable step after {max_halvings} halvings")
-    if k == 0:
-        step = min(step * 1.25, 1e6 * ac.h)
-    return (Profile(ac.grid, trial), float(trial_energy),
-            DescentState(step=step, energy=float(trial_energy)))
-
-
 def _descent_burst(ac, w, energy, step, budget, target_res, max_halvings):
     """Run up to `budget` accepted descent steps; returns the new state.
 
@@ -358,18 +320,20 @@ def minimize(ac: WeightedAC, options: MinimizeOptions | None = None,
 
 
 def report_crossing(w: Profile) -> float:
-    """Linear-interpolated position of the sign change of w.
+    """Linear-interpolated position of the first sign change of w.
 
+    The first sign event wins: an exact zero node, or the first pair of
+    neighbours of opposite sign, whichever comes first from the left.
     For a monotone front this is the front location. Raises
     NoSignChange when the profile has one sign everywhere.
     """
     v = w.values
     x = w.grid.x()
     zeros = np.flatnonzero(v == 0.0)
-    if zeros.size:
+    flips = np.flatnonzero(v[:-1] * v[1:] < 0.0)
+    if zeros.size and (not flips.size or zeros[0] <= flips[0]):
         return float(x[zeros[0]])
-    sign_flip = np.flatnonzero(v[:-1] * v[1:] < 0.0)
-    if not sign_flip.size:
+    if not flips.size:
         raise NoSignChange("profile has no sign change")
-    i = int(sign_flip[0])
+    i = int(flips[0])
     return float(x[i] - v[i] * (x[i + 1] - x[i]) / (v[i + 1] - v[i]))

@@ -41,10 +41,11 @@ class PeriodicOptions:
     residual_tol: float = 1e-10
     max_newton_iters: int = 50
     damping: float = 1.0
+    oracle_tol: float = 1e-10
 
     def __post_init__(self):
         if not (0 < self.residual_tol and 0 < self.damping <= 1.0
-                and self.max_newton_iters > 0):
+                and self.max_newton_iters > 0 and 0 < self.oracle_tol):
             raise ValidationError("invalid periodic solver options")
 
 

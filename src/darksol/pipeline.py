@@ -44,12 +44,12 @@ class SolitonRun:
 
 
 def run_background(problem: Problem,
-                   periodic_options: PeriodicOptions | None = None,
-                   oracle_tol: float = 1e-10):
+                   periodic_options: PeriodicOptions | None = None):
     """Solve the periodic background twice and measure the disagreement."""
+    options = periodic_options or PeriodicOptions()
     problem = validate_problem(problem)
-    periodic = solve_periodic(problem, periodic_options)
-    monotone = monotone_iteration_oracle(problem, tol=oracle_tol)
+    periodic = solve_periodic(problem, options)
+    monotone = monotone_iteration_oracle(problem, tol=options.oracle_tol)
     agreement = float(np.max(np.abs(
         periodic.profile.values - monotone.from_below.values)))
     return problem, periodic, monotone, agreement

@@ -261,8 +261,7 @@ class SolitonReport:
 
 
 def build_report(problem: Problem, w: Profile, background_ext: Profile,
-                 tail_fraction: float = 0.25,
-                 extra_flags=()) -> SolitonReport:
+                 tail_fraction: float = 0.25) -> SolitonReport:
     """Assemble the full report for a ratio profile and its background."""
     ac = to_allen_cahn(problem, background_ext)
     phi = lift(w, background_ext)
@@ -271,7 +270,6 @@ def build_report(problem: Problem, w: Profile, background_ext: Profile,
                          tail_fraction=tail_fraction)
     err_left, err_right = check_asymptotic_ratio(phi, background_ext,
                                                  tail_fraction=tail_fraction)
-    flags = set(extra_flags) | set(fit.flags)
     return SolitonReport(
         residual_phi_sup=residual_phi(phi, problem),
         residual_reduced_sup=res_reduced,
@@ -285,5 +283,5 @@ def build_report(problem: Problem, w: Profile, background_ext: Profile,
         decay_rate_deriv_right=fit.deriv_rate_right,
         asymptotic_ratio_err_left=err_left,
         asymptotic_ratio_err_right=err_right,
-        diagnostic_flags=tuple(sorted(flags)),
+        diagnostic_flags=tuple(sorted(fit.flags)),
     )

@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
+import darksol
 from darksol.cli import load_config, main, read_csv, write_csv
-from darksol.errors import ConfigError
+from darksol.errors import EXIT_CODES, ConfigError, DarksolError
 
 BASE = """\
 [problem]
@@ -53,6 +54,7 @@ def test_load_config_fields(tmp_path):
     assert cfg.config_hash == hashlib.sha256(path.read_bytes()).hexdigest()
     # defaults
     assert cfg.periodic.residual_tol == 1e-10
+    assert cfg.periodic.oracle_tol == 1e-10
     assert cfg.minimize.grad_tol == 1e-8
     assert cfg.tail_fraction == 0.25
     assert cfg.sweep_lambdas == ()
@@ -176,6 +178,42 @@ def test_positive_lambda_is_rejected(tmp_path, capsys):
                                                  "lambda = 1.0"))
     assert run_cli("solve-soliton", config, tmp_path / "out") == 2
     assert "lambda must be negative" in capsys.readouterr().err
+
+
+def test_every_error_has_an_exit_code():
+    exported = [obj for obj in vars(darksol).values()
+                if isinstance(obj, type) and issubclass(obj, DarksolError)]
+    failures = {cls.status for cls in exported}
+    assert failures == {"validation_error", "nonconvergence",
+                        "property_violation"}
+    assert failures < set(EXIT_CODES)
+
+
+TAIL_UNDERFLOW = BASE.replace("l = 4", "l = 4\ntail_fraction = 0.001")
+
+
+def test_tail_underflow_is_a_property_violation(tmp_path, capsys):
+    config = write_config(tmp_path, TAIL_UNDERFLOW)
+    assert run_cli("solve-soliton", config, tmp_path / "out") == 4
+    assert "usable tail samples" in capsys.readouterr().err
+    config = write_config(tmp_path, TAIL_UNDERFLOW
+                          + "\n[sweep]\nlambda = -1\n", name="sweep.ini")
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", config, out) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["statuses"] == ["property_violation"]
+
+
+def test_oracle_tol_reaches_the_soliton_run(tmp_path):
+    iterations = []
+    for name, text in (("tight", SINUSOIDAL),
+                       ("loose", SINUSOIDAL + "\n[periodic]\n"
+                                             "oracle_tol = 1e-4\n")):
+        out = tmp_path / name
+        assert run_cli("solve-soliton", write_config(tmp_path, text), out) == 0
+        report = json.loads((out / "report.json").read_text())
+        iterations.append(report["periodic"]["monotone_iterations"])
+    assert iterations[1] < iterations[0]
 
 
 def test_incommensurate_half_length_is_rejected(tmp_path):

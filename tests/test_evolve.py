@@ -95,8 +95,6 @@ def test_options_validation():
         EvolveOptions(dt=1e-3, t_max=0.0)
     with pytest.raises(ValidationError):
         EvolveOptions(dt=1e-3, t_max=1.0, snapshot_every=0)
-    with pytest.raises(ValidationError):
-        EvolveOptions(dt=1e-3, t_max=1.0, bc="absorbing")
 
 
 def test_phase_check_needs_snapshots(soliton_run):

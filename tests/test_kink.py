@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from darksol import (DescentState, MinimizeOptions, Profile, WeightedAC,
-                     bracket_bounds, decay_rate_bound, descent_step,
-                     front_existence_margin, initial_guess, guess_rate,
+from darksol import (MinimizeOptions, Profile, WeightedAC, bracket_bounds,
+                     decay_rate_bound, front_existence_margin,
+                     initial_guess, guess_rate,
                      make_truncated_grid, make_uniform_grid, minimize,
                      newton_polish, report_crossing, select_truncation,
                      solve_periodic, to_allen_cahn)
 from darksol.errors import (GridMismatchError, LineSearchFailure,
                             NoSignChange, NonConvergence, ValidationError)
+from darksol.kink import _line_search
 from darksol.reduction import energy
 
 from conftest import (constant_cubic, constant_quintic, cubic_front_exact,
@@ -80,49 +81,40 @@ def test_front_existence_margin():
     assert front_existence_margin(attractive) > 0
 
 
-def test_descent_step_contract():
-    problem = constant_cubic(lam=-1.0, n_per=64)
-    grid, _, ac = reduced_problem(problem, 4.0, 64)
-    w = initial_guess(grid, 2.0)
-    e0 = energy(w, ac)
-    w1, e1, state = descent_step(w, ac)
-    # strict decrease from the tanh guess, boundary pinned
-    assert e1 < e0
-    assert state.energy == e1
-    assert w1.values[0] == -1.0 and w1.values[-1] == 1.0
-    w2, e2, _ = descent_step(w1, ac, state)
-    assert e2 <= e1
-    with pytest.raises(GridMismatchError):
-        descent_step(Profile(make_uniform_grid(-4.0, 4.0, 5),
-                             [-1.0, -0.5, 0.0, 0.5, 1.0]), ac)
-
-
-def test_descent_step_clamps_and_fixes_solution():
+def test_line_search_clamps_and_pins():
     problem = constant_cubic(lam=-1.0, n_per=64)
     grid, _, ac = reduced_problem(problem, 4.0, 64)
     x = grid.x()
-    # interior overshoot leaves [-1, 1]; one step must clamp it back
+    # interior overshoot leaves [-1, 1]; the trial must clamp it back
     bump = np.tanh(x) + 0.8 * np.exp(-((x - 1.0) ** 2))
     bump[0], bump[-1] = -1.0, 1.0
-    wild = Profile(grid, bump)
-    assert np.max(wild.values) > 1.0
-    w1, _, _ = descent_step(wild, ac)
-    assert np.max(np.abs(w1.values)) <= 1.0
+    assert np.max(bump) > 1.0
+    # a gradient that would move the ends: they stay pinned
+    grad = np.full(grid.n, -0.5)
+    trial, _, _, k = _line_search(ac, bump, np.inf, grad, 1.0, 60)
+    assert k == 0
+    assert np.max(np.abs(trial)) <= 1.0
+    assert trial[0] == -1.0 and trial[-1] == 1.0
     # zero gradient is a fixed point of the step
-    flat = Profile(grid, np.ones(grid.n))
-    f1, fe, _ = descent_step(flat, ac)
-    np.testing.assert_array_equal(f1.values, flat.values)
-    assert fe == energy(flat, ac)
+    flat = np.ones(grid.n)
+    e_flat = energy(Profile(grid, flat), ac)
+    f1, fe, _, _ = _line_search(ac, flat, e_flat, np.zeros(grid.n), 1.0, 60)
+    np.testing.assert_array_equal(f1, flat)
+    assert fe == e_flat
 
 
-def test_descent_step_line_search_failure():
+def test_line_search_failure():
     problem = constant_cubic(lam=-1.0, n_per=64)
     grid, _, ac = reduced_problem(problem, 4.0, 64)
-    w = initial_guess(grid, 2.0)
+    w = initial_guess(grid, 2.0).values
+    grad = np.ones(grid.n)
     # an unreachable target energy makes every halving fail
-    state = DescentState(step=1.0, energy=energy(w, ac) - 10.0)
+    trial, e, step, k = _line_search(ac, w, energy(Profile(grid, w), ac)
+                                     - 10.0, grad, 1.0, 8)
+    assert trial is None and k == 8 and step == 0.5**8
+    # minimize turns the exhausted halvings into LineSearchFailure
     with pytest.raises(LineSearchFailure):
-        descent_step(w, ac, state, max_halvings=8)
+        minimize(ac, MinimizeOptions(max_halvings=1, newton_polish=False))
 
 
 def test_minimize_constant_cubic_matches_closed_form():
@@ -244,6 +236,16 @@ def test_report_crossing_interpolates():
     grid = make_uniform_grid(-2.0, 2.0, 129)
     shifted = Profile(grid, np.tanh(grid.x() - 0.3))
     assert report_crossing(shifted) == pytest.approx(0.3, abs=1e-3)
+
+
+def test_report_crossing_first_sign_event_wins():
+    grid = make_uniform_grid(-1.0, 1.0, 5)
+    # a flip between -1 and -0.5 comes before the exact zero at x = 0.5
+    w = Profile(grid, [-1.0, 1.0, 0.5, 0.0, 1.0])
+    assert report_crossing(w) == pytest.approx(-0.75, abs=1e-15)
+    # an exact zero ahead of the first flip is reported as is
+    w = Profile(grid, [-1.0, 0.0, 1.0, -1.0, 1.0])
+    assert report_crossing(w) == -0.5
 
 
 def test_report_crossing_needs_sign_change():

@@ -131,3 +131,5 @@ def test_options_validation():
         PeriodicOptions(damping=1.5)
     with pytest.raises(ValidationError):
         PeriodicOptions(max_newton_iters=0)
+    with pytest.raises(ValidationError):
+        PeriodicOptions(oracle_tol=0.0)

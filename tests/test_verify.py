@@ -147,14 +147,6 @@ def test_build_report_round_trips_through_json(constant_run):
                       "asymptotic_ratio_err", "diagnostic_flags", "verified"}
 
 
-def test_build_report_merges_extra_flags(constant_run):
-    run = constant_run
-    report = build_report(run.problem, run.w, run.background_ext,
-                          extra_flags=("zeta", "alpha"))
-    assert report.diagnostic_flags == tuple(
-        sorted(set(("zeta", "alpha")) | set(run.report.diagnostic_flags)))
-
-
 def test_constant_front_decay_rate(constant_run):
     report = constant_run.report
     assert report.decay_rate_fit_right == pytest.approx(2.0, rel=0.03)
