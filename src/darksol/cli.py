@@ -22,6 +22,7 @@ from . import svgplot
 from .errors import EXIT_CODES, ConfigError, DarksolError
 from .evolve import (EvolveOptions, evolve_nls, kink_drift, make_ansatz,
                      modulus_deviation, phase_rotation_check)
+from .exprparse import compile_expression
 from .kink import MinimizeOptions, make_truncated_grid, select_truncation
 from .model import Grid, Problem, Profile, sample_coefficient, validate_problem
 from .periodic import PeriodicOptions
@@ -534,6 +535,13 @@ def _sweep_row(payload) -> dict:
 
 
 def cmd_sweep(cfg: RunConfig, out_dir, seed, workers: int) -> int:
+    if cfg.sweep_amplitudes is not None:
+        source = cfg.g_source if cfg.kind == "cubic" else cfg.v_source
+        if not (isinstance(source, str) and "a" in compile_expression(
+                source, variables=("x", "a")).variables):
+            raise ConfigError(
+                "[sweep] amplitude is bound to `a`, which the coefficient "
+                "never uses")
     # An empty lambda list is a legal degenerate sweep: header-only output.
     amplitudes = cfg.sweep_amplitudes if cfg.sweep_amplitudes is not None \
         else (None,)

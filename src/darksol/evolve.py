@@ -96,15 +96,12 @@ def _compact_operator(problem: Problem, grid: Grid):
     """Second-difference weight k and the diagonal d(rho) of the compact form.
 
     i M psi_t = k D2 psi + M(d(|psi|^2) psi) with M = (1, 10, 1) / 12, so
-    a stationary state of it is a root of the Numerov residual. The
+    a stationary state of it is a root of the Numerov residual of
+    `Problem.equation`, whose k is the negative of this one. The
     coefficient samples are extended onto the grid once, here.
     """
-    if problem.is_cubic:
-        g = problem.g.on_grid(grid)
-        return -0.5, lambda rho: g * rho
-    potential = problem.potential.on_grid(grid)
-    g1 = problem.g1
-    return -1.0, lambda rho: (g1 + rho) * rho - potential
+    eq = problem.equation(grid)
+    return -eq.k, eq.diagonal
 
 
 def _density(psi: np.ndarray) -> np.ndarray:
@@ -138,17 +135,17 @@ def evolve_nls(psi0: ComplexField, problem: Problem,
 
     def half_step_solve(psi_old, rho, t_new):
         e = (z / 12.0) * diagonal(rho)
+        ten_e = 10.0 * e[1:-1]
         # Explicit application of (M - z A) to the old field.
         side = (minus_off - e) * psi_old
-        rhs = (side[:-2] + side[2:]
-               + (minus_diag - 10.0 * e[1:-1]) * psi_old[1:-1])
+        rhs = side[:-2] + side[2:] + (minus_diag - ten_e) * psi_old[1:-1]
         coupling = plus_off + e
         rot = np.exp(1j * problem.lam * t_new)
         new_left, new_right = rot * edge_left, rot * edge_right
         rhs[0] -= coupling[0] * new_left
         rhs[-1] -= coupling[-1] * new_right
         # Row i couples to i - 1 and i + 1 through their own densities.
-        interior = solve_tridiagonal(coupling[:-2], plus_diag + 10.0 * e[1:-1],
+        interior = solve_tridiagonal(coupling[:-2], plus_diag + ten_e,
                                      coupling[2:], rhs)
         out = np.empty_like(psi_old)
         out[0], out[-1] = new_left, new_right

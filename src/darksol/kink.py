@@ -24,7 +24,8 @@ from .errors import (GridMismatchError, LineSearchFailure, MonotonicityLoss,
                      ValidationError)
 from .model import Grid, Problem, Profile
 from .periodic import bracket_bounds
-from .reduction import WeightedAC, _energy_values, _residual_values
+from .reduction import (WeightedAC, _energy_values, _jacobian_bands,
+                        _residual_values)
 
 __all__ = [
     "MinimizeOptions", "MinimizeResult", "PolishResult",
@@ -147,8 +148,6 @@ def newton_polish(w, ac: WeightedAC, tol: float,
     done so far, so callers can fall back to the flow.
     """
     w = np.array(w.values if isinstance(w, Profile) else w, dtype=float)
-    n = w.shape[0]
-    h = ac.h
     res = _residual_values(ac, w, source)
     sup = float(np.max(np.abs(res)))
     history = [sup]
@@ -156,18 +155,10 @@ def newton_polish(w, ac: WeightedAC, tol: float,
         return PolishResult(values=w, residual_sup=sup, iterations=0,
                             history=tuple(history), singular=False,
                             converged=True)
-    edge = 0.5 * (ac.a[:-1] + ac.a[1:])
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        wi = w[1:-1]
-        ramp = ac.b[1:-1] * (3.0 * wi**2 - 1.0)
-        if ac.kind != "cubic":
-            ramp = ramp + ac.c[1:-1] * (5.0 * wi**4 - 1.0)
-        diag = -(edge[1:] + edge[:-1]) / h**2 - ramp
-        lower = np.concatenate([[0.0], edge[1:-1]]) / h**2
-        upper = np.concatenate([edge[1:-1], [0.0]]) / h**2
         try:
-            delta = solve_tridiagonal(lower, diag, upper, -res[1:-1])
+            delta = solve_tridiagonal(*_jacobian_bands(ac, w), -res[1:-1])
         except SingularLinearization:
             return PolishResult(values=w, residual_sup=sup,
                                 iterations=iterations - 1,

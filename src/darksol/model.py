@@ -15,7 +15,8 @@ from .errors import GridMismatchError, ValidationError
 from .exprparse import compile_expression
 
 __all__ = [
-    "Grid", "Profile", "Coefficient", "Problem", "UniquenessDiagnostic",
+    "Grid", "Profile", "Coefficient", "Equation", "Problem",
+    "UniquenessDiagnostic",
     "make_uniform_grid", "sample_coefficient", "validate_problem",
     "uniqueness_diagnostic",
 ]
@@ -198,6 +199,39 @@ class UniquenessDiagnostic:
     holds: bool
 
 
+@dataclass(frozen=True, eq=False)
+class Equation:
+    """Both models' stationary equation in one form,
+
+        -k phi'' + mu phi + sum_p c_p phi^p = 0,    mu = lam - V,
+
+    the stationary states psi = exp(i lam t) phi of the field equation
+    i psi_t = -k psi'' + d(|psi|^2) psi (see `diagonal`). Built by
+    `Problem.equation`; `powers` holds (p, c_p) for consecutive odd p
+    from 3 up, each c_p a constant or an array of samples like V.
+    """
+
+    k: float
+    mu: float | np.ndarray
+    potential: float | np.ndarray
+    powers: tuple
+
+    def residual(self, phi, lap):
+        """Pointwise residual, given phi and a second difference of it."""
+        out = -self.k * lap + self.mu * phi
+        for p, c in self.powers:
+            out = out + c * phi**p
+        return out
+
+    def diagonal(self, rho):
+        """d(rho) = sum_p c_p rho^((p - 1) / 2) - V, by Horner's rule in rho."""
+        *lower, (_, top) = self.powers
+        out = top * rho
+        for _, c in reversed(lower):
+            out = (c + out) * rho
+        return out - self.potential
+
+
 @dataclass(frozen=True)
 class Problem:
     """Stationary-profile problem for one of the two supported models.
@@ -205,7 +239,9 @@ class Problem:
     kind = "cubic":           -0.5 phi'' + lam phi + g phi^3 = 0, lam < 0
     kind = "cubic-quintic":    phi'' + (V - lam) phi - g1 phi^3 - phi^5 = 0,
                                lam < min V
-    Coefficients g and V are T-periodic; g1 is a constant.
+    Coefficients g and V are T-periodic; g1 is a constant. `equation`
+    states both in the one form of `Equation`, the cubic-quintic
+    equation taken times -1.
     """
 
     kind: str
@@ -236,6 +272,19 @@ class Problem:
     def n_per(self) -> int:
         coeff = self.g if self.is_cubic else self.potential
         return coeff.n_per
+
+    def equation(self, grid: Grid | None = None) -> Equation:
+        """This problem as an `Equation`, its coefficients sampled on one
+        period, or extended onto `grid` (which must be aligned)."""
+        def sampled(coeff):
+            return coeff.samples if grid is None else coeff.on_grid(grid)
+
+        if self.is_cubic:
+            return Equation(k=0.5, mu=self.lam, potential=0.0,
+                            powers=((3, sampled(self.g)),))
+        potential = sampled(self.potential)
+        return Equation(k=1.0, mu=self.lam - potential, potential=potential,
+                        powers=((3, self.g1), (5, 1.0)))
 
 
 def uniqueness_diagnostic(problem: Problem) -> UniquenessDiagnostic:

@@ -12,7 +12,7 @@ import numpy as np
 
 from ._banded import solve_cyclic
 from .errors import BracketViolation, NonConvergence, ValidationError
-from .model import Coefficient, Grid, Problem, Profile
+from .model import Coefficient, Equation, Grid, Problem, Profile
 
 __all__ = [
     "Bracket", "PeriodicOptions", "PeriodicResult", "MonotoneResult",
@@ -90,37 +90,25 @@ def bracket_bounds(problem: Problem) -> Bracket:
     return Bracket(lower=float(lower), upper=float(upper))
 
 
-def _coefficient_arrays(problem: Problem):
-    if problem.is_cubic:
-        return problem.g.samples, None
-    return None, problem.potential.samples
-
-
 def periodic_residual(problem: Problem, values: np.ndarray) -> np.ndarray:
     """Pointwise residual of the periodic stationary equation."""
     phi = np.asarray(values, dtype=float)
     n = problem.n_per
     if phi.shape != (n,):
         raise ValidationError(f"expected {n} periodic unknowns, got {phi.shape}")
-    h = problem.period / n
+    return _residual(problem.equation(), phi, problem.period / n)
+
+
+def _residual(eq: Equation, phi: np.ndarray, h: float) -> np.ndarray:
     lap = (np.roll(phi, -1) - 2.0 * phi + np.roll(phi, 1)) / h**2
-    g, v = _coefficient_arrays(problem)
-    if problem.is_cubic:
-        return -0.5 * lap + problem.lam * phi + g * phi**3
-    return lap + (v - problem.lam) * phi - problem.g1 * phi**3 - phi**5
+    return eq.residual(phi, lap)
 
 
-def _jacobian_parts(problem: Problem, phi: np.ndarray):
-    n = phi.shape[0]
-    h = problem.period / n
-    g, v = _coefficient_arrays(problem)
-    if problem.is_cubic:
-        off = np.full(n, -0.5 / h**2)
-        diag = 1.0 / h**2 + problem.lam + 3.0 * g * phi**2
-    else:
-        off = np.full(n, 1.0 / h**2)
-        diag = (-2.0 / h**2 + (v - problem.lam)
-                - 3.0 * problem.g1 * phi**2 - 5.0 * phi**4)
+def _jacobian_parts(eq: Equation, phi: np.ndarray, h: float):
+    off = np.full(phi.shape[0], -eq.k / h**2)
+    diag = 2.0 * eq.k / h**2 + eq.mu
+    for p, c in eq.powers:
+        diag = diag + p * c * phi**(p - 1)
     return off, diag, off
 
 
@@ -134,9 +122,11 @@ def solve_periodic(problem: Problem, options: PeriodicOptions | None = None
     """
     options = options or PeriodicOptions()
     bracket = bracket_bounds(problem)
+    eq = problem.equation()
     n = problem.n_per
+    h = problem.period / n
     phi = np.full(n, 0.5 * (bracket.lower + bracket.upper))
-    res = periodic_residual(problem, phi)
+    res = _residual(eq, phi, h)
     sup = float(np.max(np.abs(res)))
     clamp_count = 0
     iterations = 0
@@ -147,13 +137,13 @@ def solve_periodic(problem: Problem, options: PeriodicOptions | None = None
             raise NonConvergence(
                 f"periodic Newton stalled at residual {sup:.3e}",
                 final_residual=sup, iterations=iterations)
-        lower_d, diag, upper_d = _jacobian_parts(problem, phi)
+        lower_d, diag, upper_d = _jacobian_parts(eq, phi, h)
         delta = solve_cyclic(lower_d, diag, upper_d, -res)
         t = options.damping
         accepted = False
         for _ in range(30):
             trial = phi + t * delta
-            trial_res = periodic_residual(problem, trial)
+            trial_res = _residual(eq, trial, h)
             trial_sup = float(np.max(np.abs(trial_res)))
             if trial_sup < sup:
                 accepted = True
@@ -170,7 +160,7 @@ def solve_periodic(problem: Problem, options: PeriodicOptions | None = None
                 raise BracketViolation(
                     "periodic iterate left the bracket more than once")
             trial = clamped
-            trial_res = periodic_residual(problem, trial)
+            trial_res = _residual(eq, trial, h)
             trial_sup = float(np.max(np.abs(trial_res)))
         phi, res, sup = trial, trial_res, trial_sup
     profile, coefficient = _package_background(problem, phi)
@@ -188,22 +178,25 @@ def _package_background(problem: Problem, phi: np.ndarray):
     return profile, coefficient
 
 
-def _monotone_shift(problem: Problem, bracket: Bracket) -> float:
-    """Upper bound for the derivative of the forcing over the bracket."""
-    if problem.is_cubic:
-        return 2.0 * problem.lam + 6.0 * problem.g.cmax * bracket.upper**2
-    lo2, up2 = bracket.lower**2, bracket.upper**2
-    ramp = max(3.0 * problem.g1 * lo2 + 5.0 * lo2**2,
-               3.0 * problem.g1 * up2 + 5.0 * up2**2)
-    return -(problem.potential.cmin - problem.lam) + ramp
+def _monotone_shift(eq: Equation, bracket: Bracket) -> float:
+    """Upper bound for the derivative of the forcing over the bracket.
+
+    F' = (mu + sum_p p c_p phi^(p-1)) / k. The sum is linear (cubic) or
+    convex (cubic-quintic) in phi^2, so over the bracket it peaks at
+    one of the two ends; each c_p is taken at its largest sample.
+    """
+    ramp = max(sum(p * float(np.max(c)) * s**((p - 1) // 2)
+                   for p, c in eq.powers)
+               for s in (bracket.lower**2, bracket.upper**2))
+    return (float(np.max(eq.mu)) + ramp) / eq.k
 
 
-def _forcing(problem: Problem, phi: np.ndarray) -> np.ndarray:
+def _forcing(eq: Equation, phi: np.ndarray) -> np.ndarray:
     """F with the equation written as phi'' = F(phi)."""
-    g, v = _coefficient_arrays(problem)
-    if problem.is_cubic:
-        return 2.0 * problem.lam * phi + 2.0 * g * phi**3
-    return -(v - problem.lam) * phi + problem.g1 * phi**3 + phi**5
+    out = eq.mu * phi
+    for p, c in eq.powers:
+        out = out + c * phi**p
+    return out / eq.k
 
 
 def monotone_iteration_oracle(problem: Problem, tol: float = 1e-10,
@@ -217,9 +210,10 @@ def monotone_iteration_oracle(problem: Problem, tol: float = 1e-10,
     enclose the background at every iteration up to rounding.
     """
     bracket = bracket_bounds(problem)
+    eq = problem.equation()
     n = problem.n_per
     h = problem.period / n
-    shift = _monotone_shift(problem, bracket)
+    shift = _monotone_shift(eq, bracket)
     if not shift > 0:
         raise NonConvergence(f"monotone shift {shift} is not positive")
     off = np.full(n, 1.0 / h**2)
@@ -233,12 +227,12 @@ def monotone_iteration_oracle(problem: Problem, tol: float = 1e-10,
     for iterations in range(1, max_iters + 1):
         if not done_below:
             new_below = solve_cyclic(off, diag, off,
-                                     _forcing(problem, below) - shift * below)
+                                     _forcing(eq, below) - shift * below)
             done_below = float(np.max(np.abs(new_below - below))) < tol
             below = new_below
         if not done_above:
             new_above = solve_cyclic(off, diag, off,
-                                     _forcing(problem, above) - shift * above)
+                                     _forcing(eq, above) - shift * above)
             done_above = float(np.max(np.abs(new_above - above))) < tol
             above = new_above
         if record:

@@ -41,7 +41,7 @@ class WeightedAC:
 
     a is the squared background; b and c collect the interaction terms.
     kinetic_factor is the prefactor of the gradient term in the energy,
-    fixed by the convention in which each model is written.
+    1 / (2k) for the k of `Problem.equation`.
     """
 
     grid: Grid
@@ -50,7 +50,6 @@ class WeightedAC:
     c: np.ndarray
     kind: str
     kinetic_factor: float
-    g1: float = 0.0
 
     def __post_init__(self):
         for name in ("a", "b", "c"):
@@ -83,22 +82,14 @@ def to_allen_cahn(problem: Problem, background: Profile) -> WeightedAC:
     if np.min(phi) <= 0:
         raise ValidationError("background must be strictly positive")
     grid = background.grid
-    if problem.is_cubic:
-        g = problem.g.on_grid(grid)
-        a = phi**2
-        b = 2.0 * g * phi**4
-        c = np.zeros_like(phi)
-        kf = 1.0
-    else:
-        # Potential enters only through the background; the reduced
-        # weights need just powers of phi and the constant g1.
-        problem.potential.on_grid(grid)  # alignment check
-        a = phi**2
-        b = problem.g1 * phi**4
-        c = phi**6
-        kf = 0.5
-    return WeightedAC(grid=grid, a=a, b=b, c=c, kind=problem.kind,
-                      kinetic_factor=kf, g1=problem.g1)
+    eq = problem.equation(grid)
+    # -k (a w')' + sum_p c_p phi^(p+1) (w^p - w) = 0: the equation for
+    # w phi minus w times the background's, multiplied by phi.
+    weights = {p: (c / eq.k) * phi**(p + 1) for p, c in eq.powers}
+    zero = np.zeros_like(phi)
+    return WeightedAC(grid=grid, a=phi**2, b=weights.get(3, zero),
+                      c=weights.get(5, zero), kind=problem.kind,
+                      kinetic_factor=0.5 / eq.k)
 
 
 def _check_profile(w: Profile, ac: WeightedAC) -> np.ndarray:
@@ -146,6 +137,20 @@ def _residual_values(ac: WeightedAC, w: np.ndarray,
     if source is not None:
         out -= source
     return out
+
+
+def _jacobian_bands(ac: WeightedAC, w: np.ndarray):
+    """Bands (lower, diag, upper) of the residual's Jacobian at the
+    interior nodes; lower[0] and upper[-1] are zero."""
+    edge = _edge_weights(ac)
+    wi = w[1:-1]
+    ramp = ac.b[1:-1] * (3.0 * wi**2 - 1.0)
+    if ac.kind != "cubic":
+        ramp = ramp + ac.c[1:-1] * (5.0 * wi**4 - 1.0)
+    diag = -(edge[1:] + edge[:-1]) / ac.h**2 - ramp
+    lower = np.concatenate([[0.0], edge[1:-1]]) / ac.h**2
+    upper = np.concatenate([edge[1:-1], [0.0]]) / ac.h**2
+    return lower, diag, upper
 
 
 def _gradient_values(ac: WeightedAC, w: np.ndarray) -> np.ndarray:
@@ -202,24 +207,20 @@ def _numerov_defect(problem: Problem, background_ext: Profile,
     """Numerov residual of the unreduced equation, reduced to the ratio.
 
     With the unreduced residual written as R(phi) = sigma D2 phi + M f(phi),
-    M = (1, 10, 1) / 12 (sigma = -1/2 for the cubic model, 1 for the
-    cubic-quintic), this is (phi+ / sigma) [R(w phi+) - w R(phi+)]: the
-    compact fourth-order counterpart of the reduced residual, which it
-    matches in the continuum limit. Each term is formed from differences
-    of w, so it vanishes exactly where w is flat at +-1. Zero at the
-    pinned boundary nodes.
+    M = (1, 10, 1) / 12 and sigma = -k (see `Problem.equation`), this is
+    (phi+ / sigma) [R(w phi+) - w R(phi+)]: the compact fourth-order
+    counterpart of the reduced residual, which it matches in the
+    continuum limit. Each term is formed from differences of w, so it
+    vanishes exactly where w is flat at +-1. Zero at the pinned
+    boundary nodes.
     """
     grid = background_ext.grid
     phi = background_ext.values
     h = grid.h
-    if problem.is_cubic:
-        sigma = -0.5
-        linear = problem.lam * phi
-        powers = ((3, problem.g.on_grid(grid) * phi**3),)
-    else:
-        sigma = 1.0
-        linear = (problem.potential.on_grid(grid) - problem.lam) * phi
-        powers = ((3, -problem.g1 * phi**3), (5, -phi**5))
+    eq = problem.equation(grid)
+    sigma = -eq.k
+    linear = eq.mu * phi
+    powers = [(p, c * phi**p) for p, c in eq.powers]
     wc = w[1:-1]
     left, right = w[:-2] - wc, w[2:] - wc
     # f(w_j phi_j) - w_i f(phi_j) for j = i - 1, i, i + 1, weighted by M

@@ -30,18 +30,10 @@ _MIN_FIT_POINTS = 5
 
 def residual_phi(phi: Profile, problem: Problem) -> float:
     """Sup norm of the unreduced stationary residual at interior nodes."""
-    grid = phi.grid
     v = phi.values
-    h = grid.h
-    lap = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2
-    mid = v[1:-1]
-    if problem.is_cubic:
-        g = problem.g.on_grid(grid)[1:-1]
-        res = -0.5 * lap + problem.lam * mid + g * mid**3
-    else:
-        pot = problem.potential.on_grid(grid)[1:-1]
-        res = (lap + (pot - problem.lam) * mid
-               - problem.g1 * mid**3 - mid**5)
+    lap = np.zeros_like(v)
+    lap[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / phi.grid.h**2
+    res = problem.equation(phi.grid).residual(v, lap)[1:-1]
     return float(np.max(np.abs(res)))
 
 

@@ -315,6 +315,19 @@ def test_sweep_amplitude_binding(tmp_path):
     assert report["statuses"] == ["ok", "ok"]
 
 
+def test_sweep_amplitude_needs_a_in_the_coefficient(tmp_path):
+    # A coefficient that never reads `a` would give identical rows.
+    sweep = "\n[sweep]\nlambda = -1\namplitude = 0, 0.4\n"
+    table = BASE.replace("g = 1", "g_table = " + ", ".join(["1"] * 64))
+    for text in (SINUSOIDAL, table):
+        config = write_config(tmp_path, text + sweep)
+        out = tmp_path / "out"
+        assert run_cli("sweep", config, out) == EXIT_CODES["validation_error"]
+        assert not (out / "summary.csv").exists()
+        # Other commands still run on the same config.
+        assert run_cli("solve-periodic", config, out) == 0
+
+
 def test_seed_is_recorded(tmp_path):
     config = write_config(tmp_path, BASE)
     out = tmp_path / "out"

@@ -5,8 +5,11 @@ from darksol import (Grid, Problem, Profile, make_uniform_grid,
                      sample_coefficient, uniqueness_diagnostic,
                      validate_problem)
 from darksol.errors import GridMismatchError, ValidationError
+from darksol.evolve import _compact_operator
+from darksol.reduction import to_allen_cahn
 
-from conftest import constant_cubic, sinusoidal_cubic, sinusoidal_quintic
+from conftest import (constant_cubic, constant_quintic, sinusoidal_cubic,
+                      sinusoidal_quintic)
 
 
 def test_grid_basics():
@@ -186,3 +189,41 @@ def test_validate_problem_attaches_diagnostic_and_is_idempotent():
     assert not once.diagnostics.holds
     twice = validate_problem(once)
     assert twice is once
+
+
+@pytest.mark.parametrize("problem", [
+    sinusoidal_cubic(n_per=32),
+    constant_quintic(n_per=32, g1=0.0),
+    sinusoidal_quintic(n_per=32, g1=0.5),
+], ids=["modulated-cubic", "constant-quintic-g1-0", "modulated-quintic"])
+def test_equation_states_both_models(problem, rng):
+    # Hand-written from the two forms in Problem's docstring, on a
+    # random positive profile: the equation (the cubic-quintic one
+    # times -1), the reduced weights and the evolver's d(rho).
+    grid = make_uniform_grid(-1.0, 1.0, 2 * 32 + 1)
+    phi = rng.uniform(0.5, 1.5, grid.n)
+    lap = rng.normal(size=grid.n)
+    lam = problem.lam
+    if problem.is_cubic:
+        g = problem.g.on_grid(grid)
+        residual = -0.5 * lap + lam * phi + g * phi**3
+        a, b, c, kf = phi**2, 2.0 * g * phi**4, np.zeros(grid.n), 1.0
+        k, rho = -0.5, phi**2
+        d = g * rho
+    else:
+        v, g1 = problem.potential.on_grid(grid), problem.g1
+        residual = -(lap + (v - lam) * phi - g1 * phi**3 - phi**5)
+        a, b, c, kf = phi**2, g1 * phi**4, phi**6, 0.5
+        k, rho = -1.0, phi**2
+        d = g1 * rho + rho**2 - v
+
+    eq = problem.equation(grid)
+    np.testing.assert_allclose(eq.residual(phi, lap), residual,
+                               rtol=1e-13, atol=1e-13)
+    ac = to_allen_cahn(problem, Profile(grid, phi))
+    for got, want in ((ac.a, a), (ac.b, b), (ac.c, c)):
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    assert ac.kinetic_factor == kf
+    evolve_k, diagonal = _compact_operator(problem, grid)
+    assert evolve_k == k
+    np.testing.assert_allclose(diagonal(rho), d, rtol=1e-14, atol=1e-14)
