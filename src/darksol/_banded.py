@@ -1,16 +1,17 @@
 """Tridiagonal and cyclic-tridiagonal linear solves.
 
-Thin wrappers over scipy's banded LU. The cyclic variant handles the
-periodic discretizations via a rank-one (Sherman-Morrison) update of
-the open-chain system, so nothing here is ever densified.
+Thin wrappers over LAPACK's tridiagonal LU. The cyclic variant handles
+the periodic discretizations via a rank-one (Sherman-Morrison) update
+of the open-chain system, so nothing here is ever densified, and it can
+be factored once for a matrix that many right-hand sides share.
 """
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack, solve_banded
 
 from .errors import SingularLinearization
 
-__all__ = ["solve_tridiagonal", "solve_cyclic"]
+__all__ = ["solve_tridiagonal", "solve_cyclic", "factor_cyclic"]
 
 
 def solve_tridiagonal(lower, diag, upper, rhs):
@@ -37,47 +38,62 @@ def solve_tridiagonal(lower, diag, upper, rhs):
 
 
 def solve_cyclic(lower, diag, upper, rhs):
-    """Solve the periodic tridiagonal system A y = rhs.
+    """Solve the periodic tridiagonal system A y = rhs once; see
+    `factor_cyclic` for the layout of A."""
+    return factor_cyclic(lower, diag, upper)(rhs)
+
+
+def factor_cyclic(lower, diag, upper):
+    """Factor the periodic tridiagonal A once and return its solver.
 
     Row i couples indices (i-1) % n, i, (i+1) % n with weights
     lower[i], diag[i], upper[i]; the wrap entries A[0, n-1] = lower[0]
-    and A[n-1, 0] = upper[n-1] are folded in by a rank-one update.
-    Requires n >= 3.
+    and A[n-1, 0] = upper[n-1] are folded in by a rank-one update whose
+    correction vector is solved here, so each call of the returned
+    `solve(rhs)` costs one pair of triangular sweeps. Requires n >= 3;
+    raises SingularLinearization if A is singular.
     """
     lower = np.asarray(lower, dtype=float)
     diag = np.asarray(diag, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
     n = diag.shape[0]
     if n < 3:
         raise ValueError("cyclic solve needs at least 3 unknowns")
 
     alpha = lower[0]   # A[0, n-1]
     beta = upper[-1]   # A[n-1, 0]
-    if alpha == 0.0 and beta == 0.0:
-        return solve_tridiagonal(lower, diag, upper, rhs)
-
-    # A = T + u v^T with u = (gamma, 0, .., 0, beta), v = (1, 0, .., 0, alpha/gamma).
-    gamma = -diag[0] if diag[0] != 0.0 else 1.0
+    wrapped = alpha != 0.0 or beta != 0.0
     d = diag.copy()
-    d[0] -= gamma
-    d[-1] -= alpha * beta / gamma
+    if wrapped:
+        # A = T + u v^T with u = (gamma, 0, .., 0, beta),
+        # v = (1, 0, .., 0, alpha/gamma).
+        gamma = -diag[0] if diag[0] != 0.0 else 1.0
+        d[0] -= gamma
+        d[-1] -= alpha * beta / gamma
+    dl, d, du, du2, ipiv, info = lapack.dgttrf(lower[1:], d, upper[:-1])
+    if info != 0:
+        raise SingularLinearization(
+            f"tridiagonal factor has a zero pivot at row {info}")
 
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = d
-    ab[2, :-1] = lower[1:]
+    def solve_open(rhs):
+        y, _ = lapack.dgttrs(dl, d, du, du2, ipiv,
+                             np.asarray(rhs, dtype=float))
+        return y
+
+    if not wrapped:
+        return solve_open
 
     u = np.zeros(n)
     u[0] = gamma
     u[-1] = beta
-    try:
-        y, z = solve_banded((1, 1), ab, np.column_stack([rhs, u]),
-                            check_finite=False).T
-    except np.linalg.LinAlgError as exc:
-        raise SingularLinearization(str(exc)) from exc
-    denom = 1.0 + z[0] + (alpha / gamma) * z[-1]
+    z = solve_open(u)
+    ratio = alpha / gamma
+    denom = 1.0 + z[0] + ratio * z[-1]
     if denom == 0.0 or not np.isfinite(denom):
         raise SingularLinearization("cyclic correction is singular")
-    factor = (y[0] + (alpha / gamma) * y[-1]) / denom
-    return y - factor * z
+
+    def solve(rhs):
+        y = solve_open(rhs)
+        return y - ((y[0] + ratio * y[-1]) / denom) * z
+
+    return solve

@@ -1,22 +1,30 @@
 """Front (dark-soliton ratio) profiles on a truncated symmetric domain.
 
-The ratio w is found by constrained energy descent: explicit gradient
-flow with backtracking and clamping to [-1, 1], interleaved with a
-damped Newton polish on the residual once the iterate is in the basin.
-The flow is robust but slow near convergence; the polish is fast but
-needs a good iterate, and its linearization carries a near-zero
-translation eigenvalue, so it runs with an LU factorization, a step
-cap, and a residual line search rather than as plain Newton.
+The ratio w is a minimizer of the reduced energy. `minimize` first runs
+one damped Newton solve from the start profile (residual line search,
+no step cap) and keeps the root only if it is monotone, lowers the
+energy, and is certified a strict local minimizer: the energy Hessian
+is -2 kf h times the residual Jacobian, a symmetric tridiagonal matrix,
+and an LDL^T factorization with positive pivots proves it positive
+definite. Otherwise, e.g. on a saddle such as a front pinned on a
+maximum of the periodic landscape, constrained energy descent runs
+from the same start: explicit gradient flow with backtracking and
+clamping to [-1, 1], interleaved with a Newton polish once the iterate
+is in the basin. The flow is robust but slow near convergence; the
+linearization carries a near-zero translation eigenvalue, so there the
+polish also caps its step.
 
-Both accept a fixed source s, which turns the equation into R(w) = s
-and the energy into its linear shift (see `reduction`); `correct` uses
-that for the one deferred-correction solve that lifts the minimizer of
-the second-order energy to a fourth-order front.
+`minimize` and `newton_polish` accept a fixed source s, which turns
+the equation into R(w) = s and the energy into its linear shift (see
+`reduction`); `correct` uses that for the one deferred-correction solve
+that lifts the minimizer of the second-order energy to a fourth-order
+front.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import lapack
 
 from ._banded import solve_tridiagonal
 from .errors import (GridMismatchError, LineSearchFailure, MonotonicityLoss,
@@ -138,10 +146,12 @@ def front_existence_margin(problem: Problem) -> float | None:
 
 
 def newton_polish(w, ac: WeightedAC, tol: float,
-                  max_iters: int = 40, source=None) -> PolishResult:
+                  max_iters: int = 40, source=None,
+                  step_cap: float = _POLISH_STEP_CAP) -> PolishResult:
     """Damped Newton on the reduced residual with pinned boundary values.
 
     With a source s the residual is R(w) - s; the Jacobian is the same.
+    A correction larger than `step_cap` in sup norm ends the solve.
 
     Never raises: a singular factorization, an oversized correction or
     a stalled line search all come back as singular=True with the work
@@ -165,7 +175,7 @@ def newton_polish(w, ac: WeightedAC, tol: float,
                                 history=tuple(history), singular=True,
                                 converged=False)
         if not np.all(np.isfinite(delta)) or \
-                float(np.max(np.abs(delta))) > _POLISH_STEP_CAP:
+                float(np.max(np.abs(delta))) > step_cap:
             return PolishResult(values=w, residual_sup=sup,
                                 iterations=iterations - 1,
                                 history=tuple(history), singular=True,
@@ -197,6 +207,18 @@ def newton_polish(w, ac: WeightedAC, tol: float,
     return PolishResult(values=w, residual_sup=sup, iterations=iterations,
                         history=tuple(history), singular=True,
                         converged=False)
+
+
+def _is_strict_minimizer(ac: WeightedAC, w: np.ndarray) -> bool:
+    """Whether the energy Hessian at w is positive definite.
+
+    The Hessian is -2 kf h times the residual Jacobian, so it is
+    positive definite exactly when the negated Jacobian bands admit an
+    LDL^T factorization with positive pivots (dpttrf, O(n)).
+    """
+    _, diag, upper = _jacobian_bands(ac, w)
+    _, _, info = lapack.dpttrf(-diag, -upper[:-1])
+    return info == 0
 
 
 def _line_search(ac, w, energy, grad, step, max_halvings, source=None):
@@ -245,14 +267,19 @@ def _descent_burst(ac, w, energy, step, budget, target_res, max_halvings,
 
 def minimize(ac: WeightedAC, options: MinimizeOptions | None = None,
              w0: Profile | None = None, source=None) -> MinimizeResult:
-    """Constrained descent to the front profile of the reduced energy.
+    """Front profile of the reduced energy: certified Newton first,
+    constrained descent as the fallback.
 
     Convergence test: sup |gradient| / h <= grad_tol, equivalently
-    sup |residual| <= grad_tol / (2 * kinetic_factor). The energy log
-    records the initial value and every accepted flow step and never
-    increases. A converged profile that fails to be monotone raises
-    MonotonicityLoss rather than being returned. With a fixed source
-    the energy and residual are those of R(w) = source.
+    sup |residual| <= grad_tol / (2 * kinetic_factor). A Newton root is
+    returned only if it is monotone, its energy is at most the initial
+    one and it is a strict local minimizer; its energy log is the
+    initial value alone. Otherwise the descent runs from the same start
+    (alone when newton_polish is off), and the log records the initial
+    value and every accepted flow step and never increases. A converged
+    profile that fails to be monotone raises MonotonicityLoss rather
+    than being returned. With a fixed source the energy and residual
+    are those of R(w) = source.
     """
     options = options or MinimizeOptions()
     if w0 is None:
@@ -271,6 +298,17 @@ def minimize(ac: WeightedAC, options: MinimizeOptions | None = None,
     flow_iterations = 0
     polish_iterations = 0
     burst = 100
+
+    if options.newton_polish:
+        first = newton_polish(w, ac, tol=target_res, source=source,
+                              step_cap=np.inf)
+        polish_iterations = first.iterations
+        if (first.converged and np.all(np.diff(first.values) >= 0)
+                and _energy_values(ac, first.values, source) <= energy
+                and _is_strict_minimizer(ac, first.values)):
+            return _front_result(ac, first.values, first.residual_sup,
+                                 tuple(energies), 0, polish_iterations,
+                                 flags, source)
 
     res_sup = float(np.max(np.abs(_residual_values(ac, w, source))))
     while res_sup > target_res:
@@ -316,7 +354,7 @@ def correct(ac: WeightedAC, first: MinimizeResult, source,
 
     A Newton polish from the minimizer normally converges in a few
     steps, since the source moves the root by O(h^2); when it does not,
-    the constrained descent of `minimize` runs with the same source.
+    `minimize` runs with the same source.
     The result sums the iteration counts and flags of both solves and
     reports the convergence of the corrected equation; its energy log is
     that of `first` and its final energy the reduced energy (no source

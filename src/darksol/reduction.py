@@ -110,9 +110,11 @@ def _potential_density(ac: WeightedAC, w: np.ndarray) -> np.ndarray:
 
 
 def _nonlinearity(ac: WeightedAC, w: np.ndarray) -> np.ndarray:
-    out = ac.b * w * (w**2 - 1.0)
+    # w**4 as a product of squares: numpy's pow is ten times slower.
+    w2 = w * w
+    out = ac.b * w * (w2 - 1.0)
     if ac.kind != "cubic":
-        out = out + ac.c * w * (w**4 - 1.0)
+        out = out + ac.c * w * (w2 * w2 - 1.0)
     return out
 
 
@@ -144,9 +146,10 @@ def _jacobian_bands(ac: WeightedAC, w: np.ndarray):
     interior nodes; lower[0] and upper[-1] are zero."""
     edge = _edge_weights(ac)
     wi = w[1:-1]
-    ramp = ac.b[1:-1] * (3.0 * wi**2 - 1.0)
+    wi2 = wi * wi
+    ramp = ac.b[1:-1] * (3.0 * wi2 - 1.0)
     if ac.kind != "cubic":
-        ramp = ramp + ac.c[1:-1] * (5.0 * wi**4 - 1.0)
+        ramp = ramp + ac.c[1:-1] * (5.0 * (wi2 * wi2) - 1.0)
     diag = -(edge[1:] + edge[:-1]) / ac.h**2 - ramp
     lower = np.concatenate([[0.0], edge[1:-1]]) / ac.h**2
     upper = np.concatenate([edge[1:-1], [0.0]]) / ac.h**2

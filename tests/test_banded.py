@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from darksol._banded import solve_cyclic, solve_tridiagonal
+from darksol._banded import factor_cyclic, solve_cyclic, solve_tridiagonal
 from darksol.errors import SingularLinearization
 
 
@@ -90,3 +90,38 @@ def test_singular_matrix_is_reported():
 def test_cyclic_needs_three_unknowns():
     with pytest.raises(ValueError):
         solve_cyclic(np.ones(2), np.ones(2), np.ones(2), np.ones(2))
+
+
+def test_factored_cyclic_solver_is_reusable(rng):
+    n = 50
+    lower = rng.standard_normal(n)
+    upper = rng.standard_normal(n)
+    diag = 5.0 + rng.standard_normal(n)
+    dense = dense_tridiagonal(lower, diag, upper, cyclic=True)
+    solve = factor_cyclic(lower, diag, upper)
+    for _ in range(4):
+        rhs = rng.standard_normal(n)
+        y = solve(rhs)
+        np.testing.assert_allclose(y, np.linalg.solve(dense, rhs),
+                                   rtol=1e-11, atol=1e-12)
+        # reuse gives the bits of a fresh factorization
+        np.testing.assert_array_equal(y, factor_cyclic(lower, diag,
+                                                        upper)(rhs))
+        np.testing.assert_array_equal(y, solve_cyclic(lower, diag, upper,
+                                                      rhs))
+
+
+def test_factored_cyclic_singular_matrix_is_reported():
+    # exactly singular, caught by each of the three checks: a zero pivot
+    # of the open chain, then with wrap entries a zero pivot of the
+    # modified chain and a zero rank-one denominator
+    n = 4
+    ones = np.ones(n)
+    cases = [(np.zeros(n), np.zeros(n), np.zeros(n)),
+             (ones, np.array([1.0, 1.0, 1.0, -2.0]), ones),
+             (ones, np.array([1.0, -2.0, 1.0, 1.0]), ones)]
+    for lower, diag, upper in cases:
+        assert abs(np.linalg.det(dense_tridiagonal(lower, diag, upper,
+                                                   cyclic=True))) < 1e-12
+        with pytest.raises(SingularLinearization):
+            factor_cyclic(lower, diag, upper)

@@ -2,17 +2,21 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
-from darksol import (MinimizeOptions, Profile, WeightedAC, bracket_bounds,
-                     decay_rate_bound, front_existence_margin,
-                     initial_guess, guess_rate,
+from darksol import (MinimizeOptions, Problem, Profile, WeightedAC,
+                     bracket_bounds, decay_rate_bound,
+                     front_existence_margin, initial_guess, guess_rate,
                      make_truncated_grid, make_uniform_grid, minimize,
-                     newton_polish, report_crossing, select_truncation,
-                     solve_periodic, to_allen_cahn)
+                     newton_polish, report_crossing, run_soliton,
+                     sample_coefficient, select_truncation, solve_periodic,
+                     to_allen_cahn)
+from darksol import kink
 from darksol.errors import (GridMismatchError, LineSearchFailure,
                             NoSignChange, NonConvergence, ValidationError)
-from darksol.kink import _line_search, correct
-from darksol.reduction import correction_source, energy, residual_reduced
+from darksol.kink import _is_strict_minimizer, _line_search, correct
+from darksol.reduction import (_jacobian_bands, correction_source, energy,
+                               residual_reduced)
 
 from conftest import (constant_cubic, constant_quintic, cubic_front_exact,
                       quintic_front_oracle, sinusoidal_cubic)
@@ -273,6 +277,82 @@ def test_correct_falls_back_to_descent_with_the_source():
     assert fallback.flow_iterations > first.flow_iterations
     np.testing.assert_allclose(fallback.profile.values,
                                direct.profile.values, atol=1e-8)
+
+
+def cubic_case(expr, half_length=6.0, n_per=128):
+    g = sample_coefficient(expr, 1.0, n_per, positive=True)
+    problem = Problem(kind="cubic", lam=-1.0, period=1.0, g=g)
+    return reduced_problem(problem, half_length, n_per)
+
+
+def lowest_hessian_eigenvalue(ac, w):
+    # sign of the energy Hessian's lowest eigenvalue, by a route that
+    # does not share the certificate's factorization
+    _, diag, upper = _jacobian_bands(ac, w)
+    return eigh_tridiagonal(-diag, -upper[:-1], eigvals_only=True,
+                            select="i", select_range=(0, 0))[0]
+
+
+def descent_only(monkeypatch, ac):
+    """minimize with every Newton root refused: the descent path alone."""
+    with monkeypatch.context() as patch:
+        patch.setattr(kink, "_is_strict_minimizer", lambda ac, w: False)
+        return minimize(ac)
+
+
+def test_minimize_takes_a_certified_newton_root(monkeypatch):
+    # criterion-9 case: the front has to travel a quarter period to the
+    # minimum of its landscape, which took the descent 5,100 flow steps
+    grid, _, ac = cubic_case("1 + 0.9*sin(2*pi*x)")
+    result = minimize(ac)
+    start = energy(initial_guess(grid, guess_rate(ac)), ac)
+    assert result.flow_iterations == 0
+    assert result.energies == (start,)
+    assert 0 < result.polish_iterations
+    assert result.grad_sup_per_h <= 1e-8
+    assert result.final_energy < start
+    descent = descent_only(monkeypatch, ac)
+    assert descent.flow_iterations > 0
+    assert np.max(np.abs(result.profile.values
+                         - descent.profile.values)) <= 1e-8
+
+
+def test_minimize_falls_back_from_a_saddle():
+    # a coefficient maximum at the centre: by symmetry Newton converges
+    # to the front pinned there, which is a saddle of the energy
+    grid, _, ac = cubic_case("1 + 0.5*cos(2*pi*x)")
+    options = MinimizeOptions()
+    root = newton_polish(initial_guess(grid, guess_rate(ac)), ac,
+                         tol=options.grad_tol / (2.0 * ac.kinetic_factor),
+                         step_cap=np.inf)
+    assert root.converged
+    assert lowest_hessian_eigenvalue(ac, root.values) < 0
+    result = minimize(ac, options)
+    assert result.flow_iterations > 0
+    assert len(result.energies) == result.flow_iterations + 1
+    assert np.all(np.diff(result.energies) <= 0.0)
+    # the descent keeps the symmetry, so it ends on the same saddle
+    assert np.max(np.abs(result.profile.values - root.values)) <= 1e-8
+
+
+def test_minimizer_certificate():
+    _, _, ac = cubic_case("1 + 0.9*sin(2*pi*x)")
+    front = minimize(ac).profile.values
+    assert lowest_hessian_eigenvalue(ac, front) > 0
+    assert _is_strict_minimizer(ac, front)
+    _, _, ac = cubic_case("1 + 0.5*cos(2*pi*x)")
+    saddle = minimize(ac).profile.values
+    assert lowest_hessian_eigenvalue(ac, saddle) < 0
+    assert not _is_strict_minimizer(ac, saddle)
+
+
+def test_strong_modulation_at_large_lambda_converges():
+    # g = 1 + 0.5 sin, lambda = -4, automatic L: the capped descent
+    # exhausted its 20,000-step budget here and ended NonConvergence
+    g = sample_coefficient("1 + 0.5*sin(2*pi*x)", 1.0, 256, positive=True)
+    run = run_soliton(Problem(kind="cubic", lam=-4.0, period=1.0, g=g))
+    assert run.status == "ok"
+    assert run.minimize.flow_iterations == 0
 
 
 def test_report_crossing_exact_node():
