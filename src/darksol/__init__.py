@@ -28,9 +28,8 @@ from .periodic import (Bracket, MonotoneResult, PeriodicOptions,
                        monotone_iteration_oracle, periodic_residual,
                        solve_periodic)
 from .pipeline import SolitonRun, run_background, run_soliton
-from .reduction import (WeightedAC, divide_by_background, energy,
-                        energy_gradient, lift, potential_floor,
-                        residual_reduced, to_allen_cahn)
+from .reduction import (WeightedAC, energy, energy_gradient, lift,
+                        potential_floor, residual_reduced, to_allen_cahn)
 from .verify import (DecayFit, SolitonReport, amplitude_margin,
                      build_report, check_asymptotic_ratio, fit_decay_rate,
                      gradient_consistency, monotonicity_margin, residual_phi)

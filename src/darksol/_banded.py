@@ -7,7 +7,7 @@ be factored once for a matrix that many right-hand sides share.
 """
 
 import numpy as np
-from scipy.linalg import lapack, solve_banded
+from scipy.linalg import get_lapack_funcs, lapack
 
 from .errors import SingularLinearization
 
@@ -20,21 +20,19 @@ def solve_tridiagonal(lower, diag, upper, rhs):
     lower[i] multiplies y[i-1] in row i (lower[0] ignored), upper[i]
     multiplies y[i+1] (upper[-1] ignored). Works for real and complex
     data; raises SingularLinearization if the factorization fails.
+    Finiteness is the caller's contract: nothing scans for nans, which
+    keeps the hot path cheap and lets divergence checks see them.
     """
-    diag = np.asarray(diag)
-    n = diag.shape[0]
     dtype = np.result_type(lower, diag, upper, rhs)
-    ab = np.zeros((3, n), dtype=dtype)
-    ab[0, 1:] = np.asarray(upper)[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = np.asarray(lower)[1:]
-    try:
-        # Finiteness is the caller's contract; skipping the scan keeps
-        # the hot path cheap and lets divergence checks see the nans.
-        return solve_banded((1, 1), ab, np.asarray(rhs, dtype=dtype),
-                            check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SingularLinearization(str(exc)) from exc
+    gtsv, = get_lapack_funcs(("gtsv",), dtype=dtype)
+    _, _, _, y, info = gtsv(np.asarray(lower, dtype=dtype)[1:],
+                            np.asarray(diag, dtype=dtype),
+                            np.asarray(upper, dtype=dtype)[:-1],
+                            np.asarray(rhs, dtype=dtype))
+    if info != 0:
+        raise SingularLinearization(
+            f"tridiagonal solve has a zero pivot at row {info}")
+    return y
 
 
 def solve_cyclic(lower, diag, upper, rhs):
@@ -89,7 +87,10 @@ def factor_cyclic(lower, diag, upper):
     z = solve_open(u)
     ratio = alpha / gamma
     denom = 1.0 + z[0] + ratio * z[-1]
-    if denom == 0.0 or not np.isfinite(denom):
+    # A singular A leaves the denominator at the rounding level of its
+    # three terms, not at zero; a nan or inf fails the test as well.
+    scale = 1.0 + abs(z[0]) + abs(ratio * z[-1])
+    if not abs(denom) > 16.0 * np.finfo(float).eps * scale:
         raise SingularLinearization("cyclic correction is singular")
 
     def solve(rhs):

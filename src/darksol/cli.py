@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,19 +28,21 @@ from .model import Grid, Problem, Profile, sample_coefficient, validate_problem
 from .periodic import PeriodicOptions
 from .pipeline import run_background, run_soliton
 from .reduction import residual_reduced, to_allen_cahn
-from .verify import build_report
+from .verify import TAIL_FRACTION, build_report
 
 SCHEMA_VERSION = 1
 
+# Sections whose keys are the fields of a solver's option class.
+_OPTION_SECTIONS = {"periodic": PeriodicOptions, "minimize": MinimizeOptions}
 _KNOWN_KEYS = {
     "problem": {"kind", "lambda", "period", "n_per_period", "g", "g_table",
                 "v", "v_table", "g1"},
     "domain": {"l", "tail_fraction"},
-    "periodic": {"residual_tol", "max_newton_iters", "damping", "oracle_tol"},
-    "minimize": {"grad_tol", "max_outer_iters", "newton_polish"},
     "evolve": {"dt", "t_max", "snapshot_every", "initial", "modulus_tol",
                "phase_tol"},
     "sweep": {"lambda", "amplitude"},
+    **{section: {f.name for f in fields(cls)}
+       for section, cls in _OPTION_SECTIONS.items()},
 }
 
 
@@ -106,8 +108,6 @@ def load_config(path) -> RunConfig:
             return default
         text = cp.get(section, key)
         try:
-            if cast is bool:
-                return cp.getboolean(section, key)
             return cast(text)
         except (ValueError, ConfigError) as exc:
             raise ConfigError(
@@ -136,24 +136,22 @@ def load_config(path) -> RunConfig:
         v_source = expr if expr is not None else _float_list(table)
     g1 = get("problem", "g1", float, default=0.0)
 
-    periodic = PeriodicOptions(
-        residual_tol=get("periodic", "residual_tol", float, default=1e-10),
-        max_newton_iters=get("periodic", "max_newton_iters", int, default=50),
-        damping=get("periodic", "damping", float, default=1.0),
-        oracle_tol=get("periodic", "oracle_tol", float, default=1e-10))
-    minimize_opts = MinimizeOptions(
-        grad_tol=get("minimize", "grad_tol", float, default=1e-8),
-        max_outer_iters=get("minimize", "max_outer_iters", int, default=20000),
-        newton_polish=get("minimize", "newton_polish", bool, default=True))
+    def options(section):
+        """The section's option class from the keys present; the class's
+        fields give each key's cast and default."""
+        cls = _OPTION_SECTIONS[section]
+        return cls(**{f.name: get(section, f.name, f.type)
+                      for f in fields(cls) if cp.has_option(section, f.name)})
 
     raw = {section: dict(cp[section]) for section in cp.sections()}
     return RunConfig(
         kind=kind, lam=lam, period=period, n_per_period=n_per,
         g_source=g_source, v_source=v_source, g1=g1,
         half_length=get("domain", "l", float),
-        tail_fraction=get("domain", "tail_fraction", float, default=0.25),
-        periodic=periodic,
-        minimize=minimize_opts,
+        tail_fraction=get("domain", "tail_fraction", float,
+                          default=TAIL_FRACTION),
+        periodic=options("periodic"),
+        minimize=options("minimize"),
         dt=get("evolve", "dt", float),
         t_max=get("evolve", "t_max", float),
         snapshot_every=get("evolve", "snapshot_every", int, default=100),

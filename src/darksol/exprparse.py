@@ -1,20 +1,15 @@
 """Small arithmetic expression language for coefficient profiles.
 
-Grammar (recursive descent):
-
-    expr    := term (('+' | '-') term)*
-    term    := unary (('*' | '/') unary)*
-    unary   := ('+' | '-')* primary
-    primary := NUMBER | 'pi' | NAME '(' expr ')' | NAME | '(' expr ')'
-
-Supported functions are sin, cos and exp. Free variables are checked
-at parse time against the caller's declared set, so a config typo is
-reported with its position instead of surfacing later as a NameError.
+`ast.parse` reads the text and each node is checked against the language
+(decimal numbers, pi, declared names, + - * /, unary + -, parentheses,
+sin, cos and exp of one argument); anything else is reported with its
+position. The checked tree runs as bytecode, so it does not recurse.
 """
 
+import ast
 import math
-import re
-from dataclasses import dataclass, field
+import string
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,31 +18,11 @@ from .errors import ExpressionError
 __all__ = ["CompiledExpression", "compile_expression"]
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
-_TOKEN = re.compile(r"\s*(?:(\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
-                    r"|\d+(?:[eE][+-]?\d+)?)|([A-Za-z_][A-Za-z_0-9]*)|(.))")
-
-
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            break
-        number, name, other = m.groups()
-        if number is not None:
-            tokens.append(("num", float(number), m.start(1)))
-        elif name is not None:
-            tokens.append(("name", name, m.start(2)))
-        elif other.strip():
-            if other not in "+-*/()":
-                raise ExpressionError(
-                    f"unexpected character {other!r} at position {m.start(3)}",
-                    position=m.start(3))
-            tokens.append(("op", other, m.start(3)))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+_CONSTANTS = {"pi": math.pi, **_FUNCTIONS}
+_ALPHABET = frozenset(string.ascii_letters + string.digits
+                      + string.whitespace + "_.+-*/()")
+_DECIMAL = frozenset(string.digits + ".eE+-")
+_BLANKS = str.maketrans(string.whitespace, " " * len(string.whitespace))
 
 
 @dataclass(frozen=True)
@@ -55,111 +30,71 @@ class CompiledExpression:
     """Parsed expression; evaluate with keyword bindings for its variables."""
 
     source: str
-    variables: frozenset = field(default_factory=frozenset)
-    _eval: object = None
+    variables: frozenset
+    _code: object
 
     def __call__(self, **bindings):
         missing = self.variables - set(bindings)
         if missing:
             raise ExpressionError(
                 f"unbound variable(s) {sorted(missing)} in {self.source!r}")
-        return self._eval(bindings)
+        return eval(self._code, {"__builtins__": {}},
+                    {**bindings, **_CONSTANTS})
 
 
-class _Parser:
-    def __init__(self, text, allowed):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.k = 0
-        self.allowed = allowed
-        self.seen = set()
+def _fail(text, message, pos):
+    raise ExpressionError(f"{message} at position {pos} in {text!r}",
+                          position=pos)
 
-    def peek(self):
-        return self.tokens[self.k]
 
-    def next(self):
-        tok = self.tokens[self.k]
-        self.k += 1
-        return tok
-
-    def fail(self, message, pos):
-        raise ExpressionError(f"{message} at position {pos} in {self.text!r}",
-                              position=pos)
-
-    def expr(self):
-        node = self.term()
-        while self.peek()[0] == "op" and self.peek()[1] in "+-":
-            op = self.next()[1]
-            rhs = self.term()
-            if op == "+":
-                node = (lambda a, b: lambda env: a(env) + b(env))(node, rhs)
-            else:
-                node = (lambda a, b: lambda env: a(env) - b(env))(node, rhs)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek()[0] == "op" and self.peek()[1] in "*/":
-            op = self.next()[1]
-            rhs = self.unary()
-            if op == "*":
-                node = (lambda a, b: lambda env: a(env) * b(env))(node, rhs)
-            else:
-                node = (lambda a, b: lambda env: a(env) / b(env))(node, rhs)
-        return node
-
-    def unary(self):
-        sign = 1.0
-        while self.peek()[0] == "op" and self.peek()[1] in "+-":
-            if self.next()[1] == "-":
-                sign = -sign
-        node = self.primary()
-        if sign < 0:
-            return (lambda a: lambda env: -a(env))(node)
-        return node
-
-    def primary(self):
-        kind, value, pos = self.next()
-        if kind == "num":
-            return lambda env, v=value: v
-        if kind == "name":
-            if value == "pi":
-                return lambda env: math.pi
-            if value in _FUNCTIONS:
-                if self.peek()[:2] != ("op", "("):
-                    self.fail(f"function {value!r} needs parentheses", pos)
-                self.next()
-                arg = self.expr()
-                self._expect_close()
-                fn = _FUNCTIONS[value]
-                return (lambda a, f=fn: lambda env: f(a(env)))(arg)
-            if value in self.allowed:
-                self.seen.add(value)
-                return lambda env, v=value: env[v]
-            self.fail(f"unknown name {value!r}", pos)
-        if kind == "op" and value == "(":
-            node = self.expr()
-            self._expect_close()
-            return node
-        self.fail("expected a number, name or '('", pos)
-
-    def _expect_close(self):
-        kind, value, pos = self.next()
-        if (kind, value) != ("op", ")"):
-            self.fail("expected ')'", pos)
-
-    def parse(self):
-        node = self.expr()
-        kind, value, pos = self.peek()
-        if kind != "end":
-            self.fail(f"unexpected trailing input {value!r}", pos)
-        return node, frozenset(self.seen)
+def _check(tree, line, indent, allowed):
+    """Free variables of `tree`, parsed from `line[indent:]`. Raises on any
+    node outside the language; sets each literal to the float of its text."""
+    seen, callees = set(), set()
+    for node in ast.walk(tree.body):
+        if isinstance(node, (ast.operator, ast.unaryop, ast.expr_context)):
+            continue  # judged with the node that holds it
+        pos = indent + node.col_offset
+        segment = line[pos:indent + node.end_col_offset]
+        ok = False
+        if isinstance(node, ast.BinOp):
+            ok = isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div))
+        elif isinstance(node, ast.UnaryOp):
+            ok = isinstance(node.op, (ast.UAdd, ast.USub))
+        elif isinstance(node, ast.Constant):
+            ok = type(node.value) in (int, float) and set(segment) <= _DECIMAL
+            node.value = float(segment) if ok else None
+        elif isinstance(node, ast.Call):
+            ok = (isinstance(node.func, ast.Name) and node.func.id in _FUNCTIONS
+                  and len(node.args) == 1 and not node.keywords)
+            callees.add(node.func)
+        elif isinstance(node, ast.Name):
+            ok = node in callees or node.id == "pi" or (
+                node.id in allowed and node.id not in _FUNCTIONS)
+            if ok and node.id not in _CONSTANTS:
+                seen.add(node.id)
+        if not ok:
+            what = "unknown name" if isinstance(node, ast.Name) else "unsupported"
+            _fail(line, f"{what} {segment!r}", pos)
+    return frozenset(seen)
 
 
 def compile_expression(text, variables=("x",)):
     """Compile `text` into a CompiledExpression over the given variable names."""
     if not isinstance(text, str) or not text.strip():
         raise ExpressionError("empty expression")
-    node, seen = _Parser(text, set(variables)).parse()
-    return CompiledExpression(source=text, variables=seen,
-                              _eval=lambda env, f=node: f(env))
+    for pos, char in enumerate(text):
+        if char not in _ALPHABET:
+            _fail(text, f"unexpected character {char!r}", pos)
+    line = text.translate(_BLANKS)  # one line, even if continued in a config
+    indent = len(line) - len(line.lstrip())  # Python refuses a leading blank
+    try:
+        tree = ast.parse(line[indent:], mode="eval")
+        names = _check(tree, line, indent, set(variables))
+        code = compile(tree, "<expression>", "eval")
+    except SyntaxError as exc:  # offset 0: the text ends too early
+        _fail(text, exc.msg,
+              indent + exc.offset - 1 if exc.offset else len(text))
+    except RecursionError:
+        _fail(text, "expression nests too deeply", 0)
+    return CompiledExpression(source=text, variables=names, _code=code)

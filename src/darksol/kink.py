@@ -12,7 +12,9 @@ from the same start: explicit gradient flow with backtracking and
 clamping to [-1, 1], interleaved with a Newton polish once the iterate
 is in the basin. The flow is robust but slow near convergence; the
 linearization carries a near-zero translation eigenvalue, so there the
-polish also caps its step.
+polish also caps its step. A gradient tolerance below the rounding
+floor of the discrete gradient, 2 kf eps max(a) / h^2, could never be
+met, and is refused with a ValidationError before any work is done.
 
 `minimize` and `newton_polish` accept a fixed source s, which turns
 the equation into R(w) = s and the energy into its linear shift (see
@@ -47,18 +49,17 @@ _GUESS_CLEARANCE = 1e-12
 # Newton corrections larger than this in sup norm are treated as
 # divergence of the linearization, not as a usable step.
 _POLISH_STEP_CAP = 1.0
+# Step halvings a descent line search tries before it gives up.
+_MAX_HALVINGS = 60
 
 
 @dataclass(frozen=True)
 class MinimizeOptions:
     grad_tol: float = 1e-8
     max_outer_iters: int = 20000
-    newton_polish: bool = True
-    max_halvings: int = 60
 
     def __post_init__(self):
-        if not (self.grad_tol > 0 and self.max_outer_iters > 0
-                and self.max_halvings > 0):
+        if not (self.grad_tol > 0 and self.max_outer_iters > 0):
             raise ValidationError("invalid minimizer options")
 
 
@@ -235,8 +236,7 @@ def _line_search(ac, w, energy, grad, step, max_halvings, source=None):
     return None, energy, step, max_halvings
 
 
-def _descent_burst(ac, w, energy, step, budget, target_res, max_halvings,
-                   source=None):
+def _descent_burst(ac, w, energy, step, budget, target_res, source=None):
     """Run up to `budget` accepted descent steps; returns the new state.
 
     Each step moves against the energy gradient, clamps into [-1, 1],
@@ -251,7 +251,7 @@ def _descent_burst(ac, w, energy, step, budget, target_res, max_halvings,
     while accepted < budget and res_sup > target_res:
         grad = -2.0 * ac.kinetic_factor * ac.h * res
         trial, trial_energy, step, k = _line_search(
-            ac, w, energy, grad, step, max_halvings, source)
+            ac, w, energy, grad, step, _MAX_HALVINGS, source)
         if trial is None:
             raise LineSearchFailure(
                 f"descent stalled at gradient sup {2.0 * ac.kinetic_factor * res_sup:.3e}")
@@ -274,12 +274,11 @@ def minimize(ac: WeightedAC, options: MinimizeOptions | None = None,
     sup |residual| <= grad_tol / (2 * kinetic_factor). A Newton root is
     returned only if it is monotone, its energy is at most the initial
     one and it is a strict local minimizer; its energy log is the
-    initial value alone. Otherwise the descent runs from the same start
-    (alone when newton_polish is off), and the log records the initial
-    value and every accepted flow step and never increases. A converged
-    profile that fails to be monotone raises MonotonicityLoss rather
-    than being returned. With a fixed source the energy and residual
-    are those of R(w) = source.
+    initial value alone. Otherwise the descent runs from the same start,
+    and the log records the initial value and every accepted flow step
+    and never increases. A converged profile that fails to be monotone
+    raises MonotonicityLoss rather than being returned. With a fixed
+    source the energy and residual are those of R(w) = source.
     """
     options = options or MinimizeOptions()
     if w0 is None:
@@ -299,16 +298,15 @@ def minimize(ac: WeightedAC, options: MinimizeOptions | None = None,
     polish_iterations = 0
     burst = 100
 
-    if options.newton_polish:
-        first = newton_polish(w, ac, tol=target_res, source=source,
-                              step_cap=np.inf)
-        polish_iterations = first.iterations
-        if (first.converged and np.all(np.diff(first.values) >= 0)
-                and _energy_values(ac, first.values, source) <= energy
-                and _is_strict_minimizer(ac, first.values)):
-            return _front_result(ac, first.values, first.residual_sup,
-                                 tuple(energies), 0, polish_iterations,
-                                 flags, source)
+    first = newton_polish(w, ac, tol=target_res, source=source,
+                          step_cap=np.inf)
+    polish_iterations = first.iterations
+    if (first.converged and np.all(np.diff(first.values) >= 0)
+            and _energy_values(ac, first.values, source) <= energy
+            and _is_strict_minimizer(ac, first.values)):
+        return _front_result(ac, first.values, first.residual_sup,
+                             tuple(energies), 0, polish_iterations,
+                             flags, source)
 
     res_sup = float(np.max(np.abs(_residual_values(ac, w, source))))
     while res_sup > target_res:
@@ -319,30 +317,28 @@ def minimize(ac: WeightedAC, options: MinimizeOptions | None = None,
                 final_residual=res_sup, iterations=flow_iterations)
         budget = min(burst, options.max_outer_iters - flow_iterations)
         w, energy, step, new_energies, accepted, res_sup = _descent_burst(
-            ac, w, energy, step, budget, target_res, options.max_halvings,
-            source)
+            ac, w, energy, step, budget, target_res, source)
         energies.extend(new_energies)
         flow_iterations += accepted
         burst = min(burst * 2, 2000)
         if res_sup <= target_res:
             break
-        if options.newton_polish:
-            polish = newton_polish(w, ac, tol=target_res, source=source)
-            polish_iterations += polish.iterations
-            if polish.converged:
+        polish = newton_polish(w, ac, tol=target_res, source=source)
+        polish_iterations += polish.iterations
+        if polish.converged:
+            w = polish.values
+            res_sup = polish.residual_sup
+            break
+        if polish.singular:
+            flags.add("polish_deferred")
+        # Keep partial polish progress only if it also kept the
+        # energy from rising; the log must stay nonincreasing.
+        if polish.residual_sup < res_sup:
+            new_energy = _energy_values(ac, polish.values, source)
+            if new_energy <= energy:
                 w = polish.values
                 res_sup = polish.residual_sup
-                break
-            if polish.singular:
-                flags.add("polish_deferred")
-            # Keep partial polish progress only if it also kept the
-            # energy from rising; the log must stay nonincreasing.
-            if polish.residual_sup < res_sup:
-                new_energy = _energy_values(ac, polish.values, source)
-                if new_energy <= energy:
-                    w = polish.values
-                    res_sup = polish.residual_sup
-                    energy = new_energy
+                energy = new_energy
 
     return _front_result(ac, w, res_sup, tuple(energies), flow_iterations,
                          polish_iterations, flags, source)
@@ -378,6 +374,14 @@ def correct(ac: WeightedAC, first: MinimizeResult, source,
 
 
 def _target_residual(ac: WeightedAC, options: MinimizeOptions) -> float:
+    """The residual sup that meets grad_tol; a grad_tol below the
+    rounding floor of the gradient, 2 kf eps max(a) / h^2, is refused."""
+    floor = (2.0 * ac.kinetic_factor * np.finfo(float).eps
+             * float(np.max(ac.a)) / ac.h**2)
+    if options.grad_tol < floor:
+        raise ValidationError(
+            f"grad_tol {options.grad_tol:.3e} is below the rounding floor "
+            f"{floor:.3e} of the gradient on this grid")
     return options.grad_tol / (2.0 * ac.kinetic_factor)
 
 

@@ -77,9 +77,6 @@ class Profile:
         object.__setattr__(self, "values",
                            _frozen_array(self.values, self.grid.n))
 
-    def with_values(self, values) -> "Profile":
-        return Profile(self.grid, values)
-
 
 @dataclass(frozen=True, eq=False)
 class Coefficient:
@@ -111,17 +108,6 @@ class Coefficient:
     @property
     def h(self) -> float:
         return self.period / self.n_per
-
-    def node_index(self, x: float) -> int:
-        """Index of the sample at position x, which must sit on a node."""
-        k = round(x / self.h)
-        if abs(x - k * self.h) > _ALIGN_RTOL * max(1.0, abs(x)):
-            raise GridMismatchError(
-                f"x = {x} does not sit on a coefficient node (h = {self.h})")
-        return int(k % self.n_per)
-
-    def value_at(self, x: float) -> float:
-        return float(self.samples[self.node_index(x)])
 
     def on_grid(self, grid: Grid) -> np.ndarray:
         """Extend the sampled period onto a commensurate aligned grid.

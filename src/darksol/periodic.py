@@ -40,12 +40,11 @@ class Bracket:
 class PeriodicOptions:
     residual_tol: float = 1e-10
     max_newton_iters: int = 50
-    damping: float = 1.0
     oracle_tol: float = 1e-10
 
     def __post_init__(self):
-        if not (0 < self.residual_tol and 0 < self.damping <= 1.0
-                and self.max_newton_iters > 0 and 0 < self.oracle_tol):
+        if not (0 < self.residual_tol and self.max_newton_iters > 0
+                and 0 < self.oracle_tol):
             raise ValidationError("invalid periodic solver options")
 
 
@@ -139,7 +138,7 @@ def solve_periodic(problem: Problem, options: PeriodicOptions | None = None
                 final_residual=sup, iterations=iterations)
         lower_d, diag, upper_d = _jacobian_parts(eq, phi, h)
         delta = solve_cyclic(lower_d, diag, upper_d, -res)
-        t = options.damping
+        t = 1.0
         accepted = False
         for _ in range(30):
             trial = phi + t * delta

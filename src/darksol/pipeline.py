@@ -20,7 +20,7 @@ from .periodic import (MonotoneResult, PeriodicOptions, PeriodicResult,
                        monotone_iteration_oracle, solve_periodic)
 from .reduction import (correction_source, lift, potential_floor,
                         to_allen_cahn)
-from .verify import SolitonReport, build_report
+from .verify import TAIL_FRACTION, SolitonReport, build_report
 
 __all__ = ["SolitonRun", "run_background", "run_soliton"]
 
@@ -61,7 +61,7 @@ def run_soliton(problem: Problem,
                 half_length: float | None = None,
                 periodic_options: PeriodicOptions | None = None,
                 minimize_options: MinimizeOptions | None = None,
-                tail_fraction: float = 0.25) -> SolitonRun:
+                tail_fraction: float = TAIL_FRACTION) -> SolitonRun:
     """Full pipeline from problem data to a verified front profile."""
     problem, periodic, monotone, agreement = run_background(
         problem, periodic_options)

@@ -24,7 +24,7 @@ from .model import Grid, Problem, Profile
 
 __all__ = [
     "WeightedAC", "to_allen_cahn", "energy", "energy_gradient",
-    "residual_reduced", "lift", "divide_by_background", "potential_floor",
+    "residual_reduced", "lift", "potential_floor",
     "correction_source",
 ]
 
@@ -181,15 +181,6 @@ def lift(w: Profile, background_ext: Profile) -> Profile:
     if w.grid != background_ext.grid:
         raise GridMismatchError("ratio and background live on different grids")
     return Profile(w.grid, background_ext.values * w.values)
-
-
-def divide_by_background(phi: Profile, background_ext: Profile) -> Profile:
-    """Inverse of lift; the background must be strictly positive."""
-    if phi.grid != background_ext.grid:
-        raise GridMismatchError("profile and background live on different grids")
-    if np.min(background_ext.values) <= 0:
-        raise ValidationError("background must be strictly positive")
-    return Profile(phi.grid, phi.values / background_ext.values)
 
 
 def potential_floor(ac: WeightedAC, w: Profile) -> float:

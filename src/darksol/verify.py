@@ -26,6 +26,8 @@ __all__ = [
 # are excluded from decay fits.
 _TAIL_FLOOR = 1e-14
 _MIN_FIT_POINTS = 5
+# Default outer share of the half-domain that the tail checks read.
+TAIL_FRACTION = 0.25
 
 
 def residual_phi(phi: Profile, problem: Problem) -> float:
@@ -85,7 +87,7 @@ def _one_tail(t: np.ndarray, diff: np.ndarray, side: str, flags: set):
 
 
 def fit_decay_rate(phi: Profile, background_ext: Profile, period: float,
-                   tail_fraction: float = 0.25,
+                   tail_fraction: float = TAIL_FRACTION,
                    left_sign: float = -1.0) -> DecayFit:
     """Fit exponential approach rates of phi to the background in the tails.
 
@@ -147,7 +149,7 @@ def fit_decay_rate(phi: Profile, background_ext: Profile, period: float,
 
 
 def check_asymptotic_ratio(phi: Profile, background_ext: Profile,
-                           tail_fraction: float = 0.25,
+                           tail_fraction: float = TAIL_FRACTION,
                            left_sign: float = -1.0):
     """Sup of |phi / (sign * background) - 1| over the outer windows.
 
@@ -253,7 +255,7 @@ class SolitonReport:
 
 
 def build_report(problem: Problem, w: Profile, background_ext: Profile,
-                 tail_fraction: float = 0.25) -> SolitonReport:
+                 tail_fraction: float = TAIL_FRACTION) -> SolitonReport:
     """Assemble the full report for a ratio profile and its background."""
     ac = to_allen_cahn(problem, background_ext)
     phi = lift(w, background_ext)

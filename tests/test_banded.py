@@ -26,6 +26,21 @@ def test_tridiagonal_matches_dense(rng):
     np.testing.assert_allclose(y, want, rtol=1e-12, atol=1e-13)
 
 
+def test_tridiagonal_complex_weak_diagonal_matches_dense(rng):
+    # complex data with a diagonal too weak for dominance, so the solve
+    # has to pivot
+    n = 301
+    lower = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    upper = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    diag = 0.5 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    y = solve_tridiagonal(lower, diag, upper, rhs)
+    assert y.dtype == complex
+    dense = dense_tridiagonal(lower, diag, upper)
+    np.testing.assert_allclose(dense @ y, rhs, rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(y, np.linalg.solve(dense, rhs), rtol=1e-8)
+
+
 def test_tridiagonal_complex(rng):
     n = 25
     lower = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -114,12 +129,15 @@ def test_factored_cyclic_solver_is_reusable(rng):
 def test_factored_cyclic_singular_matrix_is_reported():
     # exactly singular, caught by each of the three checks: a zero pivot
     # of the open chain, then with wrap entries a zero pivot of the
-    # modified chain and a zero rank-one denominator
+    # modified chain and a rank-one denominator at rounding level; the
+    # periodic second difference leaves that denominator at +-5.6e-17
     n = 4
     ones = np.ones(n)
     cases = [(np.zeros(n), np.zeros(n), np.zeros(n)),
              (ones, np.array([1.0, 1.0, 1.0, -2.0]), ones),
              (ones, np.array([1.0, -2.0, 1.0, 1.0]), ones)]
+    cases += [(np.ones(m), np.full(m, -2.0), np.ones(m))
+              for m in (3, 4, 5, 6, 8, 16, 64, 256)]
     for lower, diag, upper in cases:
         assert abs(np.linalg.det(dense_tridiagonal(lower, diag, upper,
                                                    cyclic=True))) < 1e-12

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import darksol
+from darksol import MinimizeOptions, PeriodicOptions
 from darksol.cli import load_config, main, read_csv, write_csv
 from darksol.errors import EXIT_CODES, ConfigError, DarksolError
 
@@ -76,6 +78,30 @@ def test_load_config_rejections(tmp_path):
     for text in cases:
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, text, name="bad.ini"))
+
+
+def test_option_sections_are_the_option_classes(tmp_path):
+    # every field of PeriodicOptions / MinimizeOptions is a key of its
+    # section, read with the field's type, and nothing else is a key
+    values = {"periodic": PeriodicOptions(residual_tol=3e-11,
+                                          max_newton_iters=7,
+                                          oracle_tol=2e-9),
+              "minimize": MinimizeOptions(grad_tol=2e-7,
+                                          max_outer_iters=123)}
+    text = BASE
+    for section, options in values.items():
+        text += f"\n[{section}]\n" + "".join(
+            f"{f.name} = {getattr(options, f.name)!r}\n"
+            for f in dataclasses.fields(options))
+    cfg = load_config(write_config(tmp_path, text))
+    assert cfg.periodic == values["periodic"]
+    assert cfg.minimize == values["minimize"]
+    for section, key in (("periodic", "damping"),
+                         ("minimize", "newton_polish"),
+                         ("minimize", "max_halvings")):
+        with pytest.raises(ConfigError):
+            load_config(write_config(tmp_path, BASE + f"\n[{section}]\n"
+                                     f"{key} = 1\n", name="bad.ini"))
 
 
 def test_load_config_table_and_inline_comments(tmp_path):

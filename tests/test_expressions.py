@@ -78,3 +78,47 @@ def test_compile_is_deterministic():
     a = compile_expression("sin(3*x)*exp(-x*x)")(x=x)
     b = compile_expression("sin(3*x)*exp(-x*x)")(x=x)
     np.testing.assert_array_equal(a, b)
+
+
+# Python reads all of these, but the language has none of them; the
+# deep ones used to end in a RecursionError.
+OUTSIDE_THE_LANGUAGE = [
+    "0x10", "1_0", "1j", "True", "x**2", "x%2", "x//2", "sin(x, x)",
+    "sin(x=1)", "x, 1", "x if x else 1", "x.real", "x[0]", "x)+(x",
+    "1 # comment", "sin", "sin()", "sin(*x)", "pi(x)", "x(1)", "None",
+    "not x", "x < 1",
+    "+".join(["x"] * 5000), "(" * 1000 + "x" + ")" * 1000,
+]
+
+
+@pytest.mark.parametrize("text", OUTSIDE_THE_LANGUAGE,
+                         ids=lambda text: text[:16])
+def test_outside_the_language_is_rejected(text):
+    with pytest.raises(ExpressionError) as err:
+        compile_expression(text)
+    assert 0 <= err.value.position <= len(text)
+
+
+def test_repository_expressions_match_numpy():
+    # every expression the README, the demos, the test problems and the
+    # benchmark inputs write, against numpy in the same operation order
+    x = np.linspace(-3.0, 3.0, 601)
+    a, amp, phase = 0.4321, 0.6180339887498949, 0.7071067811865476
+    cases = [
+        ("1 + 0.5*sin(2*pi*x)", 1 + 0.5 * np.sin(2 * np.pi * x)),
+        ("1 + a*sin(2*pi*x)", 1 + a * np.sin(2 * np.pi * x)),
+        ("1 + a*cos(2*pi*x)", 1 + a * np.cos(2 * np.pi * x)),
+        ("1 - a*cos(2*pi*x)", 1 - a * np.cos(2 * np.pi * x)),
+        (f"1 + {amp!r}*cos(2*pi*(x - {phase!r}))",
+         1 + amp * np.cos(2 * np.pi * (x - phase))),
+        (f"{amp!r}*cos(2*pi*(x - {phase!r}))",
+         amp * np.cos(2 * np.pi * (x - phase))),
+        ("0.3*cos(2*pi*x)", 0.3 * np.cos(2 * np.pi * x)),
+        ("1.0", np.full_like(x, 1.0)),
+        ("1", np.full_like(x, 1.0)),
+        ("0", np.zeros_like(x)),
+    ]
+    for text, want in cases:
+        got = compile_expression(text, variables=("x", "a"))(x=x, a=a)
+        np.testing.assert_array_equal(np.broadcast_to(got, x.shape), want,
+                                      err_msg=text)

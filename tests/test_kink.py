@@ -109,7 +109,7 @@ def test_line_search_clamps_and_pins():
     assert fe == e_flat
 
 
-def test_line_search_failure():
+def test_line_search_failure(monkeypatch):
     problem = constant_cubic(lam=-1.0, n_per=64)
     grid, _, ac = reduced_problem(problem, 4.0, 64)
     w = initial_guess(grid, 2.0).values
@@ -118,9 +118,10 @@ def test_line_search_failure():
     trial, e, step, k = _line_search(ac, w, energy(Profile(grid, w), ac)
                                      - 10.0, grad, 1.0, 8)
     assert trial is None and k == 8 and step == 0.5**8
-    # minimize turns the exhausted halvings into LineSearchFailure
+    # the descent turns the exhausted halvings into LineSearchFailure
+    monkeypatch.setattr(kink, "_MAX_HALVINGS", 1)
     with pytest.raises(LineSearchFailure):
-        minimize(ac, MinimizeOptions(max_halvings=1, newton_polish=False))
+        descent_only(monkeypatch, ac)
 
 
 def test_minimize_constant_cubic_matches_closed_form():
@@ -207,15 +208,27 @@ def test_newton_polish_flags_degenerate_start():
     assert not polish.converged
 
 
-def test_minimize_budget_exhaustion():
-    problem = constant_cubic(lam=-1.0)
-    grid, bg, ac = reduced_problem(problem, 6.0, 256)
-    first = minimize(ac)
-    tiny = MinimizeOptions(grad_tol=1e-16, max_outer_iters=200,
-                           newton_polish=False)
+def test_minimize_budget_exhaustion(monkeypatch):
+    # criterion-9 case: the descent needs thousands of flow steps here
+    _, _, ac = cubic_case("1 + 0.9*sin(2*pi*x)")
     with pytest.raises(NonConvergence) as err:
-        minimize(ac, options=tiny, w0=first.profile)
+        descent_only(monkeypatch, ac, MinimizeOptions(max_outer_iters=200))
     assert err.value.iterations == 200
+
+
+def test_grad_tol_below_the_rounding_floor_is_refused():
+    # criterion-1 case: the gradient's rounding floor 2 kf eps max(a) / h^2
+    # is about 4.4e-12 here; below it the descent could only grind
+    problem = constant_cubic(lam=-1.0, n_per=100)
+    grid, bg, ac = reduced_problem(problem, 20.0, 100)
+    fine = minimize(ac, MinimizeOptions(grad_tol=1e-11))
+    assert fine.grad_sup_per_h <= 1e-11
+    with pytest.raises(ValidationError) as err:
+        minimize(ac, MinimizeOptions(grad_tol=1e-12))
+    assert "1.000e-12" in str(err.value) and "4.4" in str(err.value)
+    first = minimize(ac)
+    with pytest.raises(ValidationError):
+        correct(ac, first, np.zeros(grid.n), MinimizeOptions(grad_tol=1e-12))
 
 
 def test_minimize_rejects_bad_start():
@@ -293,11 +306,11 @@ def lowest_hessian_eigenvalue(ac, w):
                             select="i", select_range=(0, 0))[0]
 
 
-def descent_only(monkeypatch, ac):
+def descent_only(monkeypatch, ac, options=None):
     """minimize with every Newton root refused: the descent path alone."""
     with monkeypatch.context() as patch:
         patch.setattr(kink, "_is_strict_minimizer", lambda ac, w: False)
-        return minimize(ac)
+        return minimize(ac, options)
 
 
 def test_minimize_takes_a_certified_newton_root(monkeypatch):

@@ -128,8 +128,6 @@ def test_options_validation():
     with pytest.raises(ValidationError):
         PeriodicOptions(residual_tol=0.0)
     with pytest.raises(ValidationError):
-        PeriodicOptions(damping=1.5)
-    with pytest.raises(ValidationError):
         PeriodicOptions(max_newton_iters=0)
     with pytest.raises(ValidationError):
         PeriodicOptions(oracle_tol=0.0)
