@@ -38,8 +38,12 @@ class CompiledExpression:
         if missing:
             raise ExpressionError(
                 f"unbound variable(s) {sorted(missing)} in {self.source!r}")
-        return eval(self._code, {"__builtins__": {}},
-                    {**bindings, **_CONSTANTS})
+        try:
+            return eval(self._code, {"__builtins__": {}},
+                        {**bindings, **_CONSTANTS})
+        except ZeroDivisionError:  # a scalar divisor; arrays give inf
+            raise ExpressionError(
+                f"division by zero in {self.source!r}") from None
 
 
 def _fail(text, message, pos):

@@ -24,6 +24,8 @@ front.
 """
 
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import add
 
 import numpy as np
 from scipy.linalg import lapack
@@ -69,7 +71,6 @@ class PolishResult:
     residual_sup: float
     iterations: int
     history: tuple
-    singular: bool
     converged: bool
 
 
@@ -118,7 +119,7 @@ def make_truncated_grid(period: float, half_length: float,
 
 def guess_rate(ac: WeightedAC) -> float:
     """Decay rate of the linearization about w = 1 on the actual background."""
-    vals = (2.0 * ac.b + 4.0 * ac.c) / ac.a
+    vals = reduce(add, ((p - 1) * b for p, b in ac.powers)) / ac.a
     worst = float(np.min(vals))
     if worst <= 0:
         raise ValidationError("linearization about w = 1 is not coercive")
@@ -155,59 +156,38 @@ def newton_polish(w, ac: WeightedAC, tol: float,
     A correction larger than `step_cap` in sup norm ends the solve.
 
     Never raises: a singular factorization, an oversized correction or
-    a stalled line search all come back as singular=True with the work
-    done so far, so callers can fall back to the flow.
+    a stalled line search all come back as converged=False with the
+    work done so far, so callers can fall back to the flow.
     """
     w = np.array(w.values if isinstance(w, Profile) else w, dtype=float)
     res = _residual_values(ac, w, source)
     sup = float(np.max(np.abs(res)))
     history = [sup]
-    if sup <= tol:
-        return PolishResult(values=w, residual_sup=sup, iterations=0,
-                            history=tuple(history), singular=False,
-                            converged=True)
     iterations = 0
-    for iterations in range(1, max_iters + 1):
+    while sup > tol and iterations < max_iters:
         try:
             delta = solve_tridiagonal(*_jacobian_bands(ac, w), -res[1:-1])
         except SingularLinearization:
-            return PolishResult(values=w, residual_sup=sup,
-                                iterations=iterations - 1,
-                                history=tuple(history), singular=True,
-                                converged=False)
+            break
         if not np.all(np.isfinite(delta)) or \
                 float(np.max(np.abs(delta))) > step_cap:
-            return PolishResult(values=w, residual_sup=sup,
-                                iterations=iterations - 1,
-                                history=tuple(history), singular=True,
-                                converged=False)
+            break
         t = 1.0
-        accepted = False
         for _ in range(30):
             trial = w.copy()
             trial[1:-1] += t * delta
             trial_res = _residual_values(ac, trial, source)
             trial_sup = float(np.max(np.abs(trial_res)))
             if trial_sup < sup:
-                accepted = True
                 break
             t *= 0.5
-        if not accepted:
-            # No direction of decrease left, usually the rounding floor.
-            return PolishResult(values=w, residual_sup=sup,
-                                iterations=iterations - 1,
-                                history=tuple(history),
-                                singular=sup > tol, converged=sup <= tol)
+        else:
+            break  # no direction of decrease left, usually the rounding floor
         w, res, sup = trial, trial_res, trial_sup
         history.append(sup)
-        if sup <= tol:
-            return PolishResult(values=w, residual_sup=sup,
-                                iterations=iterations,
-                                history=tuple(history), singular=False,
-                                converged=True)
+        iterations += 1
     return PolishResult(values=w, residual_sup=sup, iterations=iterations,
-                        history=tuple(history), singular=True,
-                        converged=False)
+                        history=tuple(history), converged=sup <= tol)
 
 
 def _is_strict_minimizer(ac: WeightedAC, w: np.ndarray) -> bool:
@@ -295,7 +275,6 @@ def minimize(ac: WeightedAC, options: MinimizeOptions | None = None,
     energies = [energy]
     flags = set()
     flow_iterations = 0
-    polish_iterations = 0
     burst = 100
 
     first = newton_polish(w, ac, tol=target_res, source=source,
@@ -329,8 +308,7 @@ def minimize(ac: WeightedAC, options: MinimizeOptions | None = None,
             w = polish.values
             res_sup = polish.residual_sup
             break
-        if polish.singular:
-            flags.add("polish_deferred")
+        flags.add("polish_deferred")
         # Keep partial polish progress only if it also kept the
         # energy from rising; the log must stay nonincreasing.
         if polish.residual_sup < res_sup:

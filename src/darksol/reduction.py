@@ -2,7 +2,8 @@
 
 Dividing the profile by the positive periodic background turns the
 stationary equation into a weighted Allen-Cahn equation for the ratio
-w, with weights built from powers of the background. The discrete
+w, with weights built from powers of the background, one per power of
+`Equation.powers`: the kernels sum over them. The discrete
 energy below is chosen so that its gradient is exactly -2 * kf * h
 times the discrete residual of that equation (midpoint-averaged edge
 weights, trapezoid quadrature), which is what makes descent on the
@@ -16,6 +17,8 @@ the unreduced equation).
 """
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -37,35 +40,43 @@ _SOURCE_FLOOR_ULPS = 64
 
 @dataclass(frozen=True, eq=False)
 class WeightedAC:
-    """Weighted Allen-Cahn data (a w')' = b w (w^2 - 1) + c w (w^4 - 1).
+    """Weighted Allen-Cahn data (a w')' = sum_p b_p w (w^(p-1) - 1).
 
-    a is the squared background; b and c collect the interaction terms.
+    a is the squared background; `powers` holds (p, b_p) for each
+    (p, c_p) of `Equation.powers`, with b_p = (c_p / k) phi+^(p+1).
     kinetic_factor is the prefactor of the gradient term in the energy,
     1 / (2k) for the k of `Problem.equation`.
     """
 
     grid: Grid
     a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    kind: str
+    powers: tuple
     kinetic_factor: float
 
     def __post_init__(self):
-        for name in ("a", "b", "c"):
-            arr = np.array(getattr(self, name), dtype=float, copy=True)
+        def checked(name, values):
+            arr = np.array(values, dtype=float, copy=True)
             if arr.shape != (self.grid.n,):
                 raise ValidationError(f"weight {name} does not match the grid")
             if not np.all(np.isfinite(arr)):
                 raise ValidationError(f"weight {name} has non-finite entries")
             arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            return arr
+
+        object.__setattr__(self, "a", checked("a", self.a))
+        if not self.powers or any(p < 3 or p % 2 == 0 for p, _ in self.powers):
+            raise ValidationError("powers must be odd and at least 3")
+        object.__setattr__(self, "powers", tuple(
+            (p, checked(f"b_{p}", b)) for p, b in self.powers))
         if np.min(self.a) <= 0:
             raise ValidationError("weight a must be strictly positive")
-        if self.kind == "cubic" and np.any(self.c != 0.0):
-            raise ValidationError("cubic reduction has no quintic weight")
         if self.kinetic_factor <= 0:
             raise ValidationError("kinetic factor must be positive")
+        # The density's weights 2 kf b_p / (p + 1), divided out once: a
+        # division per energy evaluation slows the descent's line search.
+        object.__setattr__(self, "_wells", tuple(
+            (p, b / ((p + 1) / (2.0 * self.kinetic_factor)))
+            for p, b in self.powers))
 
     @property
     def h(self) -> float:
@@ -85,10 +96,9 @@ def to_allen_cahn(problem: Problem, background: Profile) -> WeightedAC:
     eq = problem.equation(grid)
     # -k (a w')' + sum_p c_p phi^(p+1) (w^p - w) = 0: the equation for
     # w phi minus w times the background's, multiplied by phi.
-    weights = {p: (c / eq.k) * phi**(p + 1) for p, c in eq.powers}
-    zero = np.zeros_like(phi)
-    return WeightedAC(grid=grid, a=phi**2, b=weights.get(3, zero),
-                      c=weights.get(5, zero), kind=problem.kind,
+    return WeightedAC(grid=grid, a=phi**2,
+                      powers=tuple((p, (c / eq.k) * phi**(p + 1))
+                                   for p, c in eq.powers),
                       kinetic_factor=0.5 / eq.k)
 
 
@@ -102,20 +112,34 @@ def _edge_weights(ac: WeightedAC) -> np.ndarray:
     return 0.5 * (ac.a[:-1] + ac.a[1:])
 
 
+def _even_power(w2, p):
+    """w^(p-1) as products of w^2: numpy's pow is ten times slower."""
+    return reduce(mul, [w2] * ((p - 1) // 2))
+
+
+def _well_terms(ac: WeightedAC, w2: np.ndarray):
+    """Terms 2 kf b_p P_p(w^2) / (p + 1) of the double-well prefactor,
+    P_p(s) = sum_{j<m} (m-j) s^j, m = (p-1)/2, by Horner: P_3 = 1,
+    P_5 = 2 + w^2. Each times (1 - w^2)^2, they sum to the density."""
+    for p, weight in ac._wells:
+        poly = 1.0
+        for j in range(2, (p + 1) // 2):
+            poly = poly * w2 + j
+        yield weight * poly
+
+
+# Every sum over powers starts from its first term (reduce without a
+# seed): a 0.0 seed would turn a -0.0 term into +0.0.
 def _potential_density(ac: WeightedAC, w: np.ndarray) -> np.ndarray:
-    q = 1.0 - w**2
-    if ac.kind == "cubic":
-        return 0.5 * ac.b * q**2
-    return 0.25 * ac.b * q**2 + (ac.c / 6.0) * (2.0 + w**2) * q**2
+    w2 = w**2
+    q2 = (1.0 - w2)**2
+    return reduce(add, (t * q2 for t in _well_terms(ac, w2)))
 
 
 def _nonlinearity(ac: WeightedAC, w: np.ndarray) -> np.ndarray:
-    # w**4 as a product of squares: numpy's pow is ten times slower.
     w2 = w * w
-    out = ac.b * w * (w2 - 1.0)
-    if ac.kind != "cubic":
-        out = out + ac.c * w * (w2 * w2 - 1.0)
-    return out
+    return reduce(add, (b * w * (_even_power(w2, p) - 1.0)
+                        for p, b in ac.powers))
 
 
 def _energy_values(ac: WeightedAC, w: np.ndarray, source=None) -> float:
@@ -147,9 +171,8 @@ def _jacobian_bands(ac: WeightedAC, w: np.ndarray):
     edge = _edge_weights(ac)
     wi = w[1:-1]
     wi2 = wi * wi
-    ramp = ac.b[1:-1] * (3.0 * wi2 - 1.0)
-    if ac.kind != "cubic":
-        ramp = ramp + ac.c[1:-1] * (5.0 * (wi2 * wi2) - 1.0)
+    ramp = reduce(add, (b[1:-1] * (p * _even_power(wi2, p) - 1.0)
+                        for p, b in ac.powers))
     diag = -(edge[1:] + edge[:-1]) / ac.h**2 - ramp
     lower = np.concatenate([[0.0], edge[1:-1]]) / ac.h**2
     upper = np.concatenate([edge[1:-1], [0.0]]) / ac.h**2
@@ -184,16 +207,16 @@ def lift(w: Profile, background_ext: Profile) -> Profile:
 
 
 def potential_floor(ac: WeightedAC, w: Profile) -> float:
-    """Pointwise minimum of the double-well prefactor b/4 + c (2 + w^2) / 6.
+    """Pointwise minimum of the double-well prefactor sum_p b_p P_p(w^2) /
+    (p + 1); the density is 2 kf (1 - w^2)^2 times it.
 
     Nonnegative everywhere means the energy density cannot dip below
     zero, which is the regime where the variational argument applies.
-    For the cubic reduction this is b/4 > 0 automatically.
+    For the cubic reduction this is b_3 / 4 > 0 automatically.
     """
     vals = _check_profile(w, ac)
-    if ac.kind == "cubic":
-        return float(np.min(ac.b) / 4.0)
-    return float(np.min(ac.b / 4.0 + ac.c * (2.0 + vals**2) / 6.0))
+    return float(np.min(reduce(add, _well_terms(ac, vals * vals)))
+                 / (2.0 * ac.kinetic_factor))
 
 
 def _numerov_defect(problem: Problem, background_ext: Profile,

@@ -87,9 +87,9 @@ def _one_tail(t: np.ndarray, diff: np.ndarray, side: str, flags: set):
 
 
 def fit_decay_rate(phi: Profile, background_ext: Profile, period: float,
-                   tail_fraction: float = TAIL_FRACTION,
-                   left_sign: float = -1.0) -> DecayFit:
-    """Fit exponential approach rates of phi to the background in the tails.
+                   tail_fraction: float = TAIL_FRACTION) -> DecayFit:
+    """Fit exponential approach rates of phi to -background on the left
+    and +background on the right.
 
     The fit window is the outer `tail_fraction` of the half-domain with
     a two-period collar next to the boundary removed, so neither the
@@ -116,7 +116,7 @@ def fit_decay_rate(phi: Profile, background_ext: Profile, period: float,
             d = phi.values[mask] - background_ext.values[mask]
             return x[mask], d
         mask = (x <= -start) & (x >= -inner)
-        d = phi.values[mask] - left_sign * background_ext.values[mask]
+        d = phi.values[mask] + background_ext.values[mask]
         return -x[mask][::-1], d[::-1]
 
     t_r, d_r = tail(+1)
@@ -149,13 +149,9 @@ def fit_decay_rate(phi: Profile, background_ext: Profile, period: float,
 
 
 def check_asymptotic_ratio(phi: Profile, background_ext: Profile,
-                           tail_fraction: float = TAIL_FRACTION,
-                           left_sign: float = -1.0):
-    """Sup of |phi / (sign * background) - 1| over the outer windows.
-
-    left_sign selects the limit the profile is expected to approach on
-    the left: -1 for a front, +1 for a background-shaped profile.
-    """
+                           tail_fraction: float = TAIL_FRACTION):
+    """Sups of |phi / background + 1| and |phi / background - 1| over the
+    outer (left, right) windows, where a front approaches -+background."""
     if not 0 < tail_fraction < 1:
         raise ValidationError("tail_fraction must lie in (0, 1)")
     grid = phi.grid
@@ -163,14 +159,9 @@ def check_asymptotic_ratio(phi: Profile, background_ext: Profile,
         raise ValidationError("profile and background live on different grids")
     x = grid.x()
     cut = grid.xmax * (1.0 - tail_fraction)
-    right = x >= cut
-    left = x <= -cut
-    err_right = np.max(np.abs(phi.values[right] / background_ext.values[right]
-                              - 1.0))
-    err_left = np.max(np.abs(phi.values[left]
-                             / (left_sign * background_ext.values[left])
-                             - 1.0))
-    return float(err_left), float(err_right)
+    ratio = phi.values / background_ext.values
+    return (float(np.max(np.abs(ratio[x <= -cut] + 1.0))),
+            float(np.max(np.abs(ratio[x >= cut] - 1.0))))
 
 
 def gradient_consistency(ac: WeightedAC, trials: int = 3,

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +63,15 @@ def test_load_config_fields(tmp_path):
     assert cfg.tail_fraction == 0.25
     assert cfg.sweep_lambdas == ()
     assert cfg.sweep_amplitudes is None
+
+
+def test_readme_configs_load(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    blocks = re.findall(r"^```ini\n(.*?)^```", readme, re.M | re.S)
+    assert len(blocks) >= 2
+    for k, block in enumerate(blocks):
+        load_config(write_config(tmp_path, block, name=f"readme{k}.ini"))
 
 
 def test_load_config_rejections(tmp_path):
@@ -339,6 +350,19 @@ def test_sweep_amplitude_binding(tmp_path):
     np.testing.assert_allclose(data["lambda"], [-1.0, -1.0])
     report = json.loads((out / "report.json").read_text())
     assert report["statuses"] == ["ok", "ok"]
+
+
+def test_sweep_books_a_zero_divisor_as_a_row(tmp_path):
+    text = BASE.replace("g = 1", "g = 1 + 0.1/a")
+    config = write_config(tmp_path, text + "\n[sweep]\nlambda = -1\n"
+                                           "amplitude = 0, 1\n")
+    out = tmp_path / "out"
+    assert run_cli("sweep", config, out) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["statuses"] == ["validation_error", "ok"]
+    assert run_cli("solve-soliton", write_config(
+        tmp_path, BASE.replace("g = 1", "g = 1 + 1/0")),
+        tmp_path / "solo") == EXIT_CODES["validation_error"]
 
 
 def test_sweep_amplitude_needs_a_in_the_coefficient(tmp_path):

@@ -53,6 +53,16 @@ def test_unknown_function_rejected():
         compile_expression("tan(x)")
 
 
+def test_zero_divisor_is_an_expression_error():
+    # Python floats raise on a zero divisor; the run must see bad input.
+    with pytest.raises(ExpressionError, match="division by zero"):
+        compile_expression("1 + 1/0", variables=())()
+    expr = compile_expression("1 + 0.1/a", variables=("x", "a"))
+    with pytest.raises(ExpressionError):
+        expr(x=np.zeros(3), a=0.0)
+    assert expr(x=0.0, a=1.0) == pytest.approx(1.1)
+
+
 def test_syntax_errors_carry_position():
     with pytest.raises(ExpressionError) as err:
         compile_expression("1 + ")

@@ -205,13 +205,13 @@ def test_equation_states_both_models(problem, rng):
     if problem.is_cubic:
         g = problem.g.on_grid(grid)
         residual = -0.5 * lap + lam * phi + g * phi**3
-        a, b, c, kf = phi**2, 2.0 * g * phi**4, np.zeros(grid.n), 1.0
+        a, powers, kf = phi**2, [(3, 2.0 * g * phi**4)], 1.0
         k, rho = -0.5, phi**2
         d = g * rho
     else:
         v, g1 = problem.potential.on_grid(grid), problem.g1
         residual = -(lap + (v - lam) * phi - g1 * phi**3 - phi**5)
-        a, b, c, kf = phi**2, g1 * phi**4, phi**6, 0.5
+        a, powers, kf = phi**2, [(3, g1 * phi**4), (5, phi**6)], 0.5
         k, rho = -1.0, phi**2
         d = g1 * rho + rho**2 - v
 
@@ -219,7 +219,9 @@ def test_equation_states_both_models(problem, rng):
     np.testing.assert_allclose(eq.residual(phi, lap), residual,
                                rtol=1e-13, atol=1e-13)
     ac = to_allen_cahn(problem, Profile(grid, phi))
-    for got, want in ((ac.a, a), (ac.b, b), (ac.c, c)):
+    np.testing.assert_allclose(ac.a, a, rtol=1e-14, atol=0.0)
+    assert [p for p, _ in ac.powers] == [p for p, _ in powers]
+    for (_, got), (_, want) in zip(ac.powers, powers):
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
     assert ac.kinetic_factor == kf
     evolve_k, diagonal = _compact_operator(problem, grid)

@@ -5,8 +5,10 @@ from darksol import (Profile, WeightedAC, energy, energy_gradient, lift,
                      make_uniform_grid, potential_floor, residual_reduced,
                      solve_periodic, to_allen_cahn)
 from darksol.errors import GridMismatchError, ValidationError
-from darksol.reduction import (_energy_values, _numerov_defect,
-                               _residual_values, correction_source)
+from darksol.reduction import (_energy_values, _jacobian_bands,
+                               _nonlinearity, _numerov_defect,
+                               _potential_density, _residual_values,
+                               correction_source)
 
 from conftest import (constant_cubic, constant_quintic,
                       quintic_front_exact_g1zero, sinusoidal_cubic,
@@ -31,9 +33,9 @@ def hand_gradient(ac, w):
         a_plus = 0.5 * (ac.a[i] + ac.a[i + 1])
         kin = (2.0 * kf / h) * (a_minus * (w[i] - w[i - 1])
                                 - a_plus * (w[i + 1] - w[i]))
-        pot = ac.b[i] * w[i] * (w[i] ** 2 - 1.0)
-        if ac.kind != "cubic":
-            pot += ac.c[i] * w[i] * (w[i] ** 4 - 1.0)
+        pot = 0.0
+        for p, b in ac.powers:
+            pot += b[i] * w[i] * (w[i] ** (p - 1) - 1.0)
         out[i] = kin + 2.0 * kf * h * pot
     return out
 
@@ -42,8 +44,9 @@ def test_constant_cubic_weights():
     grid, bg = background_on(constant_cubic(lam=-1.0), -2.0, 2.0)
     ac = to_allen_cahn(constant_cubic(lam=-1.0), bg)
     np.testing.assert_array_equal(ac.a, np.ones(grid.n))
-    np.testing.assert_array_equal(ac.b, 2.0 * np.ones(grid.n))
-    np.testing.assert_array_equal(ac.c, np.zeros(grid.n))
+    [(p, b)] = ac.powers
+    assert p == 3
+    np.testing.assert_array_equal(b, 2.0 * np.ones(grid.n))
     assert ac.kinetic_factor == 1.0
 
 
@@ -52,8 +55,10 @@ def test_constant_quintic_weights():
     grid, bg = background_on(problem, -2.0, 2.0)
     ac = to_allen_cahn(problem, bg)
     np.testing.assert_allclose(ac.a, 1.0, atol=5e-15)
-    np.testing.assert_allclose(ac.b, 0.0, atol=5e-15)
-    np.testing.assert_allclose(ac.c, 1.0, atol=5e-15)
+    [(p3, b3), (p5, b5)] = ac.powers
+    assert (p3, p5) == (3, 5)
+    np.testing.assert_allclose(b3, 0.0, atol=5e-15)
+    np.testing.assert_allclose(b5, 1.0, atol=5e-15)
     assert ac.kinetic_factor == 0.5
 
 
@@ -97,12 +102,36 @@ def test_gradient_matches_finite_differences(rng):
         assert grad[i] == pytest.approx(fd, rel=2e-5, abs=1e-9)
 
 
+def test_kernels_take_any_odd_power(rng):
+    # A septic term the models never build: the density's derivative is
+    # 2 kf times the nonlinearity, whose derivative is the Jacobian ramp.
+    n = 41
+    grid = make_uniform_grid(-1.0, 1.0, n)
+    powers = tuple((p, rng.uniform(0.5, 1.5, n)) for p in (3, 5, 7))
+    ac = WeightedAC(grid=grid, a=np.ones(n), powers=powers,
+                    kinetic_factor=0.5)
+    w = rng.uniform(-1.2, 1.2, n)
+    delta = 1e-6
+    up, down = w + delta, w - delta
+    np.testing.assert_allclose(
+        (_potential_density(ac, up) - _potential_density(ac, down))
+        / (2 * delta), 2 * ac.kinetic_factor * _nonlinearity(ac, w),
+        rtol=1e-7, atol=1e-8)
+    _, diag, _ = _jacobian_bands(ac, w)
+    slope = (_nonlinearity(ac, up) - _nonlinearity(ac, down)) / (2 * delta)
+    np.testing.assert_allclose(-2.0 / grid.h**2 - diag, slope[1:-1],
+                               rtol=1e-7, atol=1e-8)
+    np.testing.assert_allclose(
+        hand_gradient(ac, w), energy_gradient(Profile(grid, w), ac).values,
+        rtol=1e-10, atol=1e-12)
+
+
 def test_energy_of_exact_front():
     # a = 1, b = 2: continuum energy of tanh is 8/3
     n = 4001
     grid = make_uniform_grid(-20.0, 20.0, n)
-    ac = WeightedAC(grid=grid, a=np.ones(n), b=2.0 * np.ones(n),
-                    c=np.zeros(n), kind="cubic", kinetic_factor=1.0)
+    ac = WeightedAC(grid=grid, a=np.ones(n), powers=((3, 2.0 * np.ones(n)),),
+                    kinetic_factor=1.0)
     e = energy(Profile(grid, np.tanh(grid.x())), ac)
     assert e == pytest.approx(8.0 / 3.0, abs=1e-4)
 
@@ -110,8 +139,8 @@ def test_energy_of_exact_front():
 def test_trivial_profiles():
     n = 101
     grid = make_uniform_grid(-2.0, 2.0, n)
-    ac = WeightedAC(grid=grid, a=np.ones(n), b=2.0 * np.ones(n),
-                    c=np.zeros(n), kind="cubic", kinetic_factor=1.0)
+    ac = WeightedAC(grid=grid, a=np.ones(n), powers=((3, 2.0 * np.ones(n)),),
+                    kinetic_factor=1.0)
     ones = Profile(grid, np.ones(n))
     assert energy(ones, ac) == 0.0
     np.testing.assert_array_equal(residual_reduced(ones, ac).values,
@@ -155,15 +184,21 @@ def test_grid_mismatch_is_rejected():
 def test_weighted_ac_validation():
     n = 11
     grid = make_uniform_grid(0.0, 1.0, n)
+    cubic = ((3, np.ones(n)),)
     with pytest.raises(ValidationError):
-        WeightedAC(grid=grid, a=np.zeros(n), b=np.ones(n), c=np.zeros(n),
-                   kind="cubic", kinetic_factor=1.0)
+        WeightedAC(grid=grid, a=np.zeros(n), powers=cubic, kinetic_factor=1.0)
     with pytest.raises(ValidationError):
-        WeightedAC(grid=grid, a=np.ones(n), b=np.ones(n), c=np.ones(n),
-                   kind="cubic", kinetic_factor=1.0)
-    with pytest.raises(ValidationError):
-        WeightedAC(grid=grid, a=np.ones(n), b=np.ones(n), c=np.zeros(n),
-                   kind="cubic", kinetic_factor=0.0)
+        WeightedAC(grid=grid, a=np.ones(n), powers=cubic, kinetic_factor=0.0)
+    for bad in (np.ones(n - 1), np.full(n, np.inf)):
+        with pytest.raises(ValidationError):
+            WeightedAC(grid=grid, a=np.ones(n), powers=((3, bad),),
+                       kinetic_factor=1.0)
+    for powers in ((), ((4, np.ones(n)),)):
+        with pytest.raises(ValidationError):
+            WeightedAC(grid=grid, a=np.ones(n), powers=powers,
+                       kinetic_factor=1.0)
+    ac = WeightedAC(grid=grid, a=np.ones(n), powers=cubic, kinetic_factor=1.0)
+    assert not ac.a.flags.writeable and not ac.powers[0][1].flags.writeable
 
 
 def test_to_allen_cahn_needs_positive_background():
@@ -178,16 +213,18 @@ def test_potential_floor():
     n = 65
     grid = make_uniform_grid(-1.0, 1.0, n)
     w = Profile(grid, np.zeros(n))
-    cubic = WeightedAC(grid=grid, a=np.ones(n), b=2.0 * np.ones(n),
-                       c=np.zeros(n), kind="cubic", kinetic_factor=1.0)
+    cubic = WeightedAC(grid=grid, a=np.ones(n),
+                       powers=((3, 2.0 * np.ones(n)),), kinetic_factor=1.0)
     assert potential_floor(cubic, w) == 0.5
     # strongly attractive cubic term drives the density negative
-    deep = WeightedAC(grid=grid, a=np.ones(n), b=-4.0 * np.ones(n),
-                      c=np.ones(n), kind="cubic-quintic", kinetic_factor=0.5)
+    deep = WeightedAC(grid=grid, a=np.ones(n),
+                      powers=((3, -4.0 * np.ones(n)), (5, np.ones(n))),
+                      kinetic_factor=0.5)
     assert potential_floor(deep, w) == pytest.approx(-1.0 + 2.0 / 6.0,
                                                      rel=1e-14)
-    safe = WeightedAC(grid=grid, a=np.ones(n), b=np.zeros(n),
-                      c=np.ones(n), kind="cubic-quintic", kinetic_factor=0.5)
+    safe = WeightedAC(grid=grid, a=np.ones(n),
+                      powers=((3, np.zeros(n)), (5, np.ones(n))),
+                      kinetic_factor=0.5)
     assert potential_floor(safe, w) == pytest.approx(1.0 / 3.0, rel=1e-14)
 
 

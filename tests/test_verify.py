@@ -121,9 +121,11 @@ def test_asymptotic_ratio_conventions():
     want = 1.0 - np.tanh(cut)
     assert err_right == pytest.approx(want, rel=1e-10)
     assert err_left == pytest.approx(err_right, rel=1e-10)
-    # background-shaped data approaches +bg on both sides
-    flat = Profile(grid, bg.values)
-    assert check_asymptotic_ratio(flat, bg, left_sign=+1.0) == (0.0, 0.0)
+    # the exact front shape sign(x) phi+ meets both limits exactly
+    x = grid.x()
+    modulated = Profile(grid, 1.0 + 0.3 * np.cos(2.0 * np.pi * x))
+    exact = Profile(grid, np.sign(x) * modulated.values)
+    assert check_asymptotic_ratio(exact, modulated) == (0.0, 0.0)
 
 
 def test_gradient_consistency_small():
