@@ -6,15 +6,20 @@ no step cap) and keeps the root only if it is monotone, lowers the
 energy, and is certified a strict local minimizer: the energy Hessian
 is -2 kf h times the residual Jacobian, a symmetric tridiagonal matrix,
 and an LDL^T factorization with positive pivots proves it positive
-definite. Otherwise, e.g. on a saddle such as a front pinned on a
-maximum of the periodic landscape, constrained energy descent runs
-from the same start: explicit gradient flow with backtracking and
-clamping to [-1, 1], interleaved with a Newton polish once the iterate
-is in the basin. The flow is robust but slow near convergence; the
-linearization carries a near-zero translation eigenvalue, so there the
-polish also caps its step. A gradient tolerance below the rounding
-floor of the discrete gradient, 2 kf eps max(a) / h^2, could never be
-met, and is refused with a ValidationError before any work is done.
+definite. A refused root is often a saddle: the front pinned on the
+wrong site of the periodic landscape. The front is then sought at the
+other pinning sites, the strict extrema of the weight a nearest the
+centre: Newton runs from a tanh guess at each, and the certified root
+of lowest energy is kept, as long as its energy is no higher than the
+centre root's (and, when asked, its deferred correction converges).
+Only when no site gives one does constrained energy descent run from
+the start: explicit gradient flow with backtracking and clamping to
+[-1, 1], interleaved with a Newton polish once the iterate is in the
+basin. The flow is robust but slow near convergence; the linearization
+carries a near-zero translation eigenvalue, so there the polish also
+caps its step. A gradient tolerance below the rounding floor of the
+discrete gradient, 2 kf eps max(a) / h^2, could never be met, and is
+refused with a ValidationError before any work is done.
 
 `minimize` and `newton_polish` accept a fixed source s, which turns
 the equation into R(w) = s and the energy into its linear shift (see
@@ -126,9 +131,10 @@ def guess_rate(ac: WeightedAC) -> float:
     return float(np.sqrt(worst))
 
 
-def initial_guess(grid: Grid, kappa: float) -> Profile:
-    """Monotone tanh ramp with the target asymptotic rate."""
-    w = np.tanh(0.5 * kappa * grid.x())
+def initial_guess(grid: Grid, kappa: float, centre: float = 0.0) -> Profile:
+    """Monotone tanh ramp with the target asymptotic rate, centred at
+    `centre`."""
+    w = np.tanh(0.5 * kappa * (grid.x() - centre))
     np.clip(w, -1.0 + _GUESS_CLEARANCE, 1.0 - _GUESS_CLEARANCE, out=w)
     w[0], w[-1] = -1.0, 1.0
     return Profile(grid, w)
@@ -202,6 +208,68 @@ def _is_strict_minimizer(ac: WeightedAC, w: np.ndarray) -> bool:
     return info == 0
 
 
+def _is_certified_root(ac, root: PolishResult, bound: float,
+                       source=None) -> bool:
+    """A converged, monotone Newton root with energy at most `bound`
+    that is a strict local minimizer."""
+    return (root.converged and bool(np.all(np.diff(root.values) >= 0))
+            and _energy_values(ac, root.values, source) <= bound
+            and _is_strict_minimizer(ac, root.values))
+
+
+def _pinning_sites(ac: WeightedAC) -> np.ndarray:
+    """The strict extrema of the weight a nearest the centre x = 0 on
+    each side, nearest first; a constant weight has none.
+
+    When the grid and every weight are even about x = 0 to the last bit,
+    the right-hand site mirrors the left one, and so would its root, at
+    the same energy up to rounding: only the left one is returned.
+    """
+    a = ac.a
+    mid = a[1:-1]
+    strict = (((mid > a[:-2]) & (mid > a[2:]))
+              | ((mid < a[:-2]) & (mid < a[2:])))
+    x = ac.grid.x()[1:-1][strict]
+    left, right = x[x < 0.0][-1:], x[x > 0.0][:1]
+    even = ac.grid.xmin == -ac.grid.xmax and all(
+        np.array_equal(v, v[::-1]) for v in (a, *(b for _, b in ac.powers)))
+    if even:
+        return left
+    sites = np.concatenate([left, right])
+    return sites[np.argsort(np.abs(sites), kind="stable")]
+
+
+def _site_scan(ac, centre: PolishResult, start_energy: float,
+               target_res: float, source_of=None):
+    """Newton from a tanh guess at each pinning site, after the centre
+    root was refused; returns (root or None, Newton iterations).
+
+    A site root is kept if it passes `_is_certified_root` with an energy
+    no higher than the start's and the centre root's; of those, the one
+    of lowest energy wins. With `source_of` given, a root counts only
+    if the deferred correction from it, R(v) = source_of(root), also
+    converges by Newton; otherwise the next one is tried.
+    """
+    bound = start_energy
+    if centre.converged:
+        bound = min(bound, _energy_values(ac, centre.values))
+    iterations = 0
+    roots = []
+    for site in _pinning_sites(ac):
+        root = newton_polish(initial_guess(ac.grid, guess_rate(ac), site),
+                             ac, tol=target_res, step_cap=np.inf)
+        iterations += root.iterations
+        if _is_certified_root(ac, root, bound):
+            roots.append((_energy_values(ac, root.values), root))
+    # sorted is stable: of equal energies, the site nearest the centre
+    for _, root in sorted(roots, key=lambda item: item[0]):
+        if source_of is None or newton_polish(
+                root.values, ac, tol=target_res,
+                source=source_of(Profile(ac.grid, root.values))).converged:
+            return root, iterations
+    return None, iterations
+
+
 def _line_search(ac, w, energy, grad, step, max_halvings, source=None):
     """Backtracking trial against the gradient: clamp, repin, accept on
     nonincreasing energy. Returns (trial, energy, step, halvings) with
@@ -246,19 +314,26 @@ def _descent_burst(ac, w, energy, step, budget, target_res, source=None):
 
 
 def minimize(ac: WeightedAC, options: MinimizeOptions | None = None,
-             w0: Profile | None = None, source=None) -> MinimizeResult:
-    """Front profile of the reduced energy: certified Newton first,
-    constrained descent as the fallback.
+             w0: Profile | None = None, source=None,
+             source_of=None) -> MinimizeResult:
+    """Front profile of the reduced energy: certified Newton first, then
+    the pinning sites, constrained descent as the last resort.
 
     Convergence test: sup |gradient| / h <= grad_tol, equivalently
     sup |residual| <= grad_tol / (2 * kinetic_factor). A Newton root is
     returned only if it is monotone, its energy is at most the initial
     one and it is a strict local minimizer; its energy log is the
-    initial value alone. Otherwise the descent runs from the same start,
-    and the log records the initial value and every accepted flow step
-    and never increases. A converged profile that fails to be monotone
-    raises MonotonicityLoss rather than being returned. With a fixed
-    source the energy and residual are those of R(w) = source.
+    initial value alone. If the root from the start is refused and
+    there is no source, Newton runs from each pinning site (see
+    `_site_scan`); `source_of`, a map from a front Profile to its
+    deferred-correction source, makes a site root count only if the
+    correction from it converges by Newton. Failing both, the descent
+    runs from the start, and the log records the initial value and
+    every accepted flow step and never increases. A converged profile
+    that fails to be monotone raises MonotonicityLoss rather than being
+    returned. With a fixed source the energy and residual are those of
+    R(w) = source, and no site is tried: the source belongs to the
+    front it was built from.
     """
     options = options or MinimizeOptions()
     if w0 is None:
@@ -280,10 +355,13 @@ def minimize(ac: WeightedAC, options: MinimizeOptions | None = None,
     first = newton_polish(w, ac, tol=target_res, source=source,
                           step_cap=np.inf)
     polish_iterations = first.iterations
-    if (first.converged and np.all(np.diff(first.values) >= 0)
-            and _energy_values(ac, first.values, source) <= energy
-            and _is_strict_minimizer(ac, first.values)):
-        return _front_result(ac, first.values, first.residual_sup,
+    root = first if _is_certified_root(ac, first, energy, source) else None
+    if root is None and source is None:
+        root, site_iterations = _site_scan(ac, first, energy, target_res,
+                                           source_of)
+        polish_iterations += site_iterations
+    if root is not None:
+        return _front_result(ac, root.values, root.residual_sup,
                              tuple(energies), 0, polish_iterations,
                              flags, source)
 

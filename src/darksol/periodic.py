@@ -117,14 +117,25 @@ def solve_periodic(problem: Problem, options: PeriodicOptions | None = None
 
     Starts from the bracket midpoint. Iterates are clamped back into
     the bracket; needing that clamp more than once means the iteration
-    is not trustworthy and raises BracketViolation.
+    is not trustworthy and raises BracketViolation. A residual_tol below
+    the residual's rounding floor eps k rho / h^2, rho the bracket
+    midpoint, is refused with a ValidationError before any work is
+    done: that is one rounding unit of the stencil term k phi / h^2,
+    and about where Newton's residual stalls, so a tolerance just above
+    it may still stall.
     """
     options = options or PeriodicOptions()
     bracket = bracket_bounds(problem)
     eq = problem.equation()
     n = problem.n_per
     h = problem.period / n
-    phi = np.full(n, 0.5 * (bracket.lower + bracket.upper))
+    start = 0.5 * (bracket.lower + bracket.upper)
+    floor = np.finfo(float).eps * eq.k * start / h**2
+    if options.residual_tol < floor:
+        raise ValidationError(
+            f"residual_tol {options.residual_tol:.3e} is below the rounding "
+            f"floor {floor:.3e} of the periodic residual on this grid")
+    phi = np.full(n, start)
     res = _residual(eq, phi, h)
     sup = float(np.max(np.abs(res)))
     clamp_count = 0

@@ -79,9 +79,18 @@ def run_soliton(problem: Problem,
     if margin is not None and margin < 0:
         flags.add("outside_variational_regime")
 
-    result = minimize(ac, minimize_options)
-    result = correct(ac, result, correction_source(
-        problem, ac, background_ext, result.profile), minimize_options)
+    # A site root is taken only once its correction converges, so the
+    # source `correct` needs for it has already been built.
+    sources = {}
+
+    def source_of(w):
+        key = w.values.tobytes()
+        if key not in sources:
+            sources[key] = correction_source(problem, ac, background_ext, w)
+        return sources[key]
+
+    result = minimize(ac, minimize_options, source_of=source_of)
+    result = correct(ac, result, source_of(result.profile), minimize_options)
     w = result.profile
     if potential_floor(ac, w) < 0:
         flags.add("energy_density_negative")

@@ -334,22 +334,61 @@ def test_minimize_takes_a_certified_newton_root(monkeypatch):
                          - descent.profile.values)) <= 1e-8
 
 
-def test_minimize_falls_back_from_a_saddle():
-    # a coefficient maximum at the centre: by symmetry Newton converges
-    # to the front pinned there, which is a saddle of the energy
-    grid, _, ac = cubic_case("1 + 0.5*cos(2*pi*x)")
-    options = MinimizeOptions()
-    root = newton_polish(initial_guess(grid, guess_rate(ac)), ac,
+def centre_root(ac, options=None):
+    """The Newton root `minimize` tries first, from the centred guess."""
+    options = options or MinimizeOptions()
+    return newton_polish(initial_guess(ac.grid, guess_rate(ac)), ac,
                          tol=options.grad_tol / (2.0 * ac.kinetic_factor),
                          step_cap=np.inf)
+
+
+def test_minimize_falls_back_from_a_saddle():
+    # a coefficient maximum at the centre: by symmetry Newton converges
+    # to the front pinned there, which is a saddle of the energy; the
+    # site scan finds the front pinned half a period off instead
+    grid, _, ac = cubic_case("1 + 0.5*cos(2*pi*x)")
+    root = centre_root(ac)
     assert root.converged
     assert lowest_hessian_eigenvalue(ac, root.values) < 0
-    result = minimize(ac, options)
+    result = minimize(ac)
+    assert result.flow_iterations == 0
+    assert lowest_hessian_eigenvalue(ac, result.profile.values) > 0
+    assert _is_strict_minimizer(ac, result.profile.values)
+    assert result.grad_sup_per_h <= 1e-8
+    assert result.final_energy < energy(Profile(grid, root.values), ac)
+    assert abs(report_crossing(result.profile)) == pytest.approx(0.5,
+                                                                 abs=1e-3)
+
+
+def test_descent_runs_when_no_site_certifies(monkeypatch):
+    # with every Newton root refused, the scan keeps nothing and the
+    # descent from the centred guess runs; it keeps the symmetry, so it
+    # ends on the centre saddle
+    grid, _, ac = cubic_case("1 + 0.5*cos(2*pi*x)")
+    root = centre_root(ac)
+    result = descent_only(monkeypatch, ac)
     assert result.flow_iterations > 0
     assert len(result.energies) == result.flow_iterations + 1
     assert np.all(np.diff(result.energies) <= 0.0)
-    # the descent keeps the symmetry, so it ends on the same saddle
     assert np.max(np.abs(result.profile.values - root.values)) <= 1e-8
+
+
+def test_pinning_sites():
+    # the nearest strict extremum of a on each side of the centre
+    _, _, ac = cubic_case("1 + 0.8*sin(2*pi*x)")
+    np.testing.assert_allclose(kink._pinning_sites(ac), [-0.25, 0.25],
+                               atol=1e-12)
+    # the sampled 1 + 0.5 cos is even only to rounding, and keeps both
+    _, _, ac = cubic_case("1 + 0.5*cos(2*pi*x)")
+    np.testing.assert_allclose(kink._pinning_sites(ac), [-0.5, 0.5],
+                               atol=1e-12)
+    # even to the last bit, the right site mirrors the left one
+    even = WeightedAC(grid=ac.grid, a=ac.a + ac.a[::-1],
+                      powers=tuple((p, b + b[::-1]) for p, b in ac.powers),
+                      kinetic_factor=ac.kinetic_factor)
+    np.testing.assert_allclose(kink._pinning_sites(even), [-0.5], atol=1e-12)
+    _, _, ac = cubic_case("1")
+    assert kink._pinning_sites(ac).size == 0
 
 
 def test_minimizer_certificate():
@@ -358,9 +397,57 @@ def test_minimizer_certificate():
     assert lowest_hessian_eigenvalue(ac, front) > 0
     assert _is_strict_minimizer(ac, front)
     _, _, ac = cubic_case("1 + 0.5*cos(2*pi*x)")
-    saddle = minimize(ac).profile.values
+    saddle = centre_root(ac).values
     assert lowest_hessian_eigenvalue(ac, saddle) < 0
     assert not _is_strict_minimizer(ac, saddle)
+
+
+def sine_run(amp, lam):
+    g = sample_coefficient(f"1 + {amp!r}*sin(2*pi*x)", 1.0, 128,
+                           positive=True)
+    return run_soliton(Problem(kind="cubic", lam=lam, period=1.0, g=g))
+
+
+def test_saddle_at_large_lambda_moves_to_the_minimum_of_g():
+    # g = 1 + 0.8 sin, lambda = -4, automatic L: Newton lands on the
+    # front at the maximum of g (E = 24.18), a saddle, and the descent
+    # ended NonConvergence; the scan certifies the front at x = -0.25.
+    # The tail still rounds to 1 at this L (amplitude_saturated).
+    run = sine_run(0.8, -4.0)
+    assert run.minimize.flow_iterations == 0
+    assert run.crossing == pytest.approx(-0.25, abs=1e-3)
+    assert run.minimize.final_energy == pytest.approx(23.465, abs=1e-3)
+    assert run.status == "property_violation"
+    assert "amplitude_saturated" in run.run_flags
+
+
+def test_site_exchange_moves_the_front_to_the_maximum_of_g():
+    # at lambda = -9 the lower-energy site of 1 + 0.9 sin is the maximum
+    # of g, not its minimum: the energy falls from 102.62 to 79.37
+    run = sine_run(0.9, -9.0)
+    assert run.minimize.flow_iterations == 0
+    assert run.crossing == pytest.approx(0.25, abs=1e-3)
+    assert run.minimize.final_energy == pytest.approx(79.369, abs=1e-3)
+
+
+def test_weakly_pinned_site_root_is_not_taken():
+    # the certified root at x = -0.5 lies 2.8e-9 below the centre saddle
+    # and its deferred correction stalls in Newton at 2.5e-7; the site
+    # is passed over, and the descent ends on the centre front as before
+    lam, amp = -0.40848040045694534, 0.5072631557554451
+    potential = sample_coefficient(
+        lambda x: amp * abs(lam) * np.cos(2.0 * np.pi * (x - 0.5)), 1.0, 128)
+    run = run_soliton(Problem(kind="cubic-quintic", lam=lam, period=1.0,
+                              potential=potential, g1=0.18578025749299015),
+                      half_length=10.0)
+    assert run.status == "ok"
+    assert run.minimize.flow_iterations > 0
+    assert abs(run.crossing) <= 1e-6
+    # without the correction check the scan would take that site root
+    unchecked = minimize(to_allen_cahn(run.problem, run.background_ext))
+    assert unchecked.flow_iterations == 0
+    assert report_crossing(unchecked.profile) == pytest.approx(-0.5,
+                                                               abs=1e-2)
 
 
 def test_strong_modulation_at_large_lambda_converges():

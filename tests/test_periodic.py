@@ -131,3 +131,19 @@ def test_options_validation():
         PeriodicOptions(max_newton_iters=0)
     with pytest.raises(ValidationError):
         PeriodicOptions(oracle_tol=0.0)
+
+
+def test_residual_tol_below_the_rounding_floor_is_refused():
+    # the floor eps k rho / h^2, rho the bracket midpoint, is about
+    # 1.3e-10 at n_per 1024; Newton stalls near 1.9e-10 there
+    for n_per in (256, 512):
+        result = solve_periodic(sinusoidal_cubic(n_per=n_per, amp=0.5))
+        assert result.residual_sup <= 1e-10
+    for n_per, floor in ((1024, "1.298e-10"), (2048, "5.194e-10")):
+        with pytest.raises(ValidationError) as err:
+            solve_periodic(sinusoidal_cubic(n_per=n_per, amp=0.5))
+        assert "1.000e-10" in str(err.value) and floor in str(err.value)
+    # a tolerance above the floor is accepted at the same grid
+    coarse = solve_periodic(sinusoidal_cubic(n_per=1024, amp=0.5),
+                            PeriodicOptions(residual_tol=1e-9))
+    assert coarse.residual_sup <= 1e-9
