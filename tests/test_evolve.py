@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+import darksol.evolve
 from darksol import (ComplexField, EvolveOptions, Profile, Trajectory,
                      evolve_nls, kink_drift, make_ansatz, make_uniform_grid,
                      modulus_deviation, phase_rotation_check, run_soliton)
 from darksol.errors import (NoSignChange, PhaseUndefined, StepDivergence,
                             ValidationError)
 
-from conftest import constant_cubic, constant_quintic
+from conftest import constant_cubic, constant_quintic, sinusoidal_cubic
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +44,51 @@ def test_second_order_in_dt(soliton_run):
     dev_fine = modulus_deviation(evolve(soliton_run, 1e-3, 0.5, 50),
                                  soliton_run.phi)
     assert 3.0 <= dev_coarse / dev_fine <= 5.0
+
+
+@pytest.mark.parametrize("problem", [
+    constant_cubic(lam=-1.0, n_per=100),
+    constant_quintic(lam=-2.0, g1=0.5, n_per=100),
+    sinusoidal_cubic(lam=-1.0, n_per=128, amp=0.5),
+], ids=["cubic", "quintic", "modulated"])
+def test_second_order_from_a_non_stationary_start(problem):
+    # On a stationary front the density does not move, so even the
+    # first-order diagonal d(|psi^n|^2), without the relaxation, passes
+    # the stationary order tests; a moving start tells them apart.
+    run = run_soliton(problem, half_length=6.0)
+    x, phi = run.grid.x(), run.phi.values
+    psi0 = ComplexField(grid=run.grid,
+                        re=phi * (1.0 + 0.1 * np.exp(-4.0 * (x - 1.0)**2)),
+                        im=0.05 * phi * np.exp(-4.0 * (x + 1.0)**2))
+
+    def final(dt):
+        traj = evolve_nls(psi0, run.problem,
+                          EvolveOptions(dt=dt, t_max=0.5,
+                                        snapshot_every=10**6))
+        return traj.fields[-1].psi
+
+    reference = final(5e-5)
+    errs = [float(np.max(np.abs(final(dt) - reference)))
+            for dt in (4e-3, 2e-3, 1e-3)]
+    assert 3.0 <= errs[0] / errs[1] <= 5.0
+    assert 3.0 <= errs[1] / errs[2] <= 5.0
+
+
+def test_one_tridiagonal_solve_per_step(soliton_run, monkeypatch):
+    calls = []
+    solve = darksol.evolve.solve_tridiagonal
+
+    def counted(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(darksol.evolve, "solve_tridiagonal", counted)
+    first = evolve(soliton_run, dt=1e-3, t_max=0.05, snapshot_every=10)
+    assert len(calls) == first.n_steps == 50
+    second = evolve(soliton_run, dt=1e-3, t_max=0.05, snapshot_every=10)
+    for a, b in zip(first.fields, second.fields):
+        assert a.re.tobytes() == b.re.tobytes()
+        assert a.im.tobytes() == b.im.tobytes()
 
 
 def test_phase_rotates_at_the_stationary_rate(soliton_run):
@@ -117,10 +163,20 @@ def test_phase_check_rejects_tiny_modulus():
 def test_blow_up_is_reported():
     problem = constant_quintic(lam=-1.0, g1=0.0, n_per=16)
     grid = make_uniform_grid(-1.0, 1.0, 33)
+    options = EvolveOptions(dt=1e-3, t_max=1e-2)
     huge = ComplexField(grid=grid, re=np.full(33, 1e160), im=np.zeros(33))
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(StepDivergence):
-            evolve_nls(huge, problem, EvolveOptions(dt=1e-3, t_max=1e-2))
+        with pytest.raises(StepDivergence,
+                           match="non-finite field at step 1"):
+            evolve_nls(huge, problem, options)
+    # The step is unitary for the frozen diagonal, so a large uniform
+    # start stays bounded; large pinned edges over a zero interior drive
+    # the field through the boundary rows.
+    edges = np.zeros(33)
+    edges[[0, -1]] = 1e5
+    loaded = ComplexField(grid=grid, re=edges, im=np.zeros(33))
+    with pytest.raises(StepDivergence, match="field blow-up at step 1"):
+        evolve_nls(loaded, problem, options)
 
 
 def test_field_validation():
