@@ -243,9 +243,10 @@ def _numerov_defect(problem: Problem, background_ext: Profile,
     # f(w_j phi_j) - w_i f(phi_j) for j = i - 1, i, i + 1, weighted by M
     compact = linear[:-2] * left + linear[2:] * right
     for k, coef in powers:
-        compact = compact + (coef[:-2] * (w[:-2]**k - wc)
-                             + 10.0 * coef[1:-1] * (wc**k - wc)
-                             + coef[2:] * (w[2:]**k - wc))
+        wk = w**k
+        compact = compact + (coef[:-2] * (wk[:-2] - wc)
+                             + 10.0 * coef[1:-1] * (wk[1:-1] - wc)
+                             + coef[2:] * (wk[2:] - wc))
     out = np.zeros_like(w)
     out[1:-1] = phi[1:-1] * ((phi[:-2] * left + phi[2:] * right) / h**2
                              + compact / (12.0 * sigma))

@@ -95,6 +95,48 @@ def test_monotone_sweeps_stay_ordered():
         prev_below, prev_above = below, above
 
 
+@pytest.mark.parametrize("amp, lam, max_sweeps", [
+    (0.9, -1.0, 20),    # the criterion-9 background
+    (0.99, -4.0, 30),
+])
+def test_monotone_sweeps_converge_quadratically(amp, lam, max_sweeps):
+    # a bracket-wide shift took 560 and 6,806 sweeps here; the sector
+    # shift tends to F' at the background, so the sweeps end as Newton
+    problem = sinusoidal_cubic(lam=lam, n_per=128, amp=amp)
+    mono = monotone_iteration_oracle(problem)
+    assert mono.iterations <= max_sweeps
+    newton = solve_periodic(problem).profile.values
+    assert np.max(np.abs(mono.from_below.values - newton)) <= 1e-10
+    assert np.max(np.abs(mono.from_above.values - newton)) <= 1e-10
+
+
+@pytest.mark.parametrize("problem, clamps", [
+    # F' < 0 on the sector where g is small, so the shift is clamped at 0
+    (sinusoidal_cubic(lam=-1.0, n_per=128, amp=0.9), True),
+    # both powers, the cubic one with a negative coefficient
+    (sinusoidal_quintic(lam=-2.0, g1=-1.0), False),
+], ids=["clamped-cubic", "quintic-negative-g1"])
+def test_sector_shift_keeps_the_sweeps_ordered(problem, clamps):
+    eq = problem.equation()
+    bracket = bracket_bounds(problem)
+    mono = monotone_iteration_oracle(problem, record=True)
+    slack = 1e-11
+    prev_below = np.full(problem.n_per, bracket.lower)
+    prev_above = np.full(problem.n_per, bracket.upper)
+    clamped = 0
+    for below, above in mono.history:
+        slope = [eq.mu + sum(p * c * phi**(p - 1) for p, c in eq.powers)
+                 for phi in (prev_below, prev_above)]
+        clamped += int(np.sum(np.maximum(*slope) < 0))
+        assert np.all(below <= above + slack)
+        assert np.all(below >= prev_below - slack)
+        assert np.all(above <= prev_above + slack)
+        prev_below, prev_above = below, above
+    assert np.all(prev_below >= bracket.lower - slack)
+    assert np.all(prev_above <= bracket.upper + slack)
+    assert (clamped > 0) == clamps
+
+
 def test_quintic_background_dual_route():
     problem = sinusoidal_quintic(lam=-1.0, amp=0.3, g1=0.5)
     res = solve_periodic(problem)
