@@ -7,10 +7,10 @@ darksol.cli.
 """
 
 from .errors import (BracketViolation, ConfigError, DarksolError,
-                     ExpressionError, GridMismatchError, LineSearchFailure,
-                     MonotonicityLoss, NonConvergence, NoSignChange,
-                     PhaseUndefined, SingularLinearization, StepDivergence,
-                     TailUnderflow, ValidationError)
+                     ExpressionError, GridMismatchError, MonotonicityLoss,
+                     NonConvergence, NoSignChange, PhaseUndefined,
+                     SingularLinearization, StepDivergence, TailUnderflow,
+                     ValidationError)
 from .evolve import (ComplexField, EvolveOptions, PhaseCheck, Trajectory,
                      evolve_nls, kink_drift, make_ansatz, modulus_deviation,
                      phase_rotation_check)

@@ -74,10 +74,6 @@ class BracketViolation(DarksolError):
     """Newton iterate left the a-priori solution bracket more than once."""
 
 
-class LineSearchFailure(DarksolError):
-    """Backtracking could not find a step that decreases the objective."""
-
-
 class SingularLinearization(DarksolError):
     """Linearized system is singular or the Newton correction diverges."""
 

@@ -12,23 +12,23 @@ other pinning sites, the strict extrema of the weight a nearest the
 centre: Newton runs from a tanh guess at each, and the certified root
 of lowest energy is kept, as long as its energy is no higher than the
 centre root's (and, when asked, its deferred correction converges).
-Only when no site gives one does constrained energy descent run from
-the start: explicit gradient flow with backtracking and clamping to
-[-1, 1], interleaved with a Newton polish once the iterate is in the
-basin. The flow is robust but slow near convergence; the linearization
-carries a near-zero translation eigenvalue, so there the polish also
-caps its step. A gradient tolerance below the rounding floor of the
-discrete gradient, 2 kf eps max(a) / h^2, could never be met, and is
-refused with a ValidationError before any work is done.
+Only when no site gives one does the phase condition w(x0) = 0 take
+over (Beyn & Thuemmler, SIAM J. Appl. Dyn. Syst. 3, 2004): Newton with
+node x0 held, whose roots trace the pinning (Peierls-Nabarro) landscape
+E(x0) (Kivshar & Campbell, Phys. Rev. E 48, 3077, 1993). The pin walks
+downhill in E from the centre, and unpinned Newton from the lowest
+node's root gives the front. Every solve is tridiagonal, O(n). A
+gradient tolerance below the rounding floor of the discrete gradient,
+2 kf eps max(a) / h^2, could never be met, and is refused with a
+ValidationError before any work is done.
 
-`minimize` and `newton_polish` accept a fixed source s, which turns
-the equation into R(w) = s and the energy into its linear shift (see
-`reduction`); `correct` uses that for the one deferred-correction solve
-that lifts the minimizer of the second-order energy to a fourth-order
-front.
+`newton_polish` accepts a fixed source s, which turns the equation
+into R(w) = s (see `reduction`); `correct` uses that for the one
+deferred-correction solve that lifts the minimizer of the second-order
+energy to a fourth-order front.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 from operator import add
 
@@ -36,9 +36,8 @@ import numpy as np
 from scipy.linalg import lapack
 
 from ._banded import solve_tridiagonal
-from .errors import (GridMismatchError, LineSearchFailure, MonotonicityLoss,
-                     NoSignChange, NonConvergence, SingularLinearization,
-                     ValidationError)
+from .errors import (GridMismatchError, MonotonicityLoss, NoSignChange,
+                     NonConvergence, SingularLinearization, ValidationError)
 from .model import Grid, Problem, Profile
 from .periodic import bracket_bounds
 from .reduction import (WeightedAC, _energy_values, _jacobian_bands,
@@ -56,17 +55,14 @@ _GUESS_CLEARANCE = 1e-12
 # Newton corrections larger than this in sup norm are treated as
 # divergence of the linearization, not as a usable step.
 _POLISH_STEP_CAP = 1.0
-# Step halvings a descent line search tries before it gives up.
-_MAX_HALVINGS = 60
 
 
 @dataclass(frozen=True)
 class MinimizeOptions:
     grad_tol: float = 1e-8
-    max_outer_iters: int = 20000
 
     def __post_init__(self):
-        if not (self.grad_tol > 0 and self.max_outer_iters > 0):
+        if not self.grad_tol > 0:
             raise ValidationError("invalid minimizer options")
 
 
@@ -82,9 +78,8 @@ class PolishResult:
 @dataclass(frozen=True)
 class MinimizeResult:
     profile: Profile
-    energies: tuple
     final_energy: float
-    flow_iterations: int
+    flow_iterations: int  # always 0: no gradient flow step remains
     polish_iterations: int
     grad_sup_per_h: float
     flags: frozenset
@@ -155,24 +150,34 @@ def front_existence_margin(problem: Problem) -> float | None:
 
 def newton_polish(w, ac: WeightedAC, tol: float,
                   max_iters: int = 40, source=None,
-                  step_cap: float = _POLISH_STEP_CAP) -> PolishResult:
+                  step_cap: float = _POLISH_STEP_CAP,
+                  pin: int | None = None) -> PolishResult:
     """Damped Newton on the reduced residual with pinned boundary values.
 
     With a source s the residual is R(w) - s; the Jacobian is the same.
     A correction larger than `step_cap` in sup norm ends the solve.
 
+    With `pin`, an interior node index, that node's value is held too:
+    its residual row is left out of the steps and `history` (see
+    `_hold`), but `residual_sup` and `converged` take the full residual.
+
     Never raises: a singular factorization, an oversized correction or
     a stalled line search all come back as converged=False with the
-    work done so far, so callers can fall back to the flow.
+    work done so far, so callers can try another route.
     """
     w = np.array(w.values if isinstance(w, Profile) else w, dtype=float)
     res = _residual_values(ac, w, source)
+    if pin is not None:
+        held, res[pin] = res[pin], 0.0
     sup = float(np.max(np.abs(res)))
     history = [sup]
     iterations = 0
     while sup > tol and iterations < max_iters:
+        bands = _jacobian_bands(ac, w)
+        if pin is not None:
+            _hold(bands, pin)
         try:
-            delta = solve_tridiagonal(*_jacobian_bands(ac, w), -res[1:-1])
+            delta = solve_tridiagonal(*bands, -res[1:-1])
         except SingularLinearization:
             break
         if not np.all(np.isfinite(delta)) or \
@@ -183,6 +188,8 @@ def newton_polish(w, ac: WeightedAC, tol: float,
             trial = w.copy()
             trial[1:-1] += t * delta
             trial_res = _residual_values(ac, trial, source)
+            if pin is not None:
+                trial_held, trial_res[pin] = trial_res[pin], 0.0
             trial_sup = float(np.max(np.abs(trial_res)))
             if trial_sup < sup:
                 break
@@ -190,30 +197,48 @@ def newton_polish(w, ac: WeightedAC, tol: float,
         else:
             break  # no direction of decrease left, usually the rounding floor
         w, res, sup = trial, trial_res, trial_sup
+        if pin is not None:
+            held = trial_held
         history.append(sup)
         iterations += 1
+    if pin is not None:
+        sup = max(sup, abs(float(held)))
     return PolishResult(values=w, residual_sup=sup, iterations=iterations,
                         history=tuple(history), converged=sup <= tol)
 
 
-def _is_strict_minimizer(ac: WeightedAC, w: np.ndarray) -> bool:
-    """Whether the energy Hessian at w is positive definite.
+def _hold(bands, pin: int):
+    """Give node `pin` the Jacobian row and column of -I, in place: the
+    node decouples, and the system stays tridiagonal."""
+    lower, diag, upper = bands
+    k = pin - 1  # bands index the interior nodes
+    diag[k] = -1.0
+    lower[k:k + 2] = 0.0
+    upper[max(k - 1, 0):k + 1] = 0.0
+
+
+def _is_strict_minimizer(ac: WeightedAC, w: np.ndarray,
+                         pin: int | None = None) -> bool:
+    """Whether the energy Hessian at w is positive definite; with `pin`,
+    on the variations that hold node `pin` (two decoupled blocks).
 
     The Hessian is -2 kf h times the residual Jacobian, so it is
     positive definite exactly when the negated Jacobian bands admit an
     LDL^T factorization with positive pivots (dpttrf, O(n)).
     """
-    _, diag, upper = _jacobian_bands(ac, w)
+    bands = _jacobian_bands(ac, w)
+    if pin is not None:
+        _hold(bands, pin)
+    _, diag, upper = bands
     _, _, info = lapack.dpttrf(-diag, -upper[:-1])
     return info == 0
 
 
-def _is_certified_root(ac, root: PolishResult, bound: float,
-                       source=None) -> bool:
+def _is_certified_root(ac, root: PolishResult, bound: float) -> bool:
     """A converged, monotone Newton root with energy at most `bound`
     that is a strict local minimizer."""
     return (root.converged and bool(np.all(np.diff(root.values) >= 0))
-            and _energy_values(ac, root.values, source) <= bound
+            and _energy_values(ac, root.values) <= bound
             and _is_strict_minimizer(ac, root.values))
 
 
@@ -270,163 +295,141 @@ def _site_scan(ac, centre: PolishResult, start_energy: float,
     return None, iterations
 
 
-def _line_search(ac, w, energy, grad, step, max_halvings, source=None):
-    """Backtracking trial against the gradient: clamp, repin, accept on
-    nonincreasing energy. Returns (trial, energy, step, halvings) with
-    trial None when every halving failed; the reduced step is kept."""
-    for k in range(max_halvings):
-        trial = np.clip(w - step * grad, -1.0, 1.0)
-        trial[0], trial[-1] = w[0], w[-1]
-        trial_energy = _energy_values(ac, trial, source)
-        if trial_energy <= energy:
-            return trial, trial_energy, step, k
-        step *= 0.5
-    return None, energy, step, max_halvings
+def _shifted(w: np.ndarray, nodes: int) -> np.ndarray:
+    """w moved `nodes` nodes to the right, the vacated end filled with its
+    boundary value and both ends re-pinned to -1 and +1."""
+    out = np.roll(w, nodes)
+    if nodes > 0:
+        out[:nodes] = -1.0
+    else:
+        out[nodes:] = 1.0
+    out[0], out[-1] = -1.0, 1.0
+    return out
 
 
-def _descent_burst(ac, w, energy, step, budget, target_res, source=None):
-    """Run up to `budget` accepted descent steps; returns the new state.
+def _phase_walk(ac, start: np.ndarray, target_res: float):
+    """Walk the phase condition w(x0) = 0 downhill over the nodes x0;
+    returns (lowest pinned root, its node, Newton iterations).
 
-    Each step moves against the energy gradient, clamps into [-1, 1],
-    restores the pinned boundary values and accepts only if the energy
-    did not increase. The step size adapts: grow on clean acceptance,
-    keep the reduction after a backtrack.
+    The pin starts at the centre node, where the start crosses zero.
+    Each move solves the pinned equation from the best root so far,
+    shifted by the stride; the stride doubles while the energy falls,
+    then halves, trying both sides, down to one node. A pinned solve
+    whose free rows miss the tolerance counts as infinite energy.
     """
-    energies = []
-    res = _residual_values(ac, w, source)
-    res_sup = float(np.max(np.abs(res)))
-    accepted = 0
-    while accepted < budget and res_sup > target_res:
-        grad = -2.0 * ac.kinetic_factor * ac.h * res
-        trial, trial_energy, step, k = _line_search(
-            ac, w, energy, grad, step, _MAX_HALVINGS, source)
-        if trial is None:
-            raise LineSearchFailure(
-                f"descent stalled at gradient sup {2.0 * ac.kinetic_factor * res_sup:.3e}")
-        w, energy = trial, trial_energy
-        energies.append(energy)
-        accepted += 1
-        if k == 0:
-            step = min(step * 1.25, 1e6 * ac.h)
-        res = _residual_values(ac, w, source)
-        res_sup = float(np.max(np.abs(res)))
-    return w, energy, step, energies, accepted, res_sup
+    def solve(w, node):
+        root = newton_polish(w, ac, tol=target_res, step_cap=np.inf,
+                             pin=node)
+        if root.history[-1] > target_res:
+            return root, np.inf
+        return root, _energy_values(ac, root.values)
+
+    pin = ac.grid.n // 2
+    best, energy = solve(start, pin)
+    iterations = best.iterations
+    seen = {pin}
+    stride, sign, growing = int(energy < np.inf), 1, True
+    while stride:
+        for side in (sign,) if growing and stride > 1 else (sign, -sign):
+            node = pin + side * stride
+            if node in seen or not 0 < node < ac.grid.n - 1:
+                continue
+            seen.add(node)
+            trial, trial_energy = solve(_shifted(best.values, side * stride),
+                                        node)
+            iterations += trial.iterations
+            if trial_energy < energy:
+                best, energy, pin, sign = trial, trial_energy, node, side
+                break
+        else:
+            growing, stride = False, stride // 2
+            continue
+        if growing:
+            stride *= 2
+    return best, pin, iterations
 
 
 def minimize(ac: WeightedAC, options: MinimizeOptions | None = None,
-             w0: Profile | None = None, source=None,
              source_of=None) -> MinimizeResult:
-    """Front profile of the reduced energy: certified Newton first, then
-    the pinning sites, constrained descent as the last resort.
+    """Front profile of the reduced energy: certified Newton from the
+    centred tanh guess, then the pinning sites, then the phase walk.
 
     Convergence test: sup |gradient| / h <= grad_tol, equivalently
     sup |residual| <= grad_tol / (2 * kinetic_factor). A Newton root is
-    returned only if it is monotone, its energy is at most the initial
-    one and it is a strict local minimizer; its energy log is the
-    initial value alone. If the root from the start is refused and
-    there is no source, Newton runs from each pinning site (see
-    `_site_scan`); `source_of`, a map from a front Profile to its
-    deferred-correction source, makes a site root count only if the
-    correction from it converges by Newton. Failing both, the descent
-    runs from the start, and the log records the initial value and
-    every accepted flow step and never increases. A converged profile
-    that fails to be monotone raises MonotonicityLoss rather than being
-    returned. With a fixed source the energy and residual are those of
-    R(w) = source, and no site is tried: the source belongs to the
-    front it was built from.
+    returned only if it is certified (`_is_certified_root`, energy at
+    most the start's). If the centre root is refused, `_site_scan` runs;
+    `source_of`, a map from a front Profile to its deferred-correction
+    source, makes a site root count only if the correction from it
+    converges by Newton. Failing both, unpinned Newton from the root at
+    the lowest node of `_phase_walk` gives the front if it is certified
+    with no higher energy. Otherwise that pinned root is returned, with
+    flag `phase_pinned`, if its full residual meets the tolerance and it
+    is a strict minimizer with the node held; else NonConvergence.
+    A non-monotone front raises MonotonicityLoss.
     """
     options = options or MinimizeOptions()
-    if w0 is None:
-        w0 = initial_guess(ac.grid, guess_rate(ac))
-    elif w0.grid != ac.grid:
-        raise GridMismatchError("starting profile grid differs from weights")
-    w = np.array(w0.values, dtype=float)
-    if not (w[0] == -1.0 and w[-1] == 1.0):
-        raise ValidationError("front needs boundary values -1 and +1")
-
     target_res = _target_residual(ac, options)
-    step = ac.h / (8.0 * ac.kinetic_factor * float(np.max(ac.a)))
-    energy = _energy_values(ac, w, source)
-    energies = [energy]
-    flags = set()
-    flow_iterations = 0
-    burst = 100
+    start = initial_guess(ac.grid, guess_rate(ac)).values
+    energy = _energy_values(ac, start)
 
-    first = newton_polish(w, ac, tol=target_res, source=source,
-                          step_cap=np.inf)
-    polish_iterations = first.iterations
-    root = first if _is_certified_root(ac, first, energy, source) else None
-    if root is None and source is None:
+    first = newton_polish(start, ac, tol=target_res, step_cap=np.inf)
+    iterations = first.iterations
+    root = first if _is_certified_root(ac, first, energy) else None
+    if root is None:
         root, site_iterations = _site_scan(ac, first, energy, target_res,
                                            source_of)
-        polish_iterations += site_iterations
+        iterations += site_iterations
     if root is not None:
-        return _front_result(ac, root.values, root.residual_sup,
-                             tuple(energies), 0, polish_iterations,
-                             flags, source)
+        return _front_result(ac, root.values, root.residual_sup, iterations,
+                             set())
 
-    res_sup = float(np.max(np.abs(_residual_values(ac, w, source))))
-    while res_sup > target_res:
-        if flow_iterations >= options.max_outer_iters:
-            raise NonConvergence(
-                f"descent budget exhausted at gradient sup per h "
-                f"{2.0 * ac.kinetic_factor * res_sup:.3e}",
-                final_residual=res_sup, iterations=flow_iterations)
-        budget = min(burst, options.max_outer_iters - flow_iterations)
-        w, energy, step, new_energies, accepted, res_sup = _descent_burst(
-            ac, w, energy, step, budget, target_res, source)
-        energies.extend(new_energies)
-        flow_iterations += accepted
-        burst = min(burst * 2, 2000)
-        if res_sup <= target_res:
-            break
-        polish = newton_polish(w, ac, tol=target_res, source=source)
-        polish_iterations += polish.iterations
-        if polish.converged:
-            w = polish.values
-            res_sup = polish.residual_sup
-            break
-        flags.add("polish_deferred")
-        # Keep partial polish progress only if it also kept the
-        # energy from rising; the log must stay nonincreasing.
-        if polish.residual_sup < res_sup:
-            new_energy = _energy_values(ac, polish.values, source)
-            if new_energy <= energy:
-                w = polish.values
-                res_sup = polish.residual_sup
-                energy = new_energy
-
-    return _front_result(ac, w, res_sup, tuple(energies), flow_iterations,
-                         polish_iterations, flags, source)
+    pinned, pin, walk_iterations = _phase_walk(ac, start, target_res)
+    iterations += walk_iterations
+    free = newton_polish(pinned.values, ac, tol=target_res)
+    iterations += free.iterations
+    if _is_certified_root(ac, free, _energy_values(ac, pinned.values)):
+        return _front_result(ac, free.values, free.residual_sup, iterations,
+                             set())
+    if pinned.converged and _is_strict_minimizer(ac, pinned.values, pin):
+        return _front_result(ac, pinned.values, pinned.residual_sup,
+                             iterations, {"phase_pinned"})
+    raise NonConvergence(
+        f"no certified front at the phase walk's node {pin}: residual "
+        f"{pinned.residual_sup:.3e} pinned, {free.residual_sup:.3e} free",
+        final_residual=free.residual_sup, iterations=iterations)
 
 
 def correct(ac: WeightedAC, first: MinimizeResult, source,
             options: MinimizeOptions | None = None) -> MinimizeResult:
     """One deferred-correction solve R(w) = source, started at `first`.
 
-    A Newton polish from the minimizer normally converges in a few
-    steps, since the source moves the root by O(h^2); when it does not,
-    `minimize` runs with the same source.
-    The result sums the iteration counts and flags of both solves and
-    reports the convergence of the corrected equation; its energy log is
-    that of `first` and its final energy the reduced energy (no source
-    term) of the corrected front.
+    Newton from the minimizer normally converges in a few steps, since
+    the source moves the root by O(h^2). Where the near-zero translation
+    mode stalls it, Newton runs once more from `first` with the node
+    nearest its crossing pinned to zero, the phase condition; that
+    counts only if the full residual, pinned row included, meets the
+    tolerance, and NonConvergence is raised otherwise. The result sums
+    the Newton iterations and keeps the flags of `first`; its final
+    energy is the reduced energy (no source term) of the corrected
+    front.
     """
-    options = options or MinimizeOptions()
-    polish = newton_polish(first.profile, ac, tol=_target_residual(ac, options),
-                           source=source)
-    if polish.converged:
-        result = _front_result(ac, polish.values, polish.residual_sup, (),
-                               0, 0, set(), source)
-    else:
-        result = minimize(ac, options, w0=first.profile, source=source)
-    return replace(
-        result, energies=first.energies,
-        final_energy=_energy_values(ac, result.profile.values),
-        flow_iterations=first.flow_iterations + result.flow_iterations,
-        polish_iterations=(first.polish_iterations + polish.iterations
-                           + result.polish_iterations),
-        flags=first.flags | result.flags)
+    tol = _target_residual(ac, options or MinimizeOptions())
+    polish = newton_polish(first.profile, ac, tol=tol, source=source)
+    iterations = first.polish_iterations + polish.iterations
+    if not polish.converged:
+        pin = int(np.argmin(np.abs(ac.grid.x()
+                                   - report_crossing(first.profile))))
+        start = first.profile.values.copy()
+        start[pin] = 0.0
+        polish = newton_polish(start, ac, tol=tol, source=source, pin=pin)
+        iterations += polish.iterations
+        if not polish.converged:
+            raise NonConvergence(
+                f"deferred correction stalled at residual "
+                f"{polish.residual_sup:.3e} with node {pin} pinned",
+                final_residual=polish.residual_sup, iterations=iterations)
+    return _front_result(ac, polish.values, polish.residual_sup, iterations,
+                         first.flags)
 
 
 def _target_residual(ac: WeightedAC, options: MinimizeOptions) -> float:
@@ -441,8 +444,7 @@ def _target_residual(ac: WeightedAC, options: MinimizeOptions) -> float:
     return options.grad_tol / (2.0 * ac.kinetic_factor)
 
 
-def _front_result(ac, w, res_sup, energies, flow_iterations,
-                  polish_iterations, flags, source) -> MinimizeResult:
+def _front_result(ac, w, res_sup, polish_iterations, flags) -> MinimizeResult:
     """Check and package a converged front; not monotone raises."""
     if np.any(np.diff(w) < 0):
         raise MonotonicityLoss("converged front is not monotone")
@@ -451,9 +453,8 @@ def _front_result(ac, w, res_sup, energies, flow_iterations,
         flags.add("amplitude_saturated")
     grad_sup = 2.0 * ac.kinetic_factor * ac.h * res_sup
     return MinimizeResult(profile=Profile(ac.grid, w),
-                          energies=energies,
-                          final_energy=_energy_values(ac, w, source),
-                          flow_iterations=flow_iterations,
+                          final_energy=_energy_values(ac, w),
+                          flow_iterations=0,
                           polish_iterations=polish_iterations,
                           grad_sup_per_h=grad_sup / ac.h,
                           flags=frozenset(flags))

@@ -6,8 +6,8 @@ w, with weights built from powers of the background, one per power of
 `Equation.powers`: the kernels sum over them. The discrete
 energy below is chosen so that its gradient is exactly -2 * kf * h
 times the discrete residual of that equation (midpoint-averaged edge
-weights, trapezoid quadrature), which is what makes descent on the
-energy and Newton on the residual interchangeable.
+weights, trapezoid quadrature), which is what makes minimizing the
+energy and solving the residual by Newton interchangeable.
 
 That pair is second order. A fixed source s turns it into the pair
 R(w) = s, whose energy gains the linear term 2 * kf * h * sum(s w), so
@@ -73,7 +73,7 @@ class WeightedAC:
         if self.kinetic_factor <= 0:
             raise ValidationError("kinetic factor must be positive")
         # The density's weights 2 kf b_p / (p + 1), divided out once: a
-        # division per energy evaluation slows the descent's line search.
+        # division per energy evaluation would repeat it on every call.
         object.__setattr__(self, "_wells", tuple(
             (p, b / ((p + 1) / (2.0 * self.kinetic_factor)))
             for p, b in self.powers))

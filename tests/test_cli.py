@@ -97,8 +97,7 @@ def test_option_sections_are_the_option_classes(tmp_path):
     values = {"periodic": PeriodicOptions(residual_tol=3e-11,
                                           max_newton_iters=7,
                                           oracle_tol=2e-9),
-              "minimize": MinimizeOptions(grad_tol=2e-7,
-                                          max_outer_iters=123)}
+              "minimize": MinimizeOptions(grad_tol=2e-7)}
     text = BASE
     for section, options in values.items():
         text += f"\n[{section}]\n" + "".join(
@@ -109,7 +108,8 @@ def test_option_sections_are_the_option_classes(tmp_path):
     assert cfg.minimize == values["minimize"]
     for section, key in (("periodic", "damping"),
                          ("minimize", "newton_polish"),
-                         ("minimize", "max_halvings")):
+                         ("minimize", "max_halvings"),
+                         ("minimize", "max_outer_iters")):
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, BASE + f"\n[{section}]\n"
                                      f"{key} = 1\n", name="bad.ini"))

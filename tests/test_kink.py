@@ -12,9 +12,8 @@ from darksol import (MinimizeOptions, Problem, Profile, WeightedAC,
                      sample_coefficient, select_truncation, solve_periodic,
                      to_allen_cahn)
 from darksol import kink
-from darksol.errors import (GridMismatchError, LineSearchFailure,
-                            NoSignChange, NonConvergence, ValidationError)
-from darksol.kink import _is_strict_minimizer, _line_search, correct
+from darksol.errors import GridMismatchError, NoSignChange, ValidationError
+from darksol.kink import _is_strict_minimizer, correct
 from darksol.reduction import (_jacobian_bands, correction_source, energy,
                                residual_reduced)
 
@@ -92,43 +91,6 @@ def test_front_existence_margin():
     assert front_existence_margin(attractive) > 0
 
 
-def test_line_search_clamps_and_pins():
-    problem = constant_cubic(lam=-1.0, n_per=64)
-    grid, _, ac = reduced_problem(problem, 4.0, 64)
-    x = grid.x()
-    # interior overshoot leaves [-1, 1]; the trial must clamp it back
-    bump = np.tanh(x) + 0.8 * np.exp(-((x - 1.0) ** 2))
-    bump[0], bump[-1] = -1.0, 1.0
-    assert np.max(bump) > 1.0
-    # a gradient that would move the ends: they stay pinned
-    grad = np.full(grid.n, -0.5)
-    trial, _, _, k = _line_search(ac, bump, np.inf, grad, 1.0, 60)
-    assert k == 0
-    assert np.max(np.abs(trial)) <= 1.0
-    assert trial[0] == -1.0 and trial[-1] == 1.0
-    # zero gradient is a fixed point of the step
-    flat = np.ones(grid.n)
-    e_flat = energy(Profile(grid, flat), ac)
-    f1, fe, _, _ = _line_search(ac, flat, e_flat, np.zeros(grid.n), 1.0, 60)
-    np.testing.assert_array_equal(f1, flat)
-    assert fe == e_flat
-
-
-def test_line_search_failure(monkeypatch):
-    problem = constant_cubic(lam=-1.0, n_per=64)
-    grid, _, ac = reduced_problem(problem, 4.0, 64)
-    w = initial_guess(grid, 2.0).values
-    grad = np.ones(grid.n)
-    # an unreachable target energy makes every halving fail
-    trial, e, step, k = _line_search(ac, w, energy(Profile(grid, w), ac)
-                                     - 10.0, grad, 1.0, 8)
-    assert trial is None and k == 8 and step == 0.5**8
-    # the descent turns the exhausted halvings into LineSearchFailure
-    monkeypatch.setattr(kink, "_MAX_HALVINGS", 1)
-    with pytest.raises(LineSearchFailure):
-        descent_only(monkeypatch, ac)
-
-
 def test_minimize_constant_cubic_matches_closed_form():
     problem = constant_cubic(lam=-1.0)
     grid, bg, ac = reduced_problem(problem, 6.0, 256)
@@ -139,21 +101,8 @@ def test_minimize_constant_cubic_matches_closed_form():
     err = np.max(np.abs(result.profile.values[collar]
                         - cubic_front_exact(x[collar], -1.0)))
     assert err <= 2e-6
-    # energy log holds the initial value plus every accepted step
-    assert len(result.energies) == result.flow_iterations + 1
-    assert np.all(np.diff(result.energies) <= 0.0)
-    assert result.final_energy <= result.energies[0]
-
-
-def test_minimize_is_a_fixed_point_at_the_solution():
-    problem = constant_cubic(lam=-1.0)
-    grid, bg, ac = reduced_problem(problem, 6.0, 256)
-    first = minimize(ac)
-    again = minimize(ac, w0=first.profile)
-    assert again.flow_iterations == 0
-    assert again.polish_iterations == 0
-    assert len(again.energies) == 1
-    np.testing.assert_array_equal(again.profile.values, first.profile.values)
+    assert result.flow_iterations == 0
+    assert result.final_energy <= energy(initial_guess(grid, 2.0), ac)
 
 
 def test_minimize_variable_coefficient():
@@ -185,10 +134,12 @@ def test_newton_polish_on_converged_profile():
     problem = constant_cubic(lam=-1.0)
     grid, bg, ac = reduced_problem(problem, 6.0, 256)
     result = minimize(ac)
-    polish = newton_polish(result.profile, ac, tol=5e-9)
-    assert polish.iterations == 0
-    assert polish.converged
-    np.testing.assert_array_equal(polish.values, result.profile.values)
+    # the solution is a fixed point, with or without a node held
+    for pin in (None, grid.n // 2, grid.n // 2 + 7):
+        polish = newton_polish(result.profile, ac, tol=5e-9, pin=pin)
+        assert polish.iterations == 0
+        assert polish.converged
+        np.testing.assert_array_equal(polish.values, result.profile.values)
 
 
 def test_newton_polish_from_good_guess():
@@ -212,14 +163,6 @@ def test_newton_polish_flags_degenerate_start():
     assert not polish.converged
 
 
-def test_minimize_budget_exhaustion(monkeypatch):
-    # criterion-9 case: the descent needs thousands of flow steps here
-    _, _, ac = cubic_case("1 + 0.9*sin(2*pi*x)")
-    with pytest.raises(NonConvergence) as err:
-        descent_only(monkeypatch, ac, MinimizeOptions(max_outer_iters=200))
-    assert err.value.iterations == 200
-
-
 def test_grad_tol_below_the_rounding_floor_is_refused():
     # criterion-1 case: the gradient's rounding floor 2 kf eps max(a) / h^2
     # is about 4.4e-12 here; below it the descent could only grind
@@ -233,17 +176,6 @@ def test_grad_tol_below_the_rounding_floor_is_refused():
     first = minimize(ac)
     with pytest.raises(ValidationError):
         correct(ac, first, np.zeros(grid.n), MinimizeOptions(grad_tol=1e-12))
-
-
-def test_minimize_rejects_bad_start():
-    problem = constant_cubic(lam=-1.0)
-    grid, bg, ac = reduced_problem(problem, 6.0, 256)
-    flipped = Profile(grid, -initial_guess(grid, 2.0).values)
-    with pytest.raises(ValidationError):
-        minimize(ac, w0=flipped)
-    other = make_uniform_grid(-6.0, 6.0, 33)
-    with pytest.raises(GridMismatchError):
-        minimize(ac, w0=initial_guess(other, 2.0))
 
 
 def test_correct_lifts_the_minimizer_to_fourth_order():
@@ -271,29 +203,36 @@ def test_correct_lifts_the_minimizer_to_fourth_order():
     shifted = residual_reduced(fixed.profile, ac).values - source
     assert np.max(np.abs(shifted)) <= 1e-8 / 2.0
     # one Newton solve on top of the minimizer's own record
-    assert fixed.energies == first.energies
-    assert fixed.flow_iterations == first.flow_iterations
+    assert fixed.flow_iterations == first.flow_iterations == 0
     assert first.polish_iterations < fixed.polish_iterations
     assert fixed.final_energy == energy(fixed.profile, ac)
     assert np.all(np.diff(fixed.profile.values) >= 0)
 
 
-def test_correct_falls_back_to_descent_with_the_source():
-    # from a front far too wide the capped Newton step is refused, and
-    # the sourced descent must reach the same corrected front
-    problem = constant_cubic(lam=-1.0, n_per=128)
-    grid, bg, ac = reduced_problem(problem, 6.0, 128)
+def test_correct_pins_the_front_where_newton_stalls():
+    # seed 951, b22.const0: the centre root certifies 9.3e-9 off centre;
+    # the free Newton of the correction from it drifts along the
+    # near-zero translation mode and stalls near residual 1e-3, capped
+    # or not. Pinned to zero at the node nearest the crossing, x = 0, it
+    # converges; the gradient flow's fallback ended 1.7e-8 from the
+    # closed form centred at 0.
+    lam = -3.8034336019150903
+    problem = constant_cubic(lam=lam, n_per=128)
+    grid, bg, ac = reduced_problem(problem, 7.0, 128)
     first = minimize(ac)
     source = correction_source(problem, ac, bg, first.profile)
-    direct = correct(ac, first, source)
-    wide = dataclasses.replace(first, profile=initial_guess(grid, 0.5))
-    assert not newton_polish(wide.profile, ac, tol=5e-9,
-                             source=source).converged
-    fallback = correct(ac, wide, source)
-    assert "polish_deferred" in fallback.flags
-    assert fallback.flow_iterations > first.flow_iterations
-    np.testing.assert_allclose(fallback.profile.values,
-                               direct.profile.values, atol=1e-8)
+    tol = kink._target_residual(ac, MinimizeOptions())
+    for cap in (1.0, np.inf):
+        free = newton_polish(first.profile, ac, tol=tol, source=source,
+                             step_cap=cap)
+        assert free.residual_sup >= 1e-4
+    fixed = correct(ac, first, source)
+    assert fixed.grad_sup_per_h <= 1e-8
+    assert report_crossing(fixed.profile) == 0.0
+    x = grid.x()
+    inner = np.abs(x) <= 3.5
+    exact = cubic_front_exact(x[inner], lam)
+    assert np.max(np.abs(fixed.profile.values[inner] - exact)) <= 1e-9
 
 
 def cubic_case(expr, half_length=6.0, n_per=128):
@@ -310,28 +249,31 @@ def lowest_hessian_eigenvalue(ac, w):
                             select="i", select_range=(0, 0))[0]
 
 
-def descent_only(monkeypatch, ac, options=None):
-    """minimize with every Newton root refused: the descent path alone."""
-    with monkeypatch.context() as patch:
-        patch.setattr(kink, "_is_strict_minimizer", lambda ac, w: False)
-        return minimize(ac, options)
+def phase_walk(ac):
+    """The pinned root at the lowest node of the phase walk from the
+    centred guess, and that node, as `minimize` computes them."""
+    tol = kink._target_residual(ac, MinimizeOptions())
+    pinned, pin, _ = kink._phase_walk(
+        ac, initial_guess(ac.grid, guess_rate(ac)).values, tol)
+    return pinned, pin
 
 
-def test_minimize_takes_a_certified_newton_root(monkeypatch):
+def test_minimize_takes_a_certified_newton_root():
     # criterion-9 case: the front has to travel a quarter period to the
-    # minimum of its landscape, which took the descent 5,100 flow steps
+    # minimum of its landscape; the centre root certifies, and the phase
+    # walk from the centre reaches the same front
     grid, _, ac = cubic_case("1 + 0.9*sin(2*pi*x)")
     result = minimize(ac)
     start = energy(initial_guess(grid, guess_rate(ac)), ac)
     assert result.flow_iterations == 0
-    assert result.energies == (start,)
     assert 0 < result.polish_iterations
     assert result.grad_sup_per_h <= 1e-8
     assert result.final_energy < start
-    descent = descent_only(monkeypatch, ac)
-    assert descent.flow_iterations > 0
-    assert np.max(np.abs(result.profile.values
-                         - descent.profile.values)) <= 1e-8
+    pinned, pin = phase_walk(ac)
+    assert abs(grid.x()[pin] - report_crossing(result.profile)) <= grid.h
+    free = newton_polish(pinned.values, ac, tol=5e-9)
+    assert free.converged
+    assert np.max(np.abs(free.values - result.profile.values)) <= 1e-8
 
 
 def centre_root(ac, options=None):
@@ -361,16 +303,58 @@ def test_minimize_falls_back_from_a_saddle():
 
 
 def test_descent_runs_when_no_site_certifies(monkeypatch):
-    # with every Newton root refused, the scan keeps nothing and the
-    # descent from the centred guess runs; it keeps the symmetry, so it
-    # ends on the centre saddle
+    # with the scan keeping nothing, the phase walk descends the pinning
+    # landscape from the centre saddle, which the gradient flow could not
+    # leave by symmetry, to the front the scan finds at x = +-0.5
     grid, _, ac = cubic_case("1 + 0.5*cos(2*pi*x)")
-    root = centre_root(ac)
-    result = descent_only(monkeypatch, ac)
-    assert result.flow_iterations > 0
-    assert len(result.energies) == result.flow_iterations + 1
-    assert np.all(np.diff(result.energies) <= 0.0)
-    assert np.max(np.abs(result.profile.values - root.values)) <= 1e-8
+    scanned = minimize(ac)
+    saddle = centre_root(ac)
+    monkeypatch.setattr(kink, "_site_scan", lambda *args: (None, 0))
+    result = minimize(ac)
+    assert result.flow_iterations == 0
+    assert not result.flags
+    assert abs(report_crossing(result.profile)) == pytest.approx(0.5,
+                                                                 abs=1e-3)
+    assert lowest_hessian_eigenvalue(ac, result.profile.values) > 0
+    assert result.final_energy < energy(Profile(grid, saddle.values), ac)
+    assert result.final_energy == pytest.approx(scanned.final_energy,
+                                                abs=1e-12)
+
+
+def test_pinned_newton_holds_the_node():
+    # 1 + 0.5 cos: held at zero 1/16 right of the centre saddle, Newton
+    # solves the other rows; the held row keeps the landscape's slope,
+    # so the solve does not count as converged
+    grid, _, ac = cubic_case("1 + 0.5*cos(2*pi*x)")
+    saddle = centre_root(ac)
+    pin = grid.n // 2 + 8
+    start = kink._shifted(saddle.values, 8)
+    start[pin] = 0.0
+    held = newton_polish(start, ac, tol=5e-9, step_cap=np.inf, pin=pin)
+    assert held.values[pin] == 0.0
+    assert held.values[0] == -1.0 and held.values[-1] == 1.0
+    assert held.history[-1] <= 5e-9 < held.residual_sup
+    assert not held.converged
+    # at the saddle, a true root, the full residual meets the tolerance
+    at_centre = newton_polish(saddle.values, ac, tol=5e-9, pin=grid.n // 2)
+    assert at_centre.converged and at_centre.iterations == 0
+
+
+def test_flat_landscape_keeps_the_pinned_root():
+    # seed 951, b12.const0: a constant cubic whose translation eigenvalue,
+    # 3.5e-12, is below what dpttrf resolves, so no Newton root
+    # certifies; the root held at zero at the centre meets the tolerance
+    # in full and is a strict minimizer on the variations that keep it
+    lam = -3.4027223133471085
+    grid, _, ac = reduced_problem(constant_cubic(lam=lam, n_per=128), 7.0,
+                                  128)
+    result = minimize(ac)
+    assert result.flags == {"phase_pinned"}
+    assert result.grad_sup_per_h <= 1e-8
+    w, pin = result.profile.values, grid.n // 2
+    assert w[pin] == 0.0
+    assert not _is_strict_minimizer(ac, w)
+    assert _is_strict_minimizer(ac, w, pin=pin)
 
 
 def test_pinning_sites():
@@ -400,6 +384,9 @@ def test_minimizer_certificate():
     saddle = centre_root(ac).values
     assert lowest_hessian_eigenvalue(ac, saddle) < 0
     assert not _is_strict_minimizer(ac, saddle)
+    # its one unstable direction moves the front: held at its crossing,
+    # the saddle is a strict minimizer
+    assert _is_strict_minimizer(ac, saddle, pin=ac.grid.n // 2)
 
 
 def sine_run(amp, lam):
@@ -430,24 +417,81 @@ def test_site_exchange_moves_the_front_to_the_maximum_of_g():
     assert run.minimize.final_energy == pytest.approx(79.369, abs=1e-3)
 
 
+def weak_quintic(lam, amp, g1, phase, n_per):
+    potential = sample_coefficient(
+        lambda x: amp * abs(lam) * np.cos(2.0 * np.pi * (x - phase)), 1.0,
+        n_per)
+    return Problem(kind="cubic-quintic", lam=lam, period=1.0,
+                   potential=potential, g1=g1)
+
+
+def run_front(problem, half_length):
+    """The run, and the minimizer it corrected, found as the run finds it."""
+    run = run_soliton(problem, half_length=half_length)
+    ac = to_allen_cahn(run.problem, run.background_ext)
+    front = minimize(ac, source_of=lambda w: correction_source(
+        run.problem, ac, run.background_ext, w))
+    return run, ac, front
+
+
 def test_weakly_pinned_site_root_is_not_taken():
     # the certified root at x = -0.5 lies 2.8e-9 below the centre saddle
     # and its deferred correction stalls in Newton at 2.5e-7; the site
-    # is passed over, and the descent ends on the centre front as before
-    lam, amp = -0.40848040045694534, 0.5072631557554451
-    potential = sample_coefficient(
-        lambda x: amp * abs(lam) * np.cos(2.0 * np.pi * (x - 0.5)), 1.0, 128)
-    run = run_soliton(Problem(kind="cubic-quintic", lam=lam, period=1.0,
-                              potential=potential, g1=0.18578025749299015),
-                      half_length=10.0)
+    # is passed over, and the phase walk finds a front lower still. The
+    # landscape is so flat that the pinned ends at L = 10 shape it too:
+    # its lowest node is at x = 0.477, not at the extremum of V.
+    problem = weak_quintic(-0.40848040045694534, 0.5072631557554451,
+                           0.18578025749299015, 0.5, 128)
+    run, ac, front = run_front(problem, 10.0)
     assert run.status == "ok"
-    assert run.minimize.flow_iterations > 0
-    assert abs(run.crossing) <= 1e-6
+    assert run.minimize.flow_iterations == 0
+    assert run.crossing == pytest.approx(0.477, abs=1e-3)
+    assert lowest_hessian_eigenvalue(ac, front.profile.values) > 0
     # without the correction check the scan would take that site root
-    unchecked = minimize(to_allen_cahn(run.problem, run.background_ext))
-    assert unchecked.flow_iterations == 0
+    unchecked = minimize(ac)
     assert report_crossing(unchecked.profile) == pytest.approx(-0.5,
                                                                abs=1e-2)
+    assert front.final_energy < unchecked.final_energy
+
+
+@pytest.mark.parametrize("problem, half_length, crossing", [
+    # seed 922, b0.draw14: the cubic centre root is a saddle 1.05e-7
+    # above the front
+    (Problem(kind="cubic", lam=-0.25251611383570216, period=1.0,
+             g=sample_coefficient(
+                 lambda x: 1.0 + 0.18473429851971404
+                 * np.cos(2.0 * np.pi * x), 1.0, 256, positive=True)),
+     8.0, -0.357),
+    # seed 922, b0.draw26: the cubic-quintic one, 6.5e-9 above
+    (weak_quintic(-0.4696574166573085, 0.05042428552404413,
+                  0.5609484571941229, 0.5, 128), 9.0, -0.425),
+], ids=["draw14", "draw26"])
+def test_walk_certifies_the_weakly_pinned_fronts(problem, half_length,
+                                                 crossing):
+    # weak pinning: the site scan certifies nothing and the gradient flow
+    # ended on the centre saddle, reported ok
+    run, ac, front = run_front(problem, half_length)
+    assert run.status == "ok"
+    assert run.minimize.flow_iterations == 0
+    assert abs(report_crossing(front.profile)) == pytest.approx(
+        abs(crossing), abs=1e-3)
+    assert lowest_hessian_eigenvalue(ac, front.profile.values) > 0
+    saddle = centre_root(ac)
+    assert saddle.converged
+    assert lowest_hessian_eigenvalue(ac, saddle.values) < 0
+    assert front.final_energy < energy(Profile(ac.grid, saddle.values), ac)
+
+
+def test_random_phase_front_travels_to_the_descents_answer():
+    # the front travels from the centre to x = 0.3599; the gradient flow
+    # took 5,100 steps to get there, at energy 0.40285832223113
+    problem = weak_quintic(-0.40066081943151755, 0.37933900467564347,
+                           0.12411111462875538, 0.8895771314596255, 128)
+    run = run_soliton(problem, half_length=9.0)
+    assert run.status == "ok"
+    assert run.minimize.flow_iterations == 0
+    assert run.crossing == pytest.approx(0.35990, abs=1e-4)
+    assert run.minimize.final_energy <= 0.40285832223113 + 1e-12
 
 
 def test_strong_modulation_at_large_lambda_converges():
