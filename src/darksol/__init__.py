@@ -16,20 +16,18 @@ from .evolve import (ComplexField, EvolveOptions, PhaseCheck, Trajectory,
                      phase_rotation_check)
 from .exprparse import CompiledExpression, compile_expression
 from .kink import (MinimizeOptions, MinimizeResult, PolishResult,
-                   decay_rate_bound, front_existence_margin, guess_rate,
-                   initial_guess, make_truncated_grid, minimize,
-                   newton_polish, report_crossing, select_truncation)
-from .model import (Coefficient, Grid, Problem, Profile,
-                    UniquenessDiagnostic, make_uniform_grid,
-                    sample_coefficient, uniqueness_diagnostic,
-                    validate_problem)
+                   decay_rate_bound, guess_rate, initial_guess,
+                   make_truncated_grid, minimize, newton_polish,
+                   report_crossing, select_truncation)
+from .model import (Coefficient, Grid, Problem, Profile, make_uniform_grid,
+                    sample_coefficient, validate_problem)
 from .periodic import (Bracket, MonotoneResult, PeriodicOptions,
                        PeriodicResult, bracket_bounds,
                        monotone_iteration_oracle, periodic_residual,
                        solve_periodic)
 from .pipeline import SolitonRun, run_background, run_soliton
 from .reduction import (WeightedAC, energy, energy_gradient, lift,
-                        potential_floor, residual_reduced, to_allen_cahn)
+                        residual_reduced, to_allen_cahn)
 from .verify import (DecayFit, SolitonReport, amplitude_margin,
                      build_report, check_asymptotic_ratio, fit_decay_rate,
                      gradient_consistency, monotonicity_margin, residual_phi)

@@ -238,10 +238,6 @@ def _problem_block(problem: Problem) -> dict:
     if problem.is_cubic:
         block["g_min"] = problem.g.cmin
         block["g_max"] = problem.g.cmax
-        diag = problem.diagnostics
-        if diag is not None:
-            block["uniqueness_margin"] = diag.margin
-            block["uniqueness_holds"] = diag.holds
     else:
         block["v_min"] = problem.potential.cmin
         block["v_max"] = problem.potential.cmax
@@ -290,8 +286,7 @@ def _background_blocks(periodic, monotone, agreement) -> dict:
 
 def cmd_solve_periodic(cfg: RunConfig, out_dir, seed) -> int:
     problem = build_problem(cfg)
-    problem, periodic, monotone, agreement = run_background(problem,
-                                                            cfg.periodic)
+    periodic, monotone, agreement = run_background(problem, cfg.periodic)
     x = periodic.profile.grid.x()
     write_csv(os.path.join(out_dir, "phi_plus.csv"), ["x", "phi_plus"],
               [x, periodic.profile.values])
@@ -338,10 +333,9 @@ def _soliton_report_payload(cfg: RunConfig, seed, run) -> dict:
             "final_energy": run.minimize.final_energy,
             "crossing": run.crossing,
         },
-        "front_existence_margin": run.existence_margin,
         "run_flags": sorted(run.run_flags),
         "soliton_report": run.report.to_dict(),
-        "verified": run.report.verified and run.status == "ok",
+        "verified": run.report.verified,
         "status": run.status,
     })
     return report
@@ -392,7 +386,7 @@ def cmd_verify(cfg: RunConfig, out_dir, seed) -> int:
     problem = build_problem(cfg)
     x = columns["x"]
     grid = Grid(xmin=float(x[0]), xmax=float(x[-1]), n=int(x.size))
-    problem = validate_problem(problem, grid)
+    validate_problem(problem, grid)
     background = Profile(grid, columns["phi_plus_ext"])
     w = Profile(grid, columns["w"])
     recomputed = build_report(problem, w, background,
@@ -433,10 +427,9 @@ def cmd_evolve(cfg: RunConfig, out_dir, seed) -> int:
     problem = build_problem(cfg)
     track_front = cfg.initial == "soliton"
     if track_front:
-        run = _run_soliton(cfg, problem)
-        problem, reference = run.problem, run.phi
+        reference = _run_soliton(cfg, problem).phi
     else:
-        problem, periodic, _, _ = run_background(problem, cfg.periodic)
+        periodic, _, _ = run_background(problem, cfg.periodic)
         half = cfg.half_length
         if half is None:
             half = select_truncation(problem)

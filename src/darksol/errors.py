@@ -11,7 +11,6 @@ EXIT_CODES = {
     "validation_error": 2,
     "nonconvergence": 3,
     "property_violation": 4,
-    "unsupported_regime": 4,
 }
 
 

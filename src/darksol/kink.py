@@ -46,8 +46,8 @@ from .reduction import (WeightedAC, _energy_values, _jacobian_bands,
 __all__ = [
     "MinimizeOptions", "MinimizeResult", "PolishResult",
     "decay_rate_bound", "select_truncation", "make_truncated_grid",
-    "guess_rate", "initial_guess", "front_existence_margin",
-    "minimize", "newton_polish", "correct", "report_crossing",
+    "guess_rate", "initial_guess", "minimize", "newton_polish", "correct",
+    "report_crossing",
 ]
 
 # Guess profiles stay strictly inside (-1, 1) except at the boundary.
@@ -133,19 +133,6 @@ def initial_guess(grid: Grid, kappa: float, centre: float = 0.0) -> Profile:
     np.clip(w, -1.0 + _GUESS_CLEARANCE, 1.0 - _GUESS_CLEARANCE, out=w)
     w[0], w[-1] = -1.0, 1.0
     return Profile(grid, w)
-
-
-def front_existence_margin(problem: Problem) -> float | None:
-    """Margin of the condition keeping the reduced energy density nonnegative.
-
-    Only the cubic-quintic model can violate it (for g1 < 0). A negative
-    margin does not stop the computation; results are flagged as sitting
-    outside the supported regime.
-    """
-    if problem.is_cubic:
-        return None
-    lower = bracket_bounds(problem).lower
-    return float(problem.g1 / 4.0 + lower**2 / 3.0)
 
 
 def newton_polish(w, ac: WeightedAC, tol: float,

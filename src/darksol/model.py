@@ -7,7 +7,7 @@ samples; extensions to larger grids are pure integer index maps, so
 periodicity of extended data is exact in floating point.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,9 +16,7 @@ from .exprparse import compile_expression
 
 __all__ = [
     "Grid", "Profile", "Coefficient", "Equation", "Problem",
-    "UniquenessDiagnostic",
     "make_uniform_grid", "sample_coefficient", "validate_problem",
-    "uniqueness_diagnostic",
 ]
 
 # Relative slack for node alignment checks. Grid spacings that agree to
@@ -172,19 +170,6 @@ def sample_coefficient(source, period: float, n_per_period: int,
     return coeff
 
 
-@dataclass(frozen=True)
-class UniquenessDiagnostic:
-    """Margin of the sufficient condition g_min > g_max / 3.
-
-    When `holds` is false the computed background is still reported, but
-    uniqueness of the positive periodic state is not guaranteed by the
-    contraction argument, so downstream results carry a flag.
-    """
-
-    margin: float
-    holds: bool
-
-
 @dataclass(frozen=True, eq=False)
 class Equation:
     """Both models' stationary equation in one form,
@@ -236,13 +221,14 @@ class Problem:
     g: Coefficient | None = None
     potential: Coefficient | None = None
     g1: float = 0.0
-    diagnostics: UniquenessDiagnostic | None = None
 
     def __post_init__(self):
         if self.kind not in ("cubic", "cubic-quintic"):
             raise ValidationError(f"unknown problem kind {self.kind!r}")
         if not np.isfinite(self.lam):
             raise ValidationError("lambda must be finite")
+        if not np.isfinite(self.g1):
+            raise ValidationError("g1 must be finite")
         if not (np.isfinite(self.period) and self.period > 0):
             raise ValidationError("period must be positive")
         for coeff in (self.g, self.potential):
@@ -273,21 +259,14 @@ class Problem:
                         powers=((3, self.g1), (5, 1.0)))
 
 
-def uniqueness_diagnostic(problem: Problem) -> UniquenessDiagnostic:
-    """Evaluate the uniqueness margin for a cubic problem."""
-    if not problem.is_cubic:
-        raise ValidationError("uniqueness diagnostic applies to the cubic model only")
-    margin = problem.g.cmin - problem.g.cmax / 3.0
-    return UniquenessDiagnostic(margin=float(margin), holds=bool(margin > 0))
-
-
-def validate_problem(problem: Problem, grid: Grid | None = None) -> Problem:
-    """Check solvability conditions and attach the uniqueness diagnostic.
+def validate_problem(problem: Problem, grid: Grid | None = None) -> None:
+    """Check the solvability conditions; returns nothing.
 
     Raises ValidationError with a distinct reason for each rejection:
     a sign-definiteness failure of lambda, a non-positive interaction
-    coefficient, or a grid incommensurate with the period. Validating
-    an already-validated problem returns it unchanged.
+    coefficient, or a grid incommensurate with the period. An accepted
+    problem has exactly one positive periodic background (see the
+    `periodic` module).
     """
     if problem.is_cubic:
         if problem.g is None:
@@ -316,9 +295,3 @@ def validate_problem(problem: Problem, grid: Grid | None = None) -> Problem:
         if abs(periods - round(periods)) > _ALIGN_RTOL * max(1.0, periods):
             raise GridMismatchError(
                 f"grid span {span} is not an integer number of periods")
-    if problem.is_cubic:
-        diag = uniqueness_diagnostic(problem)
-        if problem.diagnostics == diag:
-            return problem
-        return replace(problem, diagnostics=diag)
-    return problem

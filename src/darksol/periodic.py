@@ -4,6 +4,25 @@ Two independent routes to the same object: a damped Newton iteration
 on the periodic discretization, and a monotone fixed-point iteration
 driven from constant sub- and supersolutions. The second carries an
 ordering proof, so it doubles as an oracle for the first.
+
+The object is unique for every problem `validate_problem` accepts
+(Brezis & Oswald, Nonlinear Anal. 10, 55, 1986, on the discrete
+periodic equation). Write that equation as k D2 u = u Q_i(u), with
+Q_i(u) = mu_i + sum_p c_p u^(p-1) (see `Equation`).
+- Bracket. At a positive solution's largest node D2 u <= 0, so
+  Q_i(u_i) <= 0; at its smallest D2 u >= 0, so Q_i(u_i) >= 0. Solved
+  for u with the coefficients' extremes, these are `bracket_bounds`.
+- Monotonicity. On the bracket each Q_i is strictly increasing: the
+  cubic's lam + g_i u^2 always is; the cubic-quintic's
+  lam - V_i + g1 u^2 + u^4 is because rho1^2 (rho1^2 + g1) =
+  min V - lam > 0, rho1 the lower bound, so u^2 >= rho1^2 > -g1.
+- Uniqueness. Let u, v be positive solutions and t = u_i / v_i the
+  largest ratio. If t > 1, then u <= t v with equality at i, so
+  D2 u_i <= t D2 v_i, which gives Q_i(u_i) <= Q_i(v_i) though
+  u_i > v_i: a contradiction. So u <= v, and by symmetry u = v.
+The oracle's `gap_sup`, which bounds the distance between any two
+positive solutions of the discrete equation, is the computed
+counterpart of this argument.
 """
 
 from dataclasses import dataclass

@@ -4,8 +4,9 @@ A soliton run is: validate the problem, solve the periodic background
 (Newton), cross-check it against the monotone iteration, extend it to
 a truncated symmetric domain, reduce, minimize the reduced energy,
 correct the minimizer once to fourth order (deferred correction), and
-assemble the verification report. Everything the command line writes
-comes out of the run object built here.
+assemble the verification report. The run's status is `ok` when the
+report verifies and `property_violation` when it does not. Everything
+the command line writes comes out of the run object built here.
 """
 
 from dataclasses import dataclass
@@ -13,13 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kink import (MinimizeOptions, MinimizeResult, correct,
-                   front_existence_margin, make_truncated_grid, minimize,
-                   report_crossing, select_truncation)
+                   make_truncated_grid, minimize, report_crossing,
+                   select_truncation)
 from .model import Grid, Problem, Profile, validate_problem
 from .periodic import (MonotoneResult, PeriodicOptions, PeriodicResult,
                        monotone_iteration_oracle, solve_periodic)
-from .reduction import (correction_source, lift, potential_floor,
-                        to_allen_cahn)
+from .reduction import correction_source, lift, to_allen_cahn
 from .verify import TAIL_FRACTION, SolitonReport, build_report
 
 __all__ = ["SolitonRun", "run_background", "run_soliton"]
@@ -39,7 +39,6 @@ class SolitonRun:
     phi: Profile
     crossing: float
     report: SolitonReport
-    existence_margin: float | None
     run_flags: frozenset
     status: str
     tail_fraction: float
@@ -49,12 +48,12 @@ def run_background(problem: Problem,
                    periodic_options: PeriodicOptions | None = None):
     """Solve the periodic background twice and measure the disagreement."""
     options = periodic_options or PeriodicOptions()
-    problem = validate_problem(problem)
+    validate_problem(problem)
     periodic = solve_periodic(problem, options)
     monotone = monotone_iteration_oracle(problem, tol=options.oracle_tol)
     agreement = float(np.max(np.abs(
         periodic.profile.values - monotone.from_below.values)))
-    return problem, periodic, monotone, agreement
+    return periodic, monotone, agreement
 
 
 def run_soliton(problem: Problem,
@@ -63,21 +62,13 @@ def run_soliton(problem: Problem,
                 minimize_options: MinimizeOptions | None = None,
                 tail_fraction: float = TAIL_FRACTION) -> SolitonRun:
     """Full pipeline from problem data to a verified front profile."""
-    problem, periodic, monotone, agreement = run_background(
-        problem, periodic_options)
+    periodic, monotone, agreement = run_background(problem, periodic_options)
 
     if half_length is None:
         half_length = select_truncation(problem)
     grid = make_truncated_grid(problem.period, half_length, problem.n_per)
     background_ext = Profile(grid, periodic.coefficient.on_grid(grid))
     ac = to_allen_cahn(problem, background_ext)
-
-    flags = set()
-    if problem.diagnostics is not None and not problem.diagnostics.holds:
-        flags.add("uniqueness_unverified")
-    margin = front_existence_margin(problem)
-    if margin is not None and margin < 0:
-        flags.add("outside_variational_regime")
 
     # A site root is taken only once its correction converges, so the
     # source `correct` needs for it has already been built.
@@ -92,26 +83,17 @@ def run_soliton(problem: Problem,
     result = minimize(ac, minimize_options, source_of=source_of)
     result = correct(ac, result, source_of(result.profile), minimize_options)
     w = result.profile
-    if potential_floor(ac, w) < 0:
-        flags.add("energy_density_negative")
     phi = lift(w, background_ext)
     crossing = report_crossing(w)
     # The report carries only what is recomputable from the written
     # profiles; solver-side flags stay on the run object.
     report = build_report(problem, w, background_ext,
                           tail_fraction=tail_fraction)
-
-    if "outside_variational_regime" in flags:
-        status = "unsupported_regime"
-    elif report.verified:
-        status = "ok"
-    else:
-        status = "property_violation"
+    status = "ok" if report.verified else "property_violation"
     return SolitonRun(problem=problem, periodic=periodic, monotone=monotone,
                       monotone_agreement_sup=agreement,
                       half_length=float(half_length), grid=grid,
                       background_ext=background_ext, minimize=result,
                       w=w, phi=phi, crossing=crossing, report=report,
-                      existence_margin=margin,
-                      run_flags=frozenset(flags | set(result.flags)),
+                      run_flags=result.flags,
                       status=status, tail_fraction=tail_fraction)

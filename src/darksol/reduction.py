@@ -27,8 +27,7 @@ from .model import Grid, Problem, Profile
 
 __all__ = [
     "WeightedAC", "to_allen_cahn", "energy", "energy_gradient",
-    "residual_reduced", "lift", "potential_floor",
-    "correction_source",
+    "residual_reduced", "lift", "correction_source",
 ]
 
 # Source entries up to this many rounding units of the stiffest flux
@@ -204,19 +203,6 @@ def lift(w: Profile, background_ext: Profile) -> Profile:
     if w.grid != background_ext.grid:
         raise GridMismatchError("ratio and background live on different grids")
     return Profile(w.grid, background_ext.values * w.values)
-
-
-def potential_floor(ac: WeightedAC, w: Profile) -> float:
-    """Pointwise minimum of the double-well prefactor sum_p b_p P_p(w^2) /
-    (p + 1); the density is 2 kf (1 - w^2)^2 times it.
-
-    Nonnegative everywhere means the energy density cannot dip below
-    zero, which is the regime where the variational argument applies.
-    For the cubic reduction this is b_3 / 4 > 0 automatically.
-    """
-    vals = _check_profile(w, ac)
-    return float(np.min(reduce(add, _well_terms(ac, vals * vals)))
-                 / (2.0 * ac.kinetic_factor))
 
 
 def _numerov_defect(problem: Problem, background_ext: Profile,

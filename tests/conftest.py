@@ -70,6 +70,15 @@ def sinusoidal_quintic(lam=-1.0, n_per=256, amp=0.3, g1=0.5):
                    potential=pot, g1=g1)
 
 
+def attractive_quintic():
+    """g1 = -20, far into the attractive cubic regime, on a short period
+    so that the steep front (decay rate about 28) leaves a fittable
+    tail at automatic truncation."""
+    pot = sample_coefficient("0.3*cos(10*pi*x)", 0.2, 32)
+    return Problem(kind="cubic-quintic", lam=-1.0, period=0.2,
+                   potential=pot, g1=-20.0)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -149,7 +149,8 @@ def test_solve_periodic_outputs(tmp_path):
     assert report["periodic"]["residual_sup"] <= 1e-10
     assert report["periodic"]["monotone_agreement_sup"] <= 1e-8
     assert report["bracket"]["lower"] <= report["bracket"]["upper"]
-    assert report["problem"]["uniqueness_holds"] is False
+    problem = report["problem"]
+    assert problem["g_min"] <= problem["g_max"] / 3
     assert (out / "plot.svg").read_text().startswith("<svg")
     data = read_csv(out / "phi_plus.csv")
     assert data["x"].size == 65
@@ -175,6 +176,14 @@ def test_solve_soliton_and_verify_round_trip(tmp_path):
     assert verify["match"] is True
     assert verify["mismatches"] == []
     assert verify["soliton_report"] == report["soliton_report"]
+    # the background's uniqueness is proved, not flagged: no regime
+    # margins beside the input's own numbers
+    assert set(report) == {
+        "schema_version", "command", "config_hash", "config", "seed",
+        "notes", "problem", "bracket", "periodic", "truncation",
+        "minimize", "run_flags", "soliton_report", "verified", "status"}
+    assert set(report["problem"]) == {"kind", "lambda", "period",
+                                      "n_per_period", "g_min", "g_max"}
 
 
 def test_verify_catches_tampering(tmp_path):
@@ -215,6 +224,13 @@ def test_positive_lambda_is_rejected(tmp_path, capsys):
                                                  "lambda = 1.0"))
     assert run_cli("solve-soliton", config, tmp_path / "out") == 2
     assert "lambda must be negative" in capsys.readouterr().err
+
+
+def test_non_finite_g1_is_rejected(tmp_path, capsys):
+    text = BASE.replace("kind = cubic", "kind = cubic-quintic")
+    config = write_config(tmp_path, text.replace("g = 1", "v = 0\ng1 = nan"))
+    assert run_cli("solve-soliton", config, tmp_path / "out") == 2
+    assert "g1 must be finite" in capsys.readouterr().err
 
 
 def test_every_error_has_an_exit_code():

@@ -5,10 +5,9 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from darksol import (MinimizeOptions, Problem, Profile, WeightedAC,
-                     bracket_bounds, decay_rate_bound,
-                     front_existence_margin, initial_guess, guess_rate,
-                     make_truncated_grid, make_uniform_grid, minimize,
-                     newton_polish, report_crossing, run_soliton,
+                     bracket_bounds, decay_rate_bound, initial_guess,
+                     guess_rate, make_truncated_grid, make_uniform_grid,
+                     minimize, newton_polish, report_crossing, run_soliton,
                      sample_coefficient, select_truncation, solve_periodic,
                      to_allen_cahn)
 from darksol import kink
@@ -77,18 +76,6 @@ def test_initial_guess_shape():
     assert w.values[0] == -1.0 and w.values[-1] == 1.0
     assert np.max(np.abs(w.values[1:-1])) <= 1.0 - 1e-12
     assert np.all(np.diff(w.values) >= 0)
-
-
-def test_front_existence_margin():
-    assert front_existence_margin(constant_cubic()) is None
-    problem = constant_quintic(lam=-1.0, g1=0.0)
-    assert front_existence_margin(problem) == pytest.approx(1.0 / 3.0,
-                                                            rel=1e-12)
-    attractive = constant_quintic(lam=-0.01, g1=-1.0)
-    lower = bracket_bounds(attractive).lower
-    want = -0.25 + lower**2 / 3.0
-    assert front_existence_margin(attractive) == pytest.approx(want, rel=1e-12)
-    assert front_existence_margin(attractive) > 0
 
 
 def test_minimize_constant_cubic_matches_closed_form():

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from darksol import (Grid, Problem, Profile, make_uniform_grid,
-                     sample_coefficient, uniqueness_diagnostic,
-                     validate_problem)
+                     sample_coefficient, validate_problem)
 from darksol.errors import GridMismatchError, ValidationError
 from darksol.evolve import _compact_operator
 from darksol.reduction import to_allen_cahn
@@ -129,17 +128,12 @@ def test_problem_rejects_inconsistent_data():
         Problem(kind="cubic", lam=-1.0, period=1.0, g=g)
 
 
-def test_uniqueness_margin_examples():
-    diag = uniqueness_diagnostic(constant_cubic())
-    assert diag.margin == pytest.approx(2.0 / 3.0, rel=1e-14)
-    assert diag.holds
-    # amp 0.5 puts g_min exactly at g_max / 3
-    diag = uniqueness_diagnostic(sinusoidal_cubic(amp=0.5))
-    assert diag.margin == pytest.approx(0.0, abs=1e-14)
-    assert not diag.holds
-    diag = uniqueness_diagnostic(sinusoidal_cubic(amp=0.9))
-    assert diag.margin == pytest.approx(0.1 - 1.9 / 3.0, rel=1e-12)
-    assert not diag.holds
+@pytest.mark.parametrize("g1", [np.nan, np.inf, -np.inf])
+def test_problem_rejects_non_finite_g1(g1):
+    v = sample_coefficient("0.3*cos(2*pi*x)", 1.0, 64)
+    with pytest.raises(ValidationError, match="g1 must be finite"):
+        Problem(kind="cubic-quintic", lam=-1.0, period=1.0, potential=v,
+                g1=g1)
 
 
 def test_validate_problem_lambda_sign():
@@ -156,8 +150,7 @@ def test_validate_problem_quintic_lambda_below_potential():
     with pytest.raises(ValidationError) as err:
         validate_problem(sinusoidal_quintic(lam=-0.3))
     assert err.value.reason == "lambda_sign"
-    ok = validate_problem(sinusoidal_quintic(lam=-0.31))
-    assert ok.lam == -0.31
+    assert validate_problem(sinusoidal_quintic(lam=-0.31)) is None
 
 
 def test_validate_problem_missing_coefficient():
@@ -177,16 +170,6 @@ def test_validate_problem_grid_commensurability():
         validate_problem(problem, grid=bad)
     with pytest.raises(GridMismatchError):
         validate_problem(problem, grid=make_uniform_grid(0.0, 1.0, 100))
-
-
-def test_validate_problem_attaches_diagnostic_and_is_idempotent():
-    problem = sinusoidal_cubic(amp=0.9)
-    assert problem.diagnostics is None
-    once = validate_problem(problem)
-    assert once.diagnostics is not None
-    assert not once.diagnostics.holds
-    twice = validate_problem(once)
-    assert twice is once
 
 
 @pytest.mark.parametrize("problem", [

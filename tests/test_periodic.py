@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
-from dataclasses import replace
 
-from darksol import (PeriodicOptions, UniquenessDiagnostic, bracket_bounds,
+from darksol import (PeriodicOptions, Problem, bracket_bounds,
                      monotone_iteration_oracle, periodic_residual,
-                     solve_periodic, validate_problem)
+                     run_background, sample_coefficient, solve_periodic)
 from darksol.errors import NonConvergence, ValidationError
 
-from conftest import (constant_cubic, constant_quintic, sinusoidal_cubic,
-                      sinusoidal_quintic)
+from conftest import (attractive_quintic, constant_cubic, constant_quintic,
+                      sinusoidal_cubic, sinusoidal_quintic)
 
 
 def test_bracket_constant_cubic_collapses():
@@ -156,14 +155,30 @@ def test_newton_budget_exhaustion():
     assert err.value.final_residual > 1e-10
 
 
-def test_diagnostics_do_not_influence_solver():
-    base = sinusoidal_cubic(lam=-1.0, amp=0.5)
-    tagged = replace(validate_problem(base),
-                     diagnostics=UniquenessDiagnostic(margin=-1.0, holds=False))
-    a = solve_periodic(base)
-    b = solve_periodic(tagged)
-    np.testing.assert_array_equal(a.profile.values, b.profile.values)
-    assert a.iterations == b.iterations
+@pytest.mark.parametrize("g1", [-20.0, -5.0, -1.0, -0.1, -1e-3])
+@pytest.mark.parametrize("gap", [1e-4, 1e-2, 1.0])
+def test_bracket_keeps_the_quintic_quotient_increasing(g1, gap):
+    # rho1^2 (rho1^2 + g1) = min V - lambda > 0 puts u^2 > -g1 on the
+    # bracket, where Q(u) = lam - V + g1 u^2 + u^4 rises in u: the step
+    # of the uniqueness argument in the periodic module's docstring
+    pot = sample_coefficient("0.3*cos(2*pi*x)", 1.0, 16)
+    problem = Problem(kind="cubic-quintic", lam=pot.cmin - gap, period=1.0,
+                      potential=pot, g1=g1)
+    assert bracket_bounds(problem).lower ** 2 > -g1
+
+
+@pytest.mark.parametrize("problem", [
+    sinusoidal_cubic(lam=-1.0, n_per=128, amp=0.9),
+    sinusoidal_cubic(lam=-4.0, n_per=128, amp=0.99),
+    attractive_quintic(),
+], ids=["sin09-lam1", "sin099-lam4", "quintic-g1-20"])
+def test_oracle_certifies_the_unique_background(problem):
+    # g_min <= g_max / 3, or g1 < 0: outside any contraction argument,
+    # yet the oracle's enclosure of every positive solution closes, and
+    # Newton finds the solution it holds
+    _, monotone, agreement = run_background(problem)
+    assert monotone.gap_sup <= 1e-10
+    assert agreement <= 1e-9
 
 
 def test_options_validation():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from darksol import (Profile, WeightedAC, energy, energy_gradient, lift,
-                     make_uniform_grid, potential_floor, residual_reduced,
+                     make_uniform_grid, residual_reduced, run_soliton,
                      solve_periodic, to_allen_cahn)
 from darksol.errors import GridMismatchError, ValidationError
 from darksol.reduction import (_energy_values, _jacobian_bands,
@@ -10,7 +10,7 @@ from darksol.reduction import (_energy_values, _jacobian_bands,
                                _potential_density, _residual_values,
                                correction_source)
 
-from conftest import (constant_cubic, constant_quintic,
+from conftest import (attractive_quintic, constant_cubic, constant_quintic,
                       quintic_front_exact_g1zero, sinusoidal_cubic,
                       sinusoidal_quintic)
 
@@ -209,23 +209,15 @@ def test_to_allen_cahn_needs_positive_background():
         to_allen_cahn(problem, bad)
 
 
-def test_potential_floor():
-    n = 65
-    grid = make_uniform_grid(-1.0, 1.0, n)
-    w = Profile(grid, np.zeros(n))
-    cubic = WeightedAC(grid=grid, a=np.ones(n),
-                       powers=((3, 2.0 * np.ones(n)),), kinetic_factor=1.0)
-    assert potential_floor(cubic, w) == 0.5
-    # strongly attractive cubic term drives the density negative
-    deep = WeightedAC(grid=grid, a=np.ones(n),
-                      powers=((3, -4.0 * np.ones(n)), (5, np.ones(n))),
-                      kinetic_factor=0.5)
-    assert potential_floor(deep, w) == pytest.approx(-1.0 + 2.0 / 6.0,
-                                                     rel=1e-14)
-    safe = WeightedAC(grid=grid, a=np.ones(n),
-                      powers=((3, np.zeros(n)), (5, np.ones(n))),
-                      kinetic_factor=0.5)
-    assert potential_floor(safe, w) == pytest.approx(1.0 / 3.0, rel=1e-14)
+def test_density_is_nonnegative_for_an_attractive_quintic():
+    # the density is (1 - w^2)^2 phi+^4 (g1/4 + phi+^2 (2 + w^2)/6), and
+    # phi+^2 >= rho1^2 > -g1 on the bracket keeps it nonnegative even
+    # at g1 = -20
+    problem = attractive_quintic()
+    run = run_soliton(problem)
+    assert run.status == "ok"
+    ac = to_allen_cahn(problem, run.background_ext)
+    assert np.all(_potential_density(ac, run.w.values) >= 0)
 
 
 def test_source_keeps_the_gradient_identity(rng):
