@@ -27,7 +27,7 @@ print(f"residual sup           {residual:.3e}")
 print(f"profile range          [{vals.min():.6f}, {vals.max():.6f}]")
 print(f"inside bracket         {bool(np.all(vals > bracket.lower) and np.all(vals < bracket.upper))}")
 
-oracle = monotone_iteration_oracle(problem, tol=1e-10)
+oracle = monotone_iteration_oracle(problem)
 gap = np.max(np.abs(vals - oracle.from_below.values))
 print(f"monotone sweeps        {oracle.iterations}")
 print(f"route disagreement     {gap:.3e}")

@@ -6,11 +6,10 @@ report and the time evolution driver. The command line lives in
 darksol.cli.
 """
 
-from .errors import (BracketViolation, ConfigError, DarksolError,
-                     ExpressionError, GridMismatchError, MonotonicityLoss,
-                     NonConvergence, NoSignChange, PhaseUndefined,
-                     SingularLinearization, StepDivergence, TailUnderflow,
-                     ValidationError)
+from .errors import (ConfigError, DarksolError, ExpressionError,
+                     GridMismatchError, MonotonicityLoss, NonConvergence,
+                     NoSignChange, PhaseUndefined, SingularLinearization,
+                     StepDivergence, TailUnderflow, ValidationError)
 from .evolve import (ComplexField, EvolveOptions, PhaseCheck, Trajectory,
                      evolve_nls, kink_drift, make_ansatz, modulus_deviation,
                      phase_rotation_check)
@@ -19,12 +18,11 @@ from .kink import (MinimizeOptions, MinimizeResult, PolishResult,
                    decay_rate_bound, guess_rate, initial_guess,
                    make_truncated_grid, minimize, newton_polish,
                    report_crossing, select_truncation)
-from .model import (Coefficient, Grid, Problem, Profile, make_uniform_grid,
-                    sample_coefficient, validate_problem)
-from .periodic import (Bracket, MonotoneResult, PeriodicOptions,
-                       PeriodicResult, bracket_bounds,
-                       monotone_iteration_oracle, periodic_residual,
-                       solve_periodic)
+from .model import (Coefficient, Grid, Problem, Profile, sample_coefficient,
+                    validate_problem)
+from .periodic import (Bracket, MonotoneResult, PeriodicResult,
+                       bracket_bounds, monotone_iteration_oracle,
+                       periodic_residual, solve_periodic)
 from .pipeline import SolitonRun, run_background, run_soliton
 from .reduction import (WeightedAC, energy, energy_gradient, lift,
                         residual_reduced, to_allen_cahn)

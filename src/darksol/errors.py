@@ -69,10 +69,6 @@ class NonConvergence(DarksolError):
         self.iterations = iterations
 
 
-class BracketViolation(DarksolError):
-    """Newton iterate left the a-priori solution bracket more than once."""
-
-
 class SingularLinearization(DarksolError):
     """Linearized system is singular or the Newton correction diverges."""
 

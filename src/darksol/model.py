@@ -16,7 +16,7 @@ from .exprparse import compile_expression
 
 __all__ = [
     "Grid", "Profile", "Coefficient", "Equation", "Problem",
-    "make_uniform_grid", "sample_coefficient", "validate_problem",
+    "sample_coefficient", "validate_problem",
 ]
 
 # Relative slack for node alignment checks. Grid spacings that agree to
@@ -58,10 +58,6 @@ class Grid:
 
     def x(self) -> np.ndarray:
         return np.linspace(self.xmin, self.xmax, self.n)
-
-
-def make_uniform_grid(xmin: float, xmax: float, n: int) -> Grid:
-    return Grid(xmin=float(xmin), xmax=float(xmax), n=int(n))
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,7 +17,7 @@ from .kink import (MinimizeOptions, MinimizeResult, correct,
                    make_truncated_grid, minimize, report_crossing,
                    select_truncation)
 from .model import Grid, Problem, Profile, validate_problem
-from .periodic import (MonotoneResult, PeriodicOptions, PeriodicResult,
+from .periodic import (MonotoneResult, PeriodicResult,
                        monotone_iteration_oracle, solve_periodic)
 from .reduction import correction_source, lift, to_allen_cahn
 from .verify import TAIL_FRACTION, SolitonReport, build_report
@@ -44,13 +44,11 @@ class SolitonRun:
     tail_fraction: float
 
 
-def run_background(problem: Problem,
-                   periodic_options: PeriodicOptions | None = None):
+def run_background(problem: Problem):
     """Solve the periodic background twice and measure the disagreement."""
-    options = periodic_options or PeriodicOptions()
     validate_problem(problem)
-    periodic = solve_periodic(problem, options)
-    monotone = monotone_iteration_oracle(problem, tol=options.oracle_tol)
+    periodic = solve_periodic(problem)
+    monotone = monotone_iteration_oracle(problem)
     agreement = float(np.max(np.abs(
         periodic.profile.values - monotone.from_below.values)))
     return periodic, monotone, agreement
@@ -58,11 +56,10 @@ def run_background(problem: Problem,
 
 def run_soliton(problem: Problem,
                 half_length: float | None = None,
-                periodic_options: PeriodicOptions | None = None,
                 minimize_options: MinimizeOptions | None = None,
                 tail_fraction: float = TAIL_FRACTION) -> SolitonRun:
     """Full pipeline from problem data to a verified front profile."""
-    periodic, monotone, agreement = run_background(problem, periodic_options)
+    periodic, monotone, agreement = run_background(problem)
 
     if half_length is None:
         half_length = select_truncation(problem)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import darksol
-from darksol import MinimizeOptions, PeriodicOptions
+from darksol import MinimizeOptions
 from darksol.cli import load_config, main, read_csv, write_csv
 from darksol.errors import EXIT_CODES, ConfigError, DarksolError
 
@@ -57,8 +57,6 @@ def test_load_config_fields(tmp_path):
     assert cfg.g_source == "1"
     assert cfg.config_hash == hashlib.sha256(path.read_bytes()).hexdigest()
     # defaults
-    assert cfg.periodic.residual_tol == 1e-10
-    assert cfg.periodic.oracle_tol == 1e-10
     assert cfg.minimize.grad_tol == 1e-8
     assert cfg.tail_fraction == 0.25
     assert cfg.sweep_lambdas == ()
@@ -92,27 +90,27 @@ def test_load_config_rejections(tmp_path):
 
 
 def test_option_sections_are_the_option_classes(tmp_path):
-    # every field of PeriodicOptions / MinimizeOptions is a key of its
-    # section, read with the field's type, and nothing else is a key
-    values = {"periodic": PeriodicOptions(residual_tol=3e-11,
-                                          max_newton_iters=7,
-                                          oracle_tol=2e-9),
-              "minimize": MinimizeOptions(grad_tol=2e-7)}
-    text = BASE
-    for section, options in values.items():
-        text += f"\n[{section}]\n" + "".join(
-            f"{f.name} = {getattr(options, f.name)!r}\n"
-            for f in dataclasses.fields(options))
+    # every field of MinimizeOptions is a key of [minimize], read with
+    # the field's type, and nothing else is a key
+    options = MinimizeOptions(grad_tol=2e-7)
+    text = BASE + "\n[minimize]\n" + "".join(
+        f"{f.name} = {getattr(options, f.name)!r}\n"
+        for f in dataclasses.fields(options))
     cfg = load_config(write_config(tmp_path, text))
-    assert cfg.periodic == values["periodic"]
-    assert cfg.minimize == values["minimize"]
-    for section, key in (("periodic", "damping"),
-                         ("minimize", "newton_polish"),
-                         ("minimize", "max_halvings"),
-                         ("minimize", "max_outer_iters")):
+    assert cfg.minimize == options
+    for key in ("newton_polish", "max_halvings", "max_outer_iters"):
         with pytest.raises(ConfigError):
-            load_config(write_config(tmp_path, BASE + f"\n[{section}]\n"
+            load_config(write_config(tmp_path, BASE + "\n[minimize]\n"
                                      f"{key} = 1\n", name="bad.ini"))
+
+
+def test_periodic_section_is_refused(tmp_path, capsys):
+    # the background solve has no options left; a config that still
+    # sets one is refused rather than silently ignored
+    config = write_config(tmp_path, BASE + "\n[periodic]\n"
+                                           "residual_tol = 1e-10\n")
+    assert run_cli("solve-periodic", config, tmp_path / "out") == 2
+    assert "unknown config section [periodic]" in capsys.readouterr().err
 
 
 def test_load_config_table_and_inline_comments(tmp_path):
@@ -184,6 +182,9 @@ def test_solve_soliton_and_verify_round_trip(tmp_path):
         "minimize", "run_flags", "soliton_report", "verified", "status"}
     assert set(report["problem"]) == {"kind", "lambda", "period",
                                       "n_per_period", "g_min", "g_max"}
+    assert set(report["periodic"]) == {
+        "residual_sup", "newton_iterations", "monotone_iterations",
+        "monotone_gap_sup", "monotone_agreement_sup"}
 
 
 def test_verify_catches_tampering(tmp_path):
@@ -257,16 +258,17 @@ def test_tail_underflow_is_a_property_violation(tmp_path, capsys):
     assert report["statuses"] == ["property_violation"]
 
 
-def test_oracle_tol_reaches_the_soliton_run(tmp_path):
-    iterations = []
-    for name, text in (("tight", SINUSOIDAL),
-                       ("loose", SINUSOIDAL + "\n[periodic]\n"
-                                             "oracle_tol = 1e-4\n")):
-        out = tmp_path / name
-        assert run_cli("solve-soliton", write_config(tmp_path, text), out) == 0
+def test_fine_grid_background_solves(tmp_path):
+    # the periodic residual's rounding floor here is above 1e-10, so
+    # the background solve must not stop on a residual tolerance
+    text = (SINUSOIDAL.replace("n_per_period = 64", "n_per_period = 1024")
+            .replace("l = 4", "l = 8"))
+    config = write_config(tmp_path, text)
+    for command in ("solve-periodic", "solve-soliton"):
+        out = tmp_path / command
+        assert run_cli(command, config, out) == 0
         report = json.loads((out / "report.json").read_text())
-        iterations.append(report["periodic"]["monotone_iterations"])
-    assert iterations[1] < iterations[0]
+        assert report["periodic"]["monotone_agreement_sup"] <= 1e-9
 
 
 def test_incommensurate_half_length_is_rejected(tmp_path):

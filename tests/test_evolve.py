@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import darksol.evolve
-from darksol import (ComplexField, EvolveOptions, Profile, Trajectory,
-                     evolve_nls, kink_drift, make_ansatz, make_uniform_grid,
-                     modulus_deviation, phase_rotation_check, run_soliton)
+from darksol import (ComplexField, EvolveOptions, Grid, Profile, Trajectory,
+                     evolve_nls, kink_drift, make_ansatz, modulus_deviation,
+                     phase_rotation_check, run_soliton)
 from darksol.errors import (NoSignChange, PhaseUndefined, StepDivergence,
                             ValidationError)
 
@@ -152,7 +152,7 @@ def test_phase_check_needs_snapshots(soliton_run):
 
 
 def test_phase_check_rejects_tiny_modulus():
-    grid = make_uniform_grid(-1.0, 1.0, 33)
+    grid = Grid(-1.0, 1.0, 33)
     zero = ComplexField(grid=grid, re=np.zeros(33), im=np.zeros(33))
     traj = Trajectory(times=np.array([0.0, 0.1]), fields=(zero, zero),
                       dt=0.1, n_steps=1)
@@ -162,7 +162,7 @@ def test_phase_check_rejects_tiny_modulus():
 
 def test_blow_up_is_reported():
     problem = constant_quintic(lam=-1.0, g1=0.0, n_per=16)
-    grid = make_uniform_grid(-1.0, 1.0, 33)
+    grid = Grid(-1.0, 1.0, 33)
     options = EvolveOptions(dt=1e-3, t_max=1e-2)
     huge = ComplexField(grid=grid, re=np.full(33, 1e160), im=np.zeros(33))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -180,7 +180,7 @@ def test_blow_up_is_reported():
 
 
 def test_field_validation():
-    grid = make_uniform_grid(-1.0, 1.0, 33)
+    grid = Grid(-1.0, 1.0, 33)
     with pytest.raises(ValidationError):
         ComplexField(grid=grid, re=np.zeros(5), im=np.zeros(5))
     with pytest.raises(ValidationError):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from darksol import (MinimizeOptions, Problem, Profile, WeightedAC,
+from darksol import (Grid, MinimizeOptions, Problem, Profile, WeightedAC,
                      bracket_bounds, decay_rate_bound, initial_guess,
-                     guess_rate, make_truncated_grid, make_uniform_grid,
-                     minimize, newton_polish, report_crossing, run_soliton,
+                     guess_rate, make_truncated_grid, minimize,
+                     newton_polish, report_crossing, run_soliton,
                      sample_coefficient, select_truncation, solve_periodic,
                      to_allen_cahn)
 from darksol import kink
@@ -55,7 +55,7 @@ def test_make_truncated_grid():
 
 def test_guess_rate_and_coercivity():
     n = 33
-    grid = make_uniform_grid(-1.0, 1.0, n)
+    grid = Grid(-1.0, 1.0, n)
     ac = WeightedAC(grid=grid, a=np.ones(n), powers=((3, 2.0 * np.ones(n)),),
                     kinetic_factor=1.0)
     assert guess_rate(ac) == pytest.approx(2.0, rel=1e-14)
@@ -71,7 +71,7 @@ def test_guess_rate_and_coercivity():
 
 
 def test_initial_guess_shape():
-    grid = make_uniform_grid(-6.0, 6.0, 769)
+    grid = Grid(-6.0, 6.0, 769)
     w = initial_guess(grid, 2.0)
     assert w.values[0] == -1.0 and w.values[-1] == 1.0
     assert np.max(np.abs(w.values[1:-1])) <= 1.0 - 1e-12
@@ -491,22 +491,22 @@ def test_strong_modulation_at_large_lambda_converges():
 
 
 def test_report_crossing_exact_node():
-    grid = make_uniform_grid(-1.0, 1.0, 5)
+    grid = Grid(-1.0, 1.0, 5)
     w = Profile(grid, [-1.0, -0.5, 0.0, 0.5, 1.0])
     assert report_crossing(w) == 0.0
 
 
 def test_report_crossing_interpolates():
-    grid = make_uniform_grid(-1.0, 1.0, 5)
+    grid = Grid(-1.0, 1.0, 5)
     w = Profile(grid, [-1.0, -0.2, 0.6, 1.0, 1.0])
     assert report_crossing(w) == pytest.approx(-0.375, abs=1e-15)
-    grid = make_uniform_grid(-2.0, 2.0, 129)
+    grid = Grid(-2.0, 2.0, 129)
     shifted = Profile(grid, np.tanh(grid.x() - 0.3))
     assert report_crossing(shifted) == pytest.approx(0.3, abs=1e-3)
 
 
 def test_report_crossing_first_sign_event_wins():
-    grid = make_uniform_grid(-1.0, 1.0, 5)
+    grid = Grid(-1.0, 1.0, 5)
     # a flip between -1 and -0.5 comes before the exact zero at x = 0.5
     w = Profile(grid, [-1.0, 1.0, 0.5, 0.0, 1.0])
     assert report_crossing(w) == pytest.approx(-0.75, abs=1e-15)
@@ -516,6 +516,6 @@ def test_report_crossing_first_sign_event_wins():
 
 
 def test_report_crossing_needs_sign_change():
-    grid = make_uniform_grid(-1.0, 1.0, 5)
+    grid = Grid(-1.0, 1.0, 5)
     with pytest.raises(NoSignChange):
         report_crossing(Profile(grid, [0.5, 0.6, 0.7, 0.8, 0.9]))

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from darksol import (Grid, Problem, Profile, make_uniform_grid,
-                     sample_coefficient, validate_problem)
+from darksol import (Grid, Problem, Profile, sample_coefficient,
+                     validate_problem)
 from darksol.errors import GridMismatchError, ValidationError
 from darksol.evolve import _compact_operator
 from darksol.reduction import to_allen_cahn
@@ -12,7 +12,7 @@ from conftest import (constant_cubic, constant_quintic, sinusoidal_cubic,
 
 
 def test_grid_basics():
-    grid = make_uniform_grid(-6.0, 6.0, 12 * 256 + 1)
+    grid = Grid(-6.0, 6.0, 12 * 256 + 1)
     assert grid.h == pytest.approx(1.0 / 256.0, rel=1e-15)
     x = grid.x()
     assert x[0] == -6.0 and x[-1] == 6.0
@@ -31,7 +31,7 @@ def test_grid_rejects_bad_arguments():
 
 
 def test_profile_is_immutable_and_validated():
-    grid = make_uniform_grid(0.0, 1.0, 5)
+    grid = Grid(0.0, 1.0, 5)
     p = Profile(grid, np.arange(5.0))
     with pytest.raises(ValueError):
         p.values[0] = 3.0
@@ -83,16 +83,16 @@ def test_on_grid_wraps_periodically():
     c = sample_coefficient("1 + 0.5*sin(2*pi*x)", 1.0, 64)
     h = c.h
     for xmin, first in ((5 * h, 5), (1.0 + 5 * h, 5), (-h, 63)):
-        ext = c.on_grid(make_uniform_grid(xmin, xmin + 0.5, 33))
+        ext = c.on_grid(Grid(xmin, xmin + 0.5, 33))
         np.testing.assert_array_equal(ext, c.samples[(first + np.arange(33))
                                                      % 64])
     with pytest.raises(GridMismatchError):
-        c.on_grid(make_uniform_grid(0.4 * h, 0.4 * h + 0.5, 33))
+        c.on_grid(Grid(0.4 * h, 0.4 * h + 0.5, 33))
 
 
 def test_on_grid_is_exactly_periodic():
     c = sample_coefficient("1 + 0.5*sin(2*pi*x)", 1.0, 64)
-    grid = make_uniform_grid(-3.0, 3.0, 6 * 64 + 1)
+    grid = Grid(-3.0, 3.0, 6 * 64 + 1)
     ext = c.on_grid(grid)
     assert ext.shape == (grid.n,)
     # exact integer index map: repeats are bitwise equal
@@ -105,11 +105,11 @@ def test_on_grid_is_exactly_periodic():
 def test_on_grid_rejects_misalignment():
     c = sample_coefficient("1 + 0.5*sin(2*pi*x)", 1.0, 64)
     with pytest.raises(GridMismatchError):
-        c.on_grid(make_uniform_grid(0.0, 1.0, 101))
+        c.on_grid(Grid(0.0, 1.0, 101))
     # right spacing, origin off the sample lattice
     h = c.h
     with pytest.raises(GridMismatchError):
-        c.on_grid(make_uniform_grid(0.37 * h, 0.37 * h + 1.0, 65))
+        c.on_grid(Grid(0.37 * h, 0.37 * h + 1.0, 65))
 
 
 def test_shifted_translates_samples():
@@ -162,14 +162,14 @@ def test_validate_problem_missing_coefficient():
 
 def test_validate_problem_grid_commensurability():
     problem = constant_cubic(n_per=64)
-    good = make_uniform_grid(-3.0, 3.0, 6 * 64 + 1)
+    good = Grid(-3.0, 3.0, 6 * 64 + 1)
     validate_problem(problem, grid=good)
     # span 6.5 periods is not an integer tiling even with aligned spacing
-    bad = make_uniform_grid(0.0, 6.5, int(6.5 * 64) + 1)
+    bad = Grid(0.0, 6.5, int(6.5 * 64) + 1)
     with pytest.raises(GridMismatchError):
         validate_problem(problem, grid=bad)
     with pytest.raises(GridMismatchError):
-        validate_problem(problem, grid=make_uniform_grid(0.0, 1.0, 100))
+        validate_problem(problem, grid=Grid(0.0, 1.0, 100))
 
 
 @pytest.mark.parametrize("problem", [
@@ -181,7 +181,7 @@ def test_equation_states_both_models(problem, rng):
     # Hand-written from the two forms in Problem's docstring, on a
     # random positive profile: the equation (the cubic-quintic one
     # times -1), the reduced weights and the evolver's d(rho).
-    grid = make_uniform_grid(-1.0, 1.0, 2 * 32 + 1)
+    grid = Grid(-1.0, 1.0, 2 * 32 + 1)
     phi = rng.uniform(0.5, 1.5, grid.n)
     lap = rng.normal(size=grid.n)
     lam = problem.lam

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from darksol import (Profile, WeightedAC, energy, energy_gradient, lift,
-                     make_uniform_grid, residual_reduced, run_soliton,
-                     solve_periodic, to_allen_cahn)
+from darksol import (Grid, Profile, WeightedAC, energy, energy_gradient,
+                     lift, residual_reduced, run_soliton, solve_periodic,
+                     to_allen_cahn)
 from darksol.errors import GridMismatchError, ValidationError
 from darksol.reduction import (_energy_values, _jacobian_bands,
                                _nonlinearity, _numerov_defect,
@@ -18,7 +18,7 @@ from conftest import (attractive_quintic, constant_cubic, constant_quintic,
 def background_on(problem, xmin, xmax):
     res = solve_periodic(problem)
     n_per = problem.n_per
-    grid = make_uniform_grid(xmin, xmax, int(round((xmax - xmin) * n_per)) + 1)
+    grid = Grid(xmin, xmax, int(round((xmax - xmin) * n_per)) + 1)
     return grid, Profile(grid, res.coefficient.on_grid(grid))
 
 
@@ -106,7 +106,7 @@ def test_kernels_take_any_odd_power(rng):
     # A septic term the models never build: the density's derivative is
     # 2 kf times the nonlinearity, whose derivative is the Jacobian ramp.
     n = 41
-    grid = make_uniform_grid(-1.0, 1.0, n)
+    grid = Grid(-1.0, 1.0, n)
     powers = tuple((p, rng.uniform(0.5, 1.5, n)) for p in (3, 5, 7))
     ac = WeightedAC(grid=grid, a=np.ones(n), powers=powers,
                     kinetic_factor=0.5)
@@ -129,7 +129,7 @@ def test_kernels_take_any_odd_power(rng):
 def test_energy_of_exact_front():
     # a = 1, b = 2: continuum energy of tanh is 8/3
     n = 4001
-    grid = make_uniform_grid(-20.0, 20.0, n)
+    grid = Grid(-20.0, 20.0, n)
     ac = WeightedAC(grid=grid, a=np.ones(n), powers=((3, 2.0 * np.ones(n)),),
                     kinetic_factor=1.0)
     e = energy(Profile(grid, np.tanh(grid.x())), ac)
@@ -138,7 +138,7 @@ def test_energy_of_exact_front():
 
 def test_trivial_profiles():
     n = 101
-    grid = make_uniform_grid(-2.0, 2.0, n)
+    grid = Grid(-2.0, 2.0, n)
     ac = WeightedAC(grid=grid, a=np.ones(n), powers=((3, 2.0 * np.ones(n)),),
                     kinetic_factor=1.0)
     ones = Profile(grid, np.ones(n))
@@ -173,7 +173,7 @@ def test_grid_mismatch_is_rejected():
     problem = sinusoidal_cubic(lam=-1.0, amp=0.5, n_per=64)
     grid, bg = background_on(problem, -2.0, 2.0)
     ac = to_allen_cahn(problem, bg)
-    other = make_uniform_grid(-2.0, 2.0, 33)
+    other = Grid(-2.0, 2.0, 33)
     w = Profile(other, np.zeros(33))
     with pytest.raises(GridMismatchError):
         energy(w, ac)
@@ -183,7 +183,7 @@ def test_grid_mismatch_is_rejected():
 
 def test_weighted_ac_validation():
     n = 11
-    grid = make_uniform_grid(0.0, 1.0, n)
+    grid = Grid(0.0, 1.0, n)
     cubic = ((3, np.ones(n)),)
     with pytest.raises(ValidationError):
         WeightedAC(grid=grid, a=np.zeros(n), powers=cubic, kinetic_factor=1.0)
@@ -203,7 +203,7 @@ def test_weighted_ac_validation():
 
 def test_to_allen_cahn_needs_positive_background():
     problem = constant_cubic(lam=-1.0, n_per=64)
-    grid = make_uniform_grid(0.0, 1.0, 65)
+    grid = Grid(0.0, 1.0, 65)
     bad = Profile(grid, np.linspace(-0.1, 1.0, 65))
     with pytest.raises(ValidationError):
         to_allen_cahn(problem, bad)

@@ -3,11 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from darksol import (Profile, WeightedAC, amplitude_margin, build_report,
-                     check_asymptotic_ratio, fit_decay_rate,
-                     gradient_consistency, lift, make_uniform_grid,
-                     monotonicity_margin, residual_phi, run_soliton,
-                     to_allen_cahn)
+from darksol import (Grid, Profile, WeightedAC, amplitude_margin,
+                     build_report, check_asymptotic_ratio, fit_decay_rate,
+                     gradient_consistency, lift, monotonicity_margin,
+                     residual_phi, run_soliton, to_allen_cahn)
 from darksol.errors import TailUnderflow, ValidationError
 
 from conftest import constant_cubic, sinusoidal_cubic
@@ -19,7 +18,7 @@ def constant_run():
 
 
 def synthetic_pair(rate=2.0, half=10.0, n=2561, shape="front"):
-    grid = make_uniform_grid(-half, half, n)
+    grid = Grid(-half, half, n)
     x = grid.x()
     bg = Profile(grid, np.ones(n))
     if shape == "front":
@@ -64,7 +63,7 @@ def test_margins_flag_tampering(constant_run):
 
 
 def test_amplitude_margin_ignores_pinned_boundary():
-    grid = make_uniform_grid(-1.0, 1.0, 5)
+    grid = Grid(-1.0, 1.0, 5)
     w = Profile(grid, [-1.0, -0.9, 0.0, 0.9, 1.0])
     assert amplitude_margin(w) == pytest.approx(0.1, rel=1e-14)
 
@@ -96,7 +95,7 @@ def test_decay_fit_floor_flag():
 
 
 def test_decay_fit_underflow():
-    grid = make_uniform_grid(-10.0, 10.0, 2561)
+    grid = Grid(-10.0, 10.0, 2561)
     x = grid.x()
     vals = np.clip(np.tanh(x), -1.0, 1.0)
     vals[x >= 3.0] = 1.0
