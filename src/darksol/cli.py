@@ -281,7 +281,8 @@ def cmd_solve_periodic(cfg: RunConfig, out_dir, seed) -> int:
     write_csv(os.path.join(out_dir, "phi_plus.csv"), ["x", "phi_plus"],
               [x, periodic.profile.values])
     report = _base_report("solve-periodic", cfg, seed)
-    # a background that is returned at all has converged
+    # solve_periodic returns only at its residual's rounding floor and
+    # raises NonConvergence otherwise, so a returned background converged
     report.update({
         "problem": _problem_block(problem),
         **_background_blocks(periodic, monotone, agreement),

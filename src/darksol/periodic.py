@@ -45,9 +45,11 @@ J(u) = -k D2 + diag f'(u).
   G(u') >= G(u) + J(u) (u' - u) = 0. By induction every iterate is a
   supersolution above phi+, each step lowers every node strictly, and
   the iterates converge to phi+, quadratically at the end.
-A step that fails to lower every node strictly is therefore rounding
-noise: it is discarded and ends the solve. The oracle stops each end
-by the same rule, in the direction that end is proven to move.
+In floating point a node whose exact move is below half an ulp may stay
+or step back while others are far off (a wide plateau of g at large
+|lambda|), so both routes take their steps by `_advance`: above the
+residual's rounding floor such a move is cut back; at the floor the
+first step that fails to move every node is noise and ends the solve.
 """
 
 from dataclasses import dataclass
@@ -67,7 +69,7 @@ __all__ = [
 # Budgets of the oracle's sweeps and of Newton's accepted steps. Over
 # 960 cubic and cubic-quintic backgrounds (amplitudes up to 0.999,
 # lambda from -0.01 to -64, n_per from 64 to 1024) the largest counts
-# measured are 33 sweeps (g = 1 + 0.999 sin, lambda = -16) and 15
+# measured are 34 sweeps (g = 1 + 0.999 sin, lambda = -16) and 15
 # steps (g = 1 + 0.999 sin, lambda = -0.25), where the start
 # bracket.upper is 31 times the background.
 _MAX_SWEEPS = 200
@@ -147,28 +149,25 @@ def _residual(eq: Equation, phi: np.ndarray, h: float) -> np.ndarray:
 def solve_periodic(problem: Problem) -> PeriodicResult:
     """Newton solve for the positive periodic background.
 
-    Starts from the constant supersolution `bracket.upper`, undamped.
-    Every step lowers every node strictly (module docstring), so the
-    first step that does not is rounding noise: it is discarded and
-    ends the solve. `iterations` counts the accepted steps.
+    Starts from the constant supersolution `bracket.upper`, undamped,
+    and takes each step by `_advance`: every exact step lowers every
+    node (module docstring). `iterations` counts the accepted steps.
     """
     bracket = bracket_bounds(problem)
     eq = problem.equation()
     n = problem.n_per
     h = problem.period / n
     off = np.full(n, -eq.k / h**2)
+    floor = _rounding_floor(eq, h)
     phi = np.full(n, bracket.upper)
     res = _residual(eq, phi, h)
     for iterations in range(_MAX_NEWTON_STEPS + 1):
         # J = -k D2 + diag f'(phi), and f' = k F'
         diag = eq.k * (2.0 / h**2 + _forcing_slope(eq, phi))
         trial = phi + solve_cyclic(off, diag, off, -res)
-        if not np.all(np.isfinite(trial)):
-            raise NonConvergence(
-                f"periodic Newton step {iterations + 1} is not finite",
-                final_residual=float(np.max(np.abs(res))),
-                iterations=iterations)
-        if not np.all(trial < phi):
+        trial, done = _advance(floor, phi, res, trial, bracket.lower, phi,
+                               "periodic Newton step", iterations)
+        if done:
             break
         if iterations == _MAX_NEWTON_STEPS:
             raise NonConvergence(
@@ -184,6 +183,50 @@ def solve_periodic(problem: Problem) -> PeriodicResult:
                           iterations=iterations)
 
 
+def _advance(floor, old: np.ndarray, res: np.ndarray, new: np.ndarray,
+             lo, hi, what: str, done: int):
+    """One step from `old` to `new`: (next iterate, whether to stop).
+
+    The exact `new` moves every node of `old` into [lo, hi], which has
+    `old` at one end. While the residual `res` at `old` is above
+    `floor(old)`, `new` is cut back into [lo, hi], and raises
+    NonConvergence if it then moves no node; at the floor it must move
+    every node inside [lo, hi]. `done` counts the steps before this one.
+    """
+    residual_sup = float(np.abs(res).max())
+    if not np.all(np.isfinite(new)):
+        raise NonConvergence(f"{what} {done + 1} is not finite",
+                             final_residual=residual_sup, iterations=done)
+    bound = floor(old)
+    if residual_sup > bound:
+        new = np.minimum(np.maximum(new, lo), hi)
+        if np.array_equal(new, old):
+            raise NonConvergence(
+                f"{what} {done + 1} moves no node at residual "
+                f"{residual_sup:.3e}, above its rounding floor {bound:.3e}",
+                final_residual=residual_sup, iterations=done)
+        return new, False
+    if np.all((lo <= new) & (new <= hi) & (new != old)):
+        return new, False
+    return old, True
+
+
+def _rounding_floor(eq: Equation, h: float):
+    """The residual's rounding floor as a function of the iterate: 16 eps
+    times a bound on the magnitudes of its terms, k |D2| phi and each
+    term of |f(phi)|, the residual of the float vector nearest a root.
+    """
+    linear = 4.0 * eq.k / h**2 + float(np.max(np.abs(eq.mu)))
+    powers = [(p, float(np.max(np.abs(c)))) for p, c in eq.powers]
+
+    def floor(phi: np.ndarray) -> float:
+        top = float(phi.max())
+        size = linear * top + sum(c * top**p for p, c in powers)
+        return 16.0 * np.finfo(float).eps * size
+
+    return floor
+
+
 def _package_background(problem: Problem, phi: np.ndarray):
     n = problem.n_per
     grid = Grid(xmin=0.0, xmax=problem.period, n=n + 1)
@@ -191,14 +234,6 @@ def _package_background(problem: Problem, phi: np.ndarray):
     profile = Profile(grid=grid, values=wrapped)
     coefficient = Coefficient(samples=phi, period=problem.period)
     return profile, coefficient
-
-
-def _forcing(eq: Equation, phi: np.ndarray) -> np.ndarray:
-    """F with the equation written as phi'' = F(phi)."""
-    out = eq.mu * phi
-    for p, c in eq.powers:
-        out = out + c * phi**p
-    return out / eq.k
 
 
 def _forcing_slope(eq: Equation, phi: np.ndarray) -> np.ndarray:
@@ -224,15 +259,18 @@ def monotone_iteration_oracle(problem: Problem,
     As the sector closes, K tends to F' at the background and the sweeps
     become Newton steps, so convergence is quadratic; the shifted
     matrix changes with the sector and is factored once per sweep.
-    Each end stops at its first sweep that fails to move every node
-    strictly in its proven direction (up from below, down from above),
-    which is discarded as rounding noise, as in `solve_periodic`.
+    The sweep is solved for the correction, (D2 - K)(phi_new - phi) =
+    F(phi) - D2 phi = G(phi) / k, so its rounding scales with the
+    residual rather than with phi. Each end takes its sweeps as
+    `_advance` allows, up from below and down from above, inside the
+    bracket: on an exact constant background both ends stay on it.
     """
     bracket = bracket_bounds(problem)
     eq = problem.equation()
     n = problem.n_per
     h = problem.period / n
     off = np.full(n, 1.0 / h**2)
+    floor = _rounding_floor(eq, h)
 
     below = np.full(n, bracket.lower)
     above = np.full(n, bracket.upper)
@@ -246,18 +284,16 @@ def monotone_iteration_oracle(problem: Problem,
             raise NonConvergence("monotone shift is nowhere positive",
                                  iterations=iterations)
         solve = factor_cyclic(off, -2.0 / h**2 - shift, off)
+
+        def sweep(end, lo, hi, side):
+            res = _residual(eq, end, h)
+            return _advance(floor, end, res, end + solve(res / eq.k), lo, hi,
+                            f"{side} monotone sweep", iterations - 1)
+
         if not done_below:
-            new_below = solve(_forcing(eq, below) - shift * below)
-            if np.all(new_below > below):
-                below = new_below
-            else:
-                done_below = True
+            below, done_below = sweep(below, below, bracket.upper, "lower")
         if not done_above:
-            new_above = solve(_forcing(eq, above) - shift * above)
-            if np.all(new_above < above):
-                above = new_above
-            else:
-                done_above = True
+            above, done_above = sweep(above, bracket.lower, above, "upper")
         if record:
             history.append((below.copy(), above.copy()))
         if done_below and done_above:

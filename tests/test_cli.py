@@ -155,6 +155,22 @@ def test_solve_periodic_outputs(tmp_path):
     assert data["phi_plus"][0] == data["phi_plus"][-1]
 
 
+def test_a_stalled_background_is_not_reported(tmp_path, monkeypatch,
+                                              capsys):
+    # a Newton step that moves no node while the residual is above its
+    # rounding floor ends the run as nonconvergence, with no report
+    def no_step(lower, diag, upper, rhs):
+        return np.zeros_like(rhs)
+
+    monkeypatch.setattr(darksol.periodic, "solve_cyclic", no_step)
+    config = write_config(tmp_path, SINUSOIDAL)
+    out = tmp_path / "out"
+    assert run_cli("solve-periodic", config, out) == \
+        EXIT_CODES["nonconvergence"]
+    assert "moves no node" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_solve_soliton_and_verify_round_trip(tmp_path):
     config = write_config(tmp_path, BASE)
     out = tmp_path / "out"

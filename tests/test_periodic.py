@@ -203,7 +203,8 @@ def test_every_accepted_newton_step_falls_at_every_node(monkeypatch):
 def test_newton_meets_the_oracle_where_tolerances_failed(problem):
     result, monotone, agreement = run_background(problem)
     assert agreement <= 1e-10
-    assert monotone.gap_sup <= 1e-10
+    # the ends enclose the background, crossing by rounding at most
+    assert -1e-12 <= monotone.gap_sup <= 1e-10
     h = problem.period / problem.n_per
     floor = np.finfo(float).eps * problem.equation().k / h**2
     assert result.residual_sup <= 16 * floor * result.profile.values.max()
@@ -211,16 +212,65 @@ def test_newton_meets_the_oracle_where_tolerances_failed(problem):
 
 def test_oracle_ends_stay_on_an_exact_constant_background():
     # lower == upper == 0.01^(1/4) exactly; (D2 - K) is nearly singular
-    # at this h, so a sweep moves the ends by rounding alone, by more
-    # than a stopping step of 1e-10 tells apart from convergence. A
-    # sweep that does not raise every node is discarded, so the lower
-    # end never leaves the exact value
+    # at this h, so a sweep solved for the full value rather than the
+    # correction moves the ends by rounding alone, 1.76e-9 here. Each
+    # end is held inside the bracket, which here is the one value
     problem = constant_quintic(lam=-0.01, n_per=1024, g1=0.0)
     bracket = bracket_bounds(problem)
     assert bracket.lower == bracket.upper == 0.01 ** 0.25
     mono = monotone_iteration_oracle(problem)
     assert mono.iterations <= 2
-    assert np.max(np.abs(mono.from_below.values - bracket.lower)) <= 1e-12
+    for end in (mono.from_below, mono.from_above):
+        assert np.max(np.abs(end.values - bracket.lower)) <= 1e-12
+    assert mono.gap_sup == 0.0
+
+
+@pytest.mark.parametrize("lam", [-1e4, -1e6])
+def test_background_crosses_a_wide_plateau_of_g(lam):
+    # g = g_min on 48 of 64 nodes, where G(upper) is 0 up to rounding.
+    # The steps reach the plateau from outside decaying by 0.09 (1e-3
+    # at lambda = -1e6) per node, so at its centre the exact move is
+    # far below an ulp: those nodes stay, or step the wrong way, while
+    # the rest still fall. A rule that needs every node to fall stops
+    # at the start, the constant bracket.upper, 100 where phi+ is ~71
+    table = np.full(64, 2.0)
+    table[8:56] = 1.0
+    g = sample_coefficient(table, 1.0, 64, positive=True)
+    problem = Problem(kind="cubic", lam=lam, period=1.0, g=g)
+    result, monotone, agreement = run_background(problem)
+    phi = result.profile.values
+    assert result.iterations > 0
+    # phi+ tends to sqrt(-lam / g) away from the plateau's edges
+    assert phi[0] == pytest.approx(np.sqrt(-lam / 2.0), rel=1e-8)
+    assert phi[32] == pytest.approx(np.sqrt(-lam), rel=1e-15)
+    assert agreement <= 1e-12 * phi.max()
+    assert abs(monotone.gap_sup) <= 1e-12 * phi.max()
+
+
+def test_a_newton_step_that_moves_no_node_above_the_floor_raises(
+        monkeypatch):
+    def no_step(lower, diag, upper, rhs):
+        return np.zeros_like(rhs)
+
+    monkeypatch.setattr(periodic, "solve_cyclic", no_step)
+    with pytest.raises(NonConvergence,
+                       match="Newton step 1 moves no node") as err:
+        solve_periodic(sinusoidal_cubic(lam=-1.0, amp=0.5))
+    assert err.value.iterations == 0
+    assert err.value.final_residual > 0.1
+
+
+@pytest.mark.parametrize("correction, message", [
+    (0.0, "moves no node"), (np.nan, "is not finite")])
+def test_a_stalled_or_non_finite_oracle_sweep_raises(monkeypatch,
+                                                     correction, message):
+    def factor(lower, diag, upper):
+        return lambda rhs: np.full_like(rhs, correction)
+
+    monkeypatch.setattr(periodic, "factor_cyclic", factor)
+    with pytest.raises(NonConvergence,
+                       match=f"lower monotone sweep 1 {message}"):
+        monotone_iteration_oracle(sinusoidal_cubic(lam=-1.0, amp=0.5))
 
 
 @pytest.mark.parametrize("g1", [-20.0, -5.0, -1.0, -0.1, -1e-3])
