@@ -1,34 +1,35 @@
 """Front (dark-soliton ratio) profiles on a truncated symmetric domain.
 
-The ratio w is a minimizer of the reduced energy. `minimize` first runs
-one damped Newton solve from the start profile (residual line search,
-no step cap) and keeps the root only if it is monotone, lowers the
-energy, and is certified a strict local minimizer: the energy Hessian
-is -2 kf h times the residual Jacobian, a symmetric tridiagonal matrix,
-and an LDL^T factorization with positive pivots proves it positive
-definite. A refused root is often a saddle: the front pinned on the
-wrong site of the periodic landscape. The front is then sought at the
-other pinning sites, the strict extrema of the weight a nearest the
-centre: Newton runs from a tanh guess at each, and the certified root
-of lowest energy is kept, as long as its energy is no higher than the
-centre root's (and, when asked, its deferred correction converges).
-Only when no site gives one does the phase condition w(x0) = 0 take
-over (Beyn & Thuemmler, SIAM J. Appl. Dyn. Syst. 3, 2004): Newton with
-node x0 held, whose roots trace the pinning (Peierls-Nabarro) landscape
-E(x0) (Kivshar & Campbell, Phys. Rev. E 48, 3077, 1993). The pin walks
-downhill in E from the centre, and unpinned Newton from the lowest
-node's root gives the front. Every solve is tridiagonal, O(n). A
-gradient tolerance below the rounding floor of the discrete gradient,
+The ratio w is a minimizer of the reduced energy, lifted to fourth
+order by one deferred correction. `minimize` tries certified roots in
+a fixed order and returns the first whose correction converges. A
+root is certified when it is a converged, monotone Newton root that
+does not raise the energy and is a strict local minimizer: the energy
+Hessian is -2 kf h times the residual Jacobian, a symmetric tridiagonal
+matrix, and an LDL^T factorization with positive pivots proves it
+positive definite. The first root comes from one damped Newton solve
+from the centred tanh guess (residual line search, no step cap). A
+refused root is often a saddle: the front pinned on the wrong site of
+the periodic landscape. The next roots come from the other pinning
+sites, the strict extrema of the weight a nearest the centre: Newton
+runs from a tanh guess at each, and the certified roots follow lowest
+energy first, none above the centre root's energy. The last ones come
+from the phase condition w(x0) = 0 (Beyn & Thuemmler, SIAM J. Appl.
+Dyn. Syst. 3, 2004): Newton with node x0 held, whose roots trace the
+pinning (Peierls-Nabarro) landscape E(x0) (Kivshar & Campbell, Phys.
+Rev. E 48, 3077, 1993). The pin walks downhill in E from the centre;
+unpinned Newton from the lowest node's root gives one more root, and
+the pinned root itself is the last. Every solve is tridiagonal, O(n).
+A gradient tolerance below the rounding floor of the discrete gradient,
 2 kf eps max(a) / h^2, could never be met, and is refused with a
 ValidationError before any work is done.
 
 `newton_polish` accepts a fixed source s, which turns the equation
-into R(w) = s (see `reduction`); `correct` uses that for the one
-deferred-correction solve that lifts the minimizer of the second-order
-energy to a fourth-order front.
+into R(w) = s (see `reduction`); `_correct` solves that equation from
+each root `minimize` tries, the deferred correction.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from operator import add
 
@@ -46,15 +47,21 @@ from .reduction import (WeightedAC, _energy_values, _jacobian_bands,
 __all__ = [
     "MinimizeOptions", "MinimizeResult", "PolishResult",
     "decay_rate_bound", "select_truncation", "make_truncated_grid",
-    "guess_rate", "initial_guess", "minimize", "newton_polish", "correct",
+    "guess_rate", "initial_guess", "minimize", "newton_polish",
     "report_crossing",
 ]
 
 # Guess profiles stay strictly inside (-1, 1) except at the boundary.
 _GUESS_CLEARANCE = 1e-12
 # Newton corrections larger than this in sup norm are treated as
-# divergence of the linearization, not as a usable step.
+# divergence of the linearization, not as a usable step. The deferred
+# correction relies on it: on a constant cubic (lam = -3.9496041383066816,
+# n_per 128, L = 7) the uncapped free solve drifts along the translation
+# mode for 37 steps and ends 2.8e-9 off centre, where the capped one
+# refuses its first step and the pinned solve centres the front exactly.
 _POLISH_STEP_CAP = 1.0
+# Newton steps per solve.
+_MAX_NEWTON_STEPS = 40
 
 
 @dataclass(frozen=True)
@@ -135,8 +142,7 @@ def initial_guess(grid: Grid, kappa: float, centre: float = 0.0) -> Profile:
     return Profile(grid, w)
 
 
-def newton_polish(w, ac: WeightedAC, tol: float,
-                  max_iters: int = 40, source=None,
+def newton_polish(w, ac: WeightedAC, tol: float, source=None,
                   step_cap: float = _POLISH_STEP_CAP,
                   pin: int | None = None) -> PolishResult:
     """Damped Newton on the reduced residual with pinned boundary values.
@@ -159,7 +165,7 @@ def newton_polish(w, ac: WeightedAC, tol: float,
     sup = float(np.max(np.abs(res)))
     history = [sup]
     iterations = 0
-    while sup > tol and iterations < max_iters:
+    while sup > tol and iterations < _MAX_NEWTON_STEPS:
         bands = _jacobian_bands(ac, w)
         if pin is not None:
             _hold(bands, pin)
@@ -252,15 +258,13 @@ def _pinning_sites(ac: WeightedAC) -> np.ndarray:
 
 
 def _site_scan(ac, centre: PolishResult, start_energy: float,
-               target_res: float, source_of=None):
-    """Newton from a tanh guess at each pinning site, after the centre
-    root was refused; returns (root or None, Newton iterations).
+               target_res: float):
+    """Newton from a tanh guess at each pinning site; returns (the
+    certified roots, lowest energy first, Newton iterations).
 
-    A site root is kept if it passes `_is_certified_root` with an energy
-    no higher than the start's and the centre root's; of those, the one
-    of lowest energy wins. With `source_of` given, a root counts only
-    if the deferred correction from it, R(v) = source_of(root), also
-    converges by Newton; otherwise the next one is tried.
+    A site root counts if it passes `_is_certified_root` with an energy
+    no higher than the start's and the centre root's. Of equal
+    energies, the site nearest the centre comes first.
     """
     bound = start_energy
     if centre.converged:
@@ -273,13 +277,8 @@ def _site_scan(ac, centre: PolishResult, start_energy: float,
         iterations += root.iterations
         if _is_certified_root(ac, root, bound):
             roots.append((_energy_values(ac, root.values), root))
-    # sorted is stable: of equal energies, the site nearest the centre
-    for _, root in sorted(roots, key=lambda item: item[0]):
-        if source_of is None or newton_polish(
-                root.values, ac, tol=target_res,
-                source=source_of(Profile(ac.grid, root.values))).converged:
-            return root, iterations
-    return None, iterations
+    return [root for _, root in sorted(roots, key=lambda item: item[0])], \
+        iterations
 
 
 def _shifted(w: np.ndarray, nodes: int) -> np.ndarray:
@@ -336,87 +335,90 @@ def _phase_walk(ac, start: np.ndarray, target_res: float):
     return best, pin, iterations
 
 
-def minimize(ac: WeightedAC, options: MinimizeOptions | None = None,
-             source_of=None) -> MinimizeResult:
-    """Front profile of the reduced energy: certified Newton from the
-    centred tanh guess, then the pinning sites, then the phase walk.
+def minimize(ac: WeightedAC, source_of,
+             options: MinimizeOptions | None = None) -> MinimizeResult:
+    """Fourth-order front: the first certified root of the reduced
+    equation whose deferred correction converges, corrected.
 
-    Convergence test: sup |gradient| / h <= grad_tol, equivalently
-    sup |residual| <= grad_tol / (2 * kinetic_factor). A Newton root is
-    returned only if it is certified (`_is_certified_root`, energy at
-    most the start's). If the centre root is refused, `_site_scan` runs;
-    `source_of`, a map from a front Profile to its deferred-correction
-    source, makes a site root count only if the correction from it
-    converges by Newton. Failing both, unpinned Newton from the root at
-    the lowest node of `_phase_walk` gives the front if it is certified
-    with no higher energy. Otherwise that pinned root is returned, with
-    flag `phase_pinned`, if its full residual meets the tolerance and it
-    is a strict minimizer with the node held; else NonConvergence.
-    A non-monotone front raises MonotonicityLoss.
+    `source_of` maps a root, as a Profile, to its deferred-correction
+    source (see `reduction.correction_source`); a map that returns None
+    gives the second-order minimizer itself. Roots are tried in the
+    order of `_candidates`, and a search runs only once every earlier
+    root has failed its correction (`_correct`). Convergence test:
+    sup |gradient| / h <= grad_tol, equivalently sup |residual| <=
+    grad_tol / (2 * kinetic_factor), on the corrected equation.
+    `polish_iterations` sums every Newton iteration, searches and
+    corrections alike. NonConvergence is raised when no root corrects;
+    a non-monotone front raises MonotonicityLoss.
     """
-    options = options or MinimizeOptions()
-    target_res = _target_residual(ac, options)
+    target_res = _target_residual(ac, options or MinimizeOptions())
+    spent = []
+    residual = float("nan")
+    for root, flags in _candidates(ac, target_res, spent):
+        front = _correct(ac, root.values,
+                         source_of(Profile(ac.grid, root.values)), target_res)
+        spent.append(front.iterations)
+        if front.converged:
+            return _front_result(ac, front.values, front.residual_sup,
+                                 sum(spent), flags)
+        residual = front.residual_sup
+    raise NonConvergence(
+        f"no certified root whose deferred correction converges (last "
+        f"correction residual {residual:.3e})",
+        final_residual=residual, iterations=sum(spent))
+
+
+def _candidates(ac, target_res: float, spent: list):
+    """The certified roots `minimize` tries, in order, each with its run
+    flags; lazy, so each search runs only when the roots before it are
+    used up. The Newton iterations of every search go onto `spent`.
+
+    First the centre root, Newton from the centred tanh guess; then the
+    site roots of `_site_scan`; then unpinned Newton from the root at
+    the lowest node of `_phase_walk`, certified with energy no higher
+    than that root's; last the pinned root itself, with flag
+    `phase_pinned`, if its full residual meets the tolerance and it is
+    a strict minimizer with the node held.
+    """
     start = initial_guess(ac.grid, guess_rate(ac)).values
     energy = _energy_values(ac, start)
-
     first = newton_polish(start, ac, tol=target_res, step_cap=np.inf)
-    iterations = first.iterations
-    root = first if _is_certified_root(ac, first, energy) else None
-    if root is None:
-        root, site_iterations = _site_scan(ac, first, energy, target_res,
-                                           source_of)
-        iterations += site_iterations
-    if root is not None:
-        return _front_result(ac, root.values, root.residual_sup, iterations,
-                             set())
-
-    pinned, pin, walk_iterations = _phase_walk(ac, start, target_res)
-    iterations += walk_iterations
+    spent.append(first.iterations)
+    if _is_certified_root(ac, first, energy):
+        yield first, ()
+    roots, iterations = _site_scan(ac, first, energy, target_res)
+    spent.append(iterations)
+    for root in roots:
+        yield root, ()
+    pinned, pin, iterations = _phase_walk(ac, start, target_res)
     free = newton_polish(pinned.values, ac, tol=target_res)
-    iterations += free.iterations
+    spent.extend((iterations, free.iterations))
     if _is_certified_root(ac, free, _energy_values(ac, pinned.values)):
-        return _front_result(ac, free.values, free.residual_sup, iterations,
-                             set())
+        yield free, ()
     if pinned.converged and _is_strict_minimizer(ac, pinned.values, pin):
-        return _front_result(ac, pinned.values, pinned.residual_sup,
-                             iterations, {"phase_pinned"})
-    raise NonConvergence(
-        f"no certified front at the phase walk's node {pin}: residual "
-        f"{pinned.residual_sup:.3e} pinned, {free.residual_sup:.3e} free",
-        final_residual=free.residual_sup, iterations=iterations)
+        yield pinned, ("phase_pinned",)
 
 
-def correct(ac: WeightedAC, first: MinimizeResult, source,
-            options: MinimizeOptions | None = None) -> MinimizeResult:
-    """One deferred-correction solve R(w) = source, started at `first`.
+def _correct(ac, root: np.ndarray, source, tol: float) -> PolishResult:
+    """The deferred-correction solve R(w) = source from a root; its
+    iterations sum both attempts.
 
-    Newton from the minimizer normally converges in a few steps, since
-    the source moves the root by O(h^2). Where the near-zero translation
-    mode stalls it, Newton runs once more from `first` with the node
+    Newton from the root normally converges in a few steps, since the
+    source moves the root by O(h^2). Where the near-zero translation
+    mode stalls it, Newton runs once more from the root with the node
     nearest its crossing pinned to zero, the phase condition; that
     counts only if the full residual, pinned row included, meets the
-    tolerance, and NonConvergence is raised otherwise. The result sums
-    the Newton iterations and keeps the flags of `first`; its final
-    energy is the reduced energy (no source term) of the corrected
-    front.
+    tolerance.
     """
-    tol = _target_residual(ac, options or MinimizeOptions())
-    polish = newton_polish(first.profile, ac, tol=tol, source=source)
-    iterations = first.polish_iterations + polish.iterations
-    if not polish.converged:
-        pin = int(np.argmin(np.abs(ac.grid.x()
-                                   - report_crossing(first.profile))))
-        start = first.profile.values.copy()
-        start[pin] = 0.0
-        polish = newton_polish(start, ac, tol=tol, source=source, pin=pin)
-        iterations += polish.iterations
-        if not polish.converged:
-            raise NonConvergence(
-                f"deferred correction stalled at residual "
-                f"{polish.residual_sup:.3e} with node {pin} pinned",
-                final_residual=polish.residual_sup, iterations=iterations)
-    return _front_result(ac, polish.values, polish.residual_sup, iterations,
-                         first.flags)
+    free = newton_polish(root, ac, tol=tol, source=source)
+    if free.converged:
+        return free
+    pin = int(np.argmin(np.abs(ac.grid.x()
+                               - report_crossing(Profile(ac.grid, root)))))
+    start = root.copy()
+    start[pin] = 0.0
+    pinned = newton_polish(start, ac, tol=tol, source=source, pin=pin)
+    return replace(pinned, iterations=free.iterations + pinned.iterations)
 
 
 def _target_residual(ac: WeightedAC, options: MinimizeOptions) -> float:

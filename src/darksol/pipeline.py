@@ -2,20 +2,20 @@
 
 A soliton run is: validate the problem, solve the periodic background
 (Newton), cross-check it against the monotone iteration, extend it to
-a truncated symmetric domain, reduce, minimize the reduced energy,
-correct the minimizer once to fourth order (deferred correction), and
-assemble the verification report. The run's status is `ok` when the
-report verifies and `property_violation` when it does not. Everything
-the command line writes comes out of the run object built here.
+a truncated symmetric domain, reduce, find the front (a certified
+minimizer of the reduced energy, lifted to fourth order by one deferred
+correction), and assemble the verification report. The run's status is
+`ok` when the report verifies and `property_violation` when it does
+not. Everything the command line writes comes out of the run object
+built here.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kink import (MinimizeOptions, MinimizeResult, correct,
-                   make_truncated_grid, minimize, report_crossing,
-                   select_truncation)
+from .kink import (MinimizeOptions, MinimizeResult, make_truncated_grid,
+                   minimize, report_crossing, select_truncation)
 from .model import Grid, Problem, Profile, validate_problem
 from .periodic import (MonotoneResult, PeriodicResult,
                        monotone_iteration_oracle, solve_periodic)
@@ -67,18 +67,9 @@ def run_soliton(problem: Problem,
     background_ext = Profile(grid, periodic.coefficient.on_grid(grid))
     ac = to_allen_cahn(problem, background_ext)
 
-    # A site root is taken only once its correction converges, so the
-    # source `correct` needs for it has already been built.
-    sources = {}
-
-    def source_of(w):
-        key = w.values.tobytes()
-        if key not in sources:
-            sources[key] = correction_source(problem, ac, background_ext, w)
-        return sources[key]
-
-    result = minimize(ac, minimize_options, source_of=source_of)
-    result = correct(ac, result, source_of(result.profile), minimize_options)
+    result = minimize(
+        ac, lambda w: correction_source(problem, ac, background_ext, w),
+        minimize_options)
     w = result.profile
     phi = lift(w, background_ext)
     crossing = report_crossing(w)

@@ -10,9 +10,10 @@ from darksol import (Grid, MinimizeOptions, Problem, Profile, WeightedAC,
                      newton_polish, report_crossing, run_soliton,
                      sample_coefficient, select_truncation, solve_periodic,
                      to_allen_cahn)
-from darksol import kink
-from darksol.errors import GridMismatchError, NoSignChange, ValidationError
-from darksol.kink import _is_strict_minimizer, correct
+from darksol import kink, pipeline
+from darksol.errors import (GridMismatchError, NoSignChange, NonConvergence,
+                            ValidationError)
+from darksol.kink import _is_strict_minimizer
 from darksol.reduction import (_jacobian_bands, correction_source, energy,
                                residual_reduced)
 
@@ -25,6 +26,12 @@ def reduced_problem(problem, half_length, n_per):
     grid = make_truncated_grid(problem.period, half_length, n_per)
     bg = Profile(grid, periodic.coefficient.on_grid(grid))
     return grid, bg, to_allen_cahn(problem, bg)
+
+
+def no_correction(w):
+    """The source map under which `minimize` returns the second-order
+    minimizer itself: no source, so the correction takes no step."""
+    return None
 
 
 def test_decay_rate_bound_values():
@@ -81,7 +88,7 @@ def test_initial_guess_shape():
 def test_minimize_constant_cubic_matches_closed_form():
     problem = constant_cubic(lam=-1.0)
     grid, bg, ac = reduced_problem(problem, 6.0, 256)
-    result = minimize(ac)
+    result = minimize(ac, no_correction)
     assert result.grad_sup_per_h <= 1e-8
     x = grid.x()
     collar = np.abs(x) <= 4.0
@@ -95,7 +102,7 @@ def test_minimize_constant_cubic_matches_closed_form():
 def test_minimize_variable_coefficient():
     problem = sinusoidal_cubic(lam=-1.0, amp=0.5, n_per=128)
     grid, bg, ac = reduced_problem(problem, 6.0, 128)
-    result = minimize(ac)
+    result = minimize(ac, no_correction)
     assert result.grad_sup_per_h <= 1e-8
     w = result.profile.values
     assert np.all(np.diff(w) >= 0)
@@ -108,7 +115,7 @@ def test_minimize_quintic_matches_quadrature(rng):
     half = select_truncation(problem)
     assert half == 7.0
     grid, bg, ac = reduced_problem(problem, half, 256)
-    result = minimize(ac)
+    result = minimize(ac, no_correction)
     rho_sq = bracket_bounds(problem).lower ** 2
     x = grid.x()
     oracle = quintic_front_oracle(x, 0.5 * rho_sq, rho_sq**2)
@@ -120,7 +127,7 @@ def test_minimize_quintic_matches_quadrature(rng):
 def test_newton_polish_on_converged_profile():
     problem = constant_cubic(lam=-1.0)
     grid, bg, ac = reduced_problem(problem, 6.0, 256)
-    result = minimize(ac)
+    result = minimize(ac, no_correction)
     # the solution is a fixed point, with or without a node held
     for pin in (None, grid.n // 2, grid.n // 2 + 7):
         polish = newton_polish(result.profile, ac, tol=5e-9, pin=pin)
@@ -155,14 +162,28 @@ def test_grad_tol_below_the_rounding_floor_is_refused():
     # is about 4.4e-12 here; below it the descent could only grind
     problem = constant_cubic(lam=-1.0, n_per=100)
     grid, bg, ac = reduced_problem(problem, 20.0, 100)
-    fine = minimize(ac, MinimizeOptions(grad_tol=1e-11))
+    fine = minimize(ac, no_correction, MinimizeOptions(grad_tol=1e-11))
     assert fine.grad_sup_per_h <= 1e-11
     with pytest.raises(ValidationError) as err:
-        minimize(ac, MinimizeOptions(grad_tol=1e-12))
+        minimize(ac, no_correction, MinimizeOptions(grad_tol=1e-12))
     assert "1.000e-12" in str(err.value) and "4.4" in str(err.value)
-    first = minimize(ac)
+    # refused before any root is sought or corrected
+    given = []
     with pytest.raises(ValidationError):
-        correct(ac, first, np.zeros(grid.n), MinimizeOptions(grad_tol=1e-12))
+        minimize(ac, given.append, MinimizeOptions(grad_tol=1e-12))
+    assert not given
+
+
+def recording(problem, ac, bg):
+    """A correction source map, and the list of the roots it was given:
+    the last is the one whose correction `minimize` returned."""
+    given = []
+
+    def source_of(w):
+        given.append(w.values)
+        return correction_source(problem, ac, bg, w)
+
+    return source_of, given
 
 
 def test_correct_lifts_the_minimizer_to_fourth_order():
@@ -172,9 +193,13 @@ def test_correct_lifts_the_minimizer_to_fourth_order():
     # the closed form centred at its own crossing.
     problem = constant_cubic(lam=-1.0, n_per=128)
     grid, bg, ac = reduced_problem(problem, 10.0, 128)
-    first = minimize(ac)
+    first = minimize(ac, no_correction)
+    source_of, given = recording(problem, ac, bg)
+    fixed = minimize(ac, source_of)
+    # corrected from the minimizer itself, the centre root
+    assert len(given) == 1
+    np.testing.assert_array_equal(given[0], first.profile.values)
     source = correction_source(problem, ac, bg, first.profile)
-    fixed = correct(ac, first, source)
     x = grid.x()
     collar = np.abs(x) <= 4.0
 
@@ -206,20 +231,81 @@ def test_correct_pins_the_front_where_newton_stalls():
     lam = -3.8034336019150903
     problem = constant_cubic(lam=lam, n_per=128)
     grid, bg, ac = reduced_problem(problem, 7.0, 128)
-    first = minimize(ac)
+    first = minimize(ac, no_correction)
     source = correction_source(problem, ac, bg, first.profile)
     tol = kink._target_residual(ac, MinimizeOptions())
     for cap in (1.0, np.inf):
         free = newton_polish(first.profile, ac, tol=tol, source=source,
                              step_cap=cap)
         assert free.residual_sup >= 1e-4
-    fixed = correct(ac, first, source)
+    source_of, given = recording(problem, ac, bg)
+    fixed = minimize(ac, source_of)
+    assert len(given) == 1
+    np.testing.assert_array_equal(given[0], first.profile.values)
     assert fixed.grad_sup_per_h <= 1e-8
     assert report_crossing(fixed.profile) == 0.0
     x = grid.x()
     inner = np.abs(x) <= 3.5
     exact = cubic_front_exact(x[inner], lam)
     assert np.max(np.abs(fixed.profile.values[inner] - exact)) <= 1e-9
+
+
+def test_step_cap_keeps_the_correction_off_the_translation_mode():
+    # seed 951, b38.const0: uncapped, the free correction drifts along
+    # the translation mode for 37 steps and ends 2.8e-9 off centre; the
+    # cap refuses its first step, and the pinned solve centres the front
+    lam = -3.9496041383066816
+    run = run_soliton(constant_cubic(lam=lam, n_per=128), half_length=7.0)
+    assert run.status == "ok"
+    assert run.crossing == 0.0
+    assert run.minimize.polish_iterations == 5
+
+
+def sourced_cos_case():
+    """1 + 0.5 cos at lambda = -1: the centre root is a saddle, and the
+    site scan certifies the fronts at x = -0.5 and x = +0.5."""
+    g = sample_coefficient("1 + 0.5*cos(2*pi*x)", 1.0, 128, positive=True)
+    problem = Problem(kind="cubic", lam=-1.0, period=1.0, g=g)
+    grid, bg, ac = reduced_problem(problem, 6.0, 128)
+    return ac, lambda w: correction_source(problem, ac, bg, w)
+
+
+def test_a_root_whose_correction_fails_hands_on_to_the_next():
+    # a source far beyond one capped Newton step cannot be met from any
+    # root; given for the first root only, the next root is corrected
+    ac, source_of = sourced_cos_case()
+    given = []
+
+    def first_unmet(w):
+        given.append(w)
+        return np.full(ac.grid.n, 1e3) if len(given) == 1 else source_of(w)
+
+    front = minimize(ac, first_unmet)
+    assert len(given) == 2
+    first, second = (report_crossing(w) for w in given)
+    assert first == pytest.approx(-0.5, abs=1e-3)
+    assert second == pytest.approx(0.5, abs=1e-3)
+    assert report_crossing(front.profile) == pytest.approx(second, abs=1e-3)
+    assert front.grad_sup_per_h <= 1e-8
+    # with every correction met, the first root is the front
+    assert report_crossing(minimize(ac, source_of).profile) == \
+        pytest.approx(first, abs=1e-3)
+
+
+def test_no_root_that_corrects_is_one_nonconvergence():
+    ac, _ = sourced_cos_case()
+    given = []
+
+    def unmet(w):
+        given.append(w)
+        return np.full(ac.grid.n, 1e3)
+
+    with pytest.raises(NonConvergence) as err:
+        minimize(ac, unmet)
+    # both site roots, then the walk's free root, each tried once
+    assert len(given) >= 3
+    assert err.value.final_residual >= 1e2
+    assert err.value.iterations > 0
 
 
 def cubic_case(expr, half_length=6.0, n_per=128):
@@ -250,7 +336,7 @@ def test_minimize_takes_a_certified_newton_root():
     # minimum of its landscape; the centre root certifies, and the phase
     # walk from the centre reaches the same front
     grid, _, ac = cubic_case("1 + 0.9*sin(2*pi*x)")
-    result = minimize(ac)
+    result = minimize(ac, no_correction)
     start = energy(initial_guess(grid, guess_rate(ac)), ac)
     assert result.flow_iterations == 0
     assert 0 < result.polish_iterations
@@ -279,7 +365,7 @@ def test_minimize_falls_back_from_a_saddle():
     root = centre_root(ac)
     assert root.converged
     assert lowest_hessian_eigenvalue(ac, root.values) < 0
-    result = minimize(ac)
+    result = minimize(ac, no_correction)
     assert result.flow_iterations == 0
     assert lowest_hessian_eigenvalue(ac, result.profile.values) > 0
     assert _is_strict_minimizer(ac, result.profile.values)
@@ -294,10 +380,10 @@ def test_descent_runs_when_no_site_certifies(monkeypatch):
     # landscape from the centre saddle, which the gradient flow could not
     # leave by symmetry, to the front the scan finds at x = +-0.5
     grid, _, ac = cubic_case("1 + 0.5*cos(2*pi*x)")
-    scanned = minimize(ac)
+    scanned = minimize(ac, no_correction)
     saddle = centre_root(ac)
-    monkeypatch.setattr(kink, "_site_scan", lambda *args: (None, 0))
-    result = minimize(ac)
+    monkeypatch.setattr(kink, "_site_scan", lambda *args: ([], 0))
+    result = minimize(ac, no_correction)
     assert result.flow_iterations == 0
     assert not result.flags
     assert abs(report_crossing(result.profile)) == pytest.approx(0.5,
@@ -335,7 +421,7 @@ def test_flat_landscape_keeps_the_pinned_root():
     lam = -3.4027223133471085
     grid, _, ac = reduced_problem(constant_cubic(lam=lam, n_per=128), 7.0,
                                   128)
-    result = minimize(ac)
+    result = minimize(ac, no_correction)
     assert result.flags == {"phase_pinned"}
     assert result.grad_sup_per_h <= 1e-8
     w, pin = result.profile.values, grid.n // 2
@@ -364,7 +450,7 @@ def test_pinning_sites():
 
 def test_minimizer_certificate():
     _, _, ac = cubic_case("1 + 0.9*sin(2*pi*x)")
-    front = minimize(ac).profile.values
+    front = minimize(ac, no_correction).profile.values
     assert lowest_hessian_eigenvalue(ac, front) > 0
     assert _is_strict_minimizer(ac, front)
     _, _, ac = cubic_case("1 + 0.5*cos(2*pi*x)")
@@ -412,33 +498,39 @@ def weak_quintic(lam, amp, g1, phase, n_per):
                    potential=potential, g1=g1)
 
 
-def run_front(problem, half_length):
-    """The run, and the minimizer it corrected, found as the run finds it."""
+def run_front(monkeypatch, problem, half_length):
+    """The run, its reduced problem, and the root whose correction gave
+    its front: the last root the run's source map was given."""
+    given = []
+
+    def source(problem, ac, bg, w):
+        given.append((ac, w))
+        return correction_source(problem, ac, bg, w)
+
+    monkeypatch.setattr(pipeline, "correction_source", source)
     run = run_soliton(problem, half_length=half_length)
-    ac = to_allen_cahn(run.problem, run.background_ext)
-    front = minimize(ac, source_of=lambda w: correction_source(
-        run.problem, ac, run.background_ext, w))
-    return run, ac, front
+    return (run, *given[-1])
 
 
-def test_weakly_pinned_site_root_is_not_taken():
+def test_weakly_pinned_site_root_is_not_taken(monkeypatch):
     # the certified root at x = -0.5 lies 2.8e-9 below the centre saddle
-    # and its deferred correction stalls in Newton at 2.5e-7; the site
-    # is passed over, and the phase walk finds a front lower still. The
+    # and its deferred correction stalls, free at 2.5e-7 and pinned at
+    # 3.9e-7; the site is passed over, and the phase walk finds a front
+    # lower still. The
     # landscape is so flat that the pinned ends at L = 10 shape it too:
     # its lowest node is at x = 0.477, not at the extremum of V.
     problem = weak_quintic(-0.40848040045694534, 0.5072631557554451,
                            0.18578025749299015, 0.5, 128)
-    run, ac, front = run_front(problem, 10.0)
+    run, ac, root = run_front(monkeypatch, problem, 10.0)
     assert run.status == "ok"
     assert run.minimize.flow_iterations == 0
     assert run.crossing == pytest.approx(0.477, abs=1e-3)
-    assert lowest_hessian_eigenvalue(ac, front.profile.values) > 0
-    # without the correction check the scan would take that site root
-    unchecked = minimize(ac)
+    assert lowest_hessian_eigenvalue(ac, root.values) > 0
+    # without the correction the site root would be taken
+    unchecked = minimize(ac, no_correction)
     assert report_crossing(unchecked.profile) == pytest.approx(-0.5,
                                                                abs=1e-2)
-    assert front.final_energy < unchecked.final_energy
+    assert energy(root, ac) < unchecked.final_energy
 
 
 @pytest.mark.parametrize("problem, half_length, crossing", [
@@ -453,20 +545,20 @@ def test_weakly_pinned_site_root_is_not_taken():
     (weak_quintic(-0.4696574166573085, 0.05042428552404413,
                   0.5609484571941229, 0.5, 128), 9.0, -0.425),
 ], ids=["draw14", "draw26"])
-def test_walk_certifies_the_weakly_pinned_fronts(problem, half_length,
-                                                 crossing):
+def test_walk_certifies_the_weakly_pinned_fronts(monkeypatch, problem,
+                                                 half_length, crossing):
     # weak pinning: the site scan certifies nothing and the gradient flow
     # ended on the centre saddle, reported ok
-    run, ac, front = run_front(problem, half_length)
+    run, ac, root = run_front(monkeypatch, problem, half_length)
     assert run.status == "ok"
     assert run.minimize.flow_iterations == 0
-    assert abs(report_crossing(front.profile)) == pytest.approx(
-        abs(crossing), abs=1e-3)
-    assert lowest_hessian_eigenvalue(ac, front.profile.values) > 0
+    assert abs(report_crossing(root)) == pytest.approx(abs(crossing),
+                                                       abs=1e-3)
+    assert lowest_hessian_eigenvalue(ac, root.values) > 0
     saddle = centre_root(ac)
     assert saddle.converged
     assert lowest_hessian_eigenvalue(ac, saddle.values) < 0
-    assert front.final_energy < energy(Profile(ac.grid, saddle.values), ac)
+    assert energy(root, ac) < energy(Profile(ac.grid, saddle.values), ac)
 
 
 def test_random_phase_front_travels_to_the_descents_answer():
@@ -479,6 +571,21 @@ def test_random_phase_front_travels_to_the_descents_answer():
     assert run.minimize.flow_iterations == 0
     assert run.crossing == pytest.approx(0.35990, abs=1e-4)
     assert run.minimize.final_energy <= 0.40285832223113 + 1e-12
+
+
+def test_flat_landscape_front_is_taken_from_the_walk(monkeypatch):
+    # random-phase b0.draw38: the centre root certifies, but on this flat
+    # landscape its correction stalls both ways (free at 1.3e-7, pinned
+    # at 1.2e-7 in the pinned row); the run ended NonConvergence. The
+    # walk's free root corrects, pinned at its crossing.
+    problem = weak_quintic(-0.4616573981893832, 6.58350345155725e-4,
+                           0.6586352012505322, 0.32414107470046183, 256)
+    run, ac, root = run_front(monkeypatch, problem, 10.0)
+    assert run.status == "ok"
+    assert run.crossing == pytest.approx(0.0625, abs=1e-4)
+    assert run.minimize.final_energy == pytest.approx(0.29657827789771,
+                                                      abs=1e-12)
+    assert lowest_hessian_eigenvalue(ac, root.values) > 0
 
 
 def test_strong_modulation_at_large_lambda_converges():
