@@ -19,7 +19,7 @@ run = run_soliton(problem)
 print(f"status                 {run.status}")
 print(f"half length            {run.half_length:g}  "
       f"(grid of {run.grid.n} nodes, h = {run.grid.h:g})")
-print(f"background route gap   {run.monotone_agreement_sup:.3e}")
+print(f"background enclosure   {run.periodic.enclosure_width:.3e}")
 print(f"gradient sup / h       {run.minimize.grad_sup_per_h:.3e}")
 print(f"front crossing at      {run.crossing:+.6f}")
 print(f"energy                 {run.minimize.final_energy:.8f}")

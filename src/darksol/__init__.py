@@ -28,6 +28,6 @@ from .reduction import (WeightedAC, energy, energy_gradient, lift,
                         residual_reduced, to_allen_cahn)
 from .verify import (DecayFit, SolitonReport, amplitude_margin,
                      build_report, check_asymptotic_ratio, fit_decay_rate,
-                     gradient_consistency, monotonicity_margin, residual_phi)
+                     monotonicity_margin, residual_phi)
 
 __version__ = "0.1.0"

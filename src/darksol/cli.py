@@ -25,6 +25,7 @@ from .evolve import (EvolveOptions, evolve_nls, kink_drift, make_ansatz,
 from .exprparse import compile_expression
 from .kink import MinimizeOptions, make_truncated_grid, select_truncation
 from .model import Grid, Problem, Profile, sample_coefficient, validate_problem
+from .periodic import solve_periodic
 from .pipeline import run_background, run_soliton
 from .reduction import residual_reduced, to_allen_cahn
 from .verify import TAIL_FRACTION, build_report
@@ -259,17 +260,17 @@ def _status(verified: bool) -> str:
     return "ok" if verified else "property_violation"
 
 
-def _background_blocks(periodic, monotone, agreement) -> dict:
-    """The `bracket` and `periodic` report blocks of a background solve."""
+def _background_blocks(periodic, **oracle) -> dict:
+    """The `bracket` and `periodic` report blocks of a background solve,
+    with the oracle's numbers when it ran."""
     return {
         "bracket": {"lower": periodic.bracket.lower,
                     "upper": periodic.bracket.upper},
         "periodic": {
             "residual_sup": periodic.residual_sup,
             "newton_iterations": periodic.iterations,
-            "monotone_iterations": monotone.iterations,
-            "monotone_gap_sup": monotone.gap_sup,
-            "monotone_agreement_sup": agreement,
+            "enclosure_width": periodic.enclosure_width,
+            **oracle,
         },
     }
 
@@ -281,11 +282,13 @@ def cmd_solve_periodic(cfg: RunConfig, out_dir, seed) -> int:
     write_csv(os.path.join(out_dir, "phi_plus.csv"), ["x", "phi_plus"],
               [x, periodic.profile.values])
     report = _base_report("solve-periodic", cfg, seed)
-    # solve_periodic returns only at its residual's rounding floor and
-    # raises NonConvergence otherwise, so a returned background converged
+    # solve_periodic returns only at its rounding floor with a verified
+    # enclosure and raises NonConvergence otherwise
     report.update({
         "problem": _problem_block(problem),
-        **_background_blocks(periodic, monotone, agreement),
+        **_background_blocks(periodic, monotone_iterations=monotone.iterations,
+                             monotone_gap_sup=monotone.gap_sup,
+                             monotone_agreement_sup=agreement),
         "verified": True,
         "status": "ok",
     })
@@ -308,8 +311,7 @@ def _soliton_report_payload(cfg: RunConfig, seed, run) -> dict:
     report = _base_report("solve-soliton", cfg, seed)
     report.update({
         "problem": _problem_block(run.problem),
-        **_background_blocks(run.periodic, run.monotone,
-                             run.monotone_agreement_sup),
+        **_background_blocks(run.periodic),
         "truncation": {
             "half_length": run.half_length,
             "n_nodes": run.grid.n,
@@ -419,7 +421,8 @@ def cmd_evolve(cfg: RunConfig, out_dir, seed) -> int:
     if track_front:
         reference = _run_soliton(cfg, problem).phi
     else:
-        periodic, _, _ = run_background(problem)
+        validate_problem(problem)
+        periodic = solve_periodic(problem)
         half = cfg.half_length
         if half is None:
             half = select_truncation(problem)

@@ -1,10 +1,11 @@
 """Positive periodic background states.
 
-Two independent routes to the same object: Newton's method on the
-periodic discretization, started from the constant supersolution, and
-a monotone fixed-point iteration driven from constant sub- and
-supersolutions. Both carry an ordering proof, so the second doubles
-as an oracle for the first.
+Newton's method on the periodic discretization, started from the
+constant supersolution, certifies its own answer with a sub- and
+supersolution pair one cyclic solve away (the enclosure below). A
+monotone fixed-point iteration driven from the constant sub- and
+supersolutions reaches the same object by a second route; it is kept
+as an independent oracle for the first.
 
 The object is unique for every problem `validate_problem` accepts
 (Brezis & Oswald, Nonlinear Anal. 10, 55, 1986, on the discrete
@@ -21,9 +22,6 @@ Q_i(u) = mu_i + sum_p c_p u^(p-1) (see `Equation`).
   largest ratio. If t > 1, then u <= t v with equality at i, so
   D2 u_i <= t D2 v_i, which gives Q_i(u_i) <= Q_i(v_i) though
   u_i > v_i: a contradiction. So u <= v, and by symmetry u = v.
-The oracle's `gap_sup`, which bounds the distance between any two
-positive solutions of the discrete equation, is the computed
-counterpart of this argument.
 
 Newton from the supersolution falls monotonically to the background
 phi+ (Ortega & Rheinboldt, Iterative Solution of Nonlinear Equations
@@ -50,6 +48,18 @@ or step back while others are far off (a wide plateau of g at large
 |lambda|), so both routes take their steps by `_advance`: above the
 residual's rounding floor such a move is cut back; at the floor the
 first step that fails to move every node is noise and ends the solve.
+
+Enclosure. With phi_N Newton's last iterate and floor(u) the rounding
+floor of the residual at u (`_rounding_floor`), one cyclic solve with
+Newton's bands gives d = J(phi_N)^-1 (|G(phi_N)| + floor(phi_N)), and
+u+- = phi_N +- 1.5 d is to first order a strict super- and subsolution
+pair, the 1.5 leaving d/2 for the curvature of f. `_enclose` requires
+d > 0, u- > 0, G(u+) > floor(u+) and G(u-) < -floor(u-) at every node,
+so the computed signs are the exact ones. By the sub/supersolution
+argument the oracle's shifted sweeps from u- and u+ stay in [u-, u+]
+and end at positive solutions, which by uniqueness are phi+. So phi+
+lies in [u-, u+], whose width `enclosure_width` bounds Newton's error,
+rounding included.
 """
 
 from dataclasses import dataclass
@@ -105,6 +115,7 @@ class PeriodicResult:
     bracket: Bracket
     residual_sup: float
     iterations: int
+    enclosure_width: float
 
 
 @dataclass(frozen=True)
@@ -152,6 +163,7 @@ def solve_periodic(problem: Problem) -> PeriodicResult:
     Starts from the constant supersolution `bracket.upper`, undamped,
     and takes each step by `_advance`: every exact step lowers every
     node (module docstring). `iterations` counts the accepted steps.
+    The result is certified by `_enclose`, whose width it carries.
     """
     bracket = bracket_bounds(problem)
     eq = problem.equation()
@@ -162,9 +174,8 @@ def solve_periodic(problem: Problem) -> PeriodicResult:
     phi = np.full(n, bracket.upper)
     res = _residual(eq, phi, h)
     for iterations in range(_MAX_NEWTON_STEPS + 1):
-        # J = -k D2 + diag f'(phi), and f' = k F'
-        diag = eq.k * (2.0 / h**2 + _forcing_slope(eq, phi))
-        trial = phi + solve_cyclic(off, diag, off, -res)
+        trial = phi + solve_cyclic(off, _jacobian_diag(eq, phi, h), off,
+                                   -res)
         trial, done = _advance(floor, phi, res, trial, bracket.lower, phi,
                                "periodic Newton step", iterations)
         if done:
@@ -176,11 +187,36 @@ def solve_periodic(problem: Problem) -> PeriodicResult:
                 iterations=iterations)
         phi = trial
         res = _residual(eq, phi, h)
+    width = _enclose(eq, h, phi)
     profile, coefficient = _package_background(problem, phi)
     return PeriodicResult(profile=profile, coefficient=coefficient,
                           bracket=bracket,
                           residual_sup=float(np.max(np.abs(res))),
-                          iterations=iterations)
+                          iterations=iterations, enclosure_width=width)
+
+
+def _jacobian_diag(eq: Equation, phi: np.ndarray, h: float) -> np.ndarray:
+    """Diagonal of Newton's J = -k D2 + diag f'(phi), with f' = k F'."""
+    return eq.k * (2.0 / h**2 + _forcing_slope(eq, phi))
+
+
+def _enclose(eq: Equation, h: float, phi: np.ndarray) -> float:
+    """Width of a verified sub/supersolution pair around `phi` (module
+    docstring, Enclosure); NonConvergence names the first failed check."""
+    floor = _rounding_floor(eq, h)
+    off = np.full(phi.size, -eq.k / h**2)
+    d = solve_cyclic(off, _jacobian_diag(eq, phi, h), off,
+                     np.abs(_residual(eq, phi, h)) + floor(phi))
+    upper, lower = phi + 1.5 * d, phi - 1.5 * d
+    checks = (("d > 0", d > 0), ("u- > 0", lower > 0),
+              ("G(u+) > floor", _residual(eq, upper, h) > floor(upper)),
+              ("G(u-) < -floor", _residual(eq, lower, h) < -floor(lower)))
+    for name, holds in checks:
+        if not np.all(holds):
+            raise NonConvergence(
+                f"background enclosure: {name} fails at "
+                f"{np.count_nonzero(~holds)} of {phi.size} nodes")
+    return float(np.max(upper - lower))
 
 
 def _advance(floor, old: np.ndarray, res: np.ndarray, new: np.ndarray,

@@ -1,13 +1,14 @@
 """End-to-end drivers tying the stages together.
 
 A soliton run is: validate the problem, solve the periodic background
-(Newton), cross-check it against the monotone iteration, extend it to
-a truncated symmetric domain, reduce, find the front (a certified
+once (Newton, certified by its own sub/supersolution enclosure), extend
+it to a truncated symmetric domain, reduce, find the front (a certified
 minimizer of the reduced energy, lifted to fourth order by one deferred
 correction), and assemble the verification report. The run's status is
 `ok` when the report verifies and `property_violation` when it does
 not. Everything the command line writes comes out of the run object
-built here.
+built here. `run_background` is the two-route background check: Newton
+and the monotone oracle, with their disagreement.
 """
 
 from dataclasses import dataclass
@@ -17,8 +18,8 @@ import numpy as np
 from .kink import (MinimizeOptions, MinimizeResult, make_truncated_grid,
                    minimize, report_crossing, select_truncation)
 from .model import Grid, Problem, Profile, validate_problem
-from .periodic import (MonotoneResult, PeriodicResult,
-                       monotone_iteration_oracle, solve_periodic)
+from .periodic import (PeriodicResult, monotone_iteration_oracle,
+                       solve_periodic)
 from .reduction import correction_source, lift, to_allen_cahn
 from .verify import TAIL_FRACTION, SolitonReport, build_report
 
@@ -29,8 +30,6 @@ __all__ = ["SolitonRun", "run_background", "run_soliton"]
 class SolitonRun:
     problem: Problem
     periodic: PeriodicResult
-    monotone: MonotoneResult
-    monotone_agreement_sup: float
     half_length: float
     grid: Grid
     background_ext: Profile
@@ -59,7 +58,8 @@ def run_soliton(problem: Problem,
                 minimize_options: MinimizeOptions | None = None,
                 tail_fraction: float = TAIL_FRACTION) -> SolitonRun:
     """Full pipeline from problem data to a verified front profile."""
-    periodic, monotone, agreement = run_background(problem)
+    validate_problem(problem)
+    periodic = solve_periodic(problem)
 
     if half_length is None:
         half_length = select_truncation(problem)
@@ -78,8 +78,7 @@ def run_soliton(problem: Problem,
     report = build_report(problem, w, background_ext,
                           tail_fraction=tail_fraction)
     status = "ok" if report.verified else "property_violation"
-    return SolitonRun(problem=problem, periodic=periodic, monotone=monotone,
-                      monotone_agreement_sup=agreement,
+    return SolitonRun(problem=problem, periodic=periodic,
                       half_length=float(half_length), grid=grid,
                       background_ext=background_ext, minimize=result,
                       w=w, phi=phi, crossing=crossing, report=report,

@@ -146,6 +146,7 @@ def test_solve_periodic_outputs(tmp_path):
     assert report["verified"] is True
     assert report["periodic"]["residual_sup"] <= 1e-10
     assert report["periodic"]["monotone_agreement_sup"] <= 1e-8
+    assert 0 < report["periodic"]["enclosure_width"] <= 1e-8
     assert report["bracket"]["lower"] <= report["bracket"]["upper"]
     problem = report["problem"]
     assert problem["g_min"] <= problem["g_max"] / 3
@@ -198,9 +199,9 @@ def test_solve_soliton_and_verify_round_trip(tmp_path):
         "minimize", "run_flags", "soliton_report", "verified", "status"}
     assert set(report["problem"]) == {"kind", "lambda", "period",
                                       "n_per_period", "g_min", "g_max"}
+    # one background solve, certified by its own enclosure
     assert set(report["periodic"]) == {
-        "residual_sup", "newton_iterations", "monotone_iterations",
-        "monotone_gap_sup", "monotone_agreement_sup"}
+        "residual_sup", "newton_iterations", "enclosure_width"}
 
 
 def test_verify_catches_tampering(tmp_path):
@@ -284,7 +285,10 @@ def test_fine_grid_background_solves(tmp_path):
         out = tmp_path / command
         assert run_cli(command, config, out) == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["periodic"]["monotone_agreement_sup"] <= 1e-9
+        # the width is the rounding floor carried through J^-1: 1.26e-8
+        assert 0 < report["periodic"]["enclosure_width"] <= 2e-8
+        if command == "solve-periodic":
+            assert report["periodic"]["monotone_agreement_sup"] <= 1e-9
 
 
 def test_incommensurate_half_length_is_rejected(tmp_path):

@@ -11,6 +11,15 @@ from conftest import (attractive_quintic, constant_cubic, constant_quintic,
                       sinusoidal_cubic, sinusoidal_quintic)
 
 
+def assert_enclosed(result, monotone):
+    # the oracle's ends are a second route to phi+, which the verified
+    # pair holds: each must lie within the pair's width of Newton's
+    width = result.enclosure_width
+    assert np.isfinite(width) and width > 0
+    for end in (monotone.from_below, monotone.from_above):
+        assert np.all(np.abs(end.values - result.profile.values) <= width)
+
+
 def test_bracket_constant_cubic_collapses():
     b = bracket_bounds(constant_cubic(lam=-1.0))
     assert b.lower == b.upper == 1.0
@@ -168,7 +177,8 @@ def test_non_finite_newton_step_raises(monkeypatch):
 def test_every_accepted_newton_step_falls_at_every_node(monkeypatch):
     # from the supersolution each step lowers every node (the periodic
     # module's docstring); the first that does not is noise and is
-    # discarded, so it is the one step that is not counted
+    # discarded, so it is the one step that is not counted. The last
+    # cyclic solve is the enclosure's d, positive at every node
     steps = []
     solve = periodic.solve_cyclic
 
@@ -182,8 +192,10 @@ def test_every_accepted_newton_step_falls_at_every_node(monkeypatch):
                     sinusoidal_quintic(lam=-2.0, g1=-1.0)):
         steps.clear()
         result = solve_periodic(problem)
-        assert result.iterations == len(steps) - 1 >= 3
-        for step in steps[:-1]:
+        *newton, d = steps
+        assert np.all(d > 0)
+        assert result.iterations == len(newton) - 1 >= 3
+        for step in newton[:-1]:
             assert np.all(step < 0)
 
 
@@ -203,6 +215,7 @@ def test_every_accepted_newton_step_falls_at_every_node(monkeypatch):
 def test_newton_meets_the_oracle_where_tolerances_failed(problem):
     result, monotone, agreement = run_background(problem)
     assert agreement <= 1e-10
+    assert_enclosed(result, monotone)
     # the ends enclose the background, crossing by rounding at most
     assert -1e-12 <= monotone.gap_sup <= 1e-10
     h = problem.period / problem.n_per
@@ -245,6 +258,7 @@ def test_background_crosses_a_wide_plateau_of_g(lam):
     assert phi[32] == pytest.approx(np.sqrt(-lam), rel=1e-15)
     assert agreement <= 1e-12 * phi.max()
     assert abs(monotone.gap_sup) <= 1e-12 * phi.max()
+    assert_enclosed(result, monotone)
 
 
 def test_a_newton_step_that_moves_no_node_above_the_floor_raises(
@@ -294,6 +308,21 @@ def test_oracle_certifies_the_unique_background(problem):
     # g_min <= g_max / 3, or g1 < 0: outside any contraction argument,
     # yet the oracle's enclosure of every positive solution closes, and
     # Newton finds the solution it holds
-    _, monotone, agreement = run_background(problem)
+    result, monotone, agreement = run_background(problem)
     assert monotone.gap_sup <= 1e-10
     assert agreement <= 1e-9
+    assert_enclosed(result, monotone)
+
+
+def test_enclosure_refuses_a_profile_off_the_root():
+    # one node moved by 1e-6, 2,000 rounding floors: J^-1 spreads the
+    # residual at the bump into d ~ 3e-4 at every node, where the
+    # curvature of f over 1.5 d outweighs the floor and G(u-) > 0
+    problem = sinusoidal_cubic(lam=-1.0, amp=0.5)
+    eq, h = problem.equation(), problem.period / problem.n_per
+    phi = solve_periodic(problem).profile.values[:-1].copy()
+    assert 0 < periodic._enclose(eq, h, phi) <= 1e-9
+    phi[10] += 1e-6
+    with pytest.raises(NonConvergence,
+                       match=r"enclosure: G\(u-\) < -floor fails at"):
+        periodic._enclose(eq, h, phi)
