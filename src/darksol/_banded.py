@@ -14,7 +14,7 @@ from .errors import SingularLinearization
 __all__ = ["solve_tridiagonal", "solve_cyclic", "factor_cyclic"]
 
 
-def solve_tridiagonal(lower, diag, upper, rhs):
+def solve_tridiagonal(lower, diag, upper, rhs, overwrite=False):
     """Solve A y = rhs for tridiagonal A.
 
     lower[i] multiplies y[i-1] in row i (lower[0] ignored), upper[i]
@@ -22,13 +22,18 @@ def solve_tridiagonal(lower, diag, upper, rhs):
     data; raises SingularLinearization if the factorization fails.
     Finiteness is the caller's contract: nothing scans for nans, which
     keeps the hot path cheap and lets divergence checks see them.
+    The arguments are left as they were unless overwrite is set: then
+    LAPACK works in the four arrays and leaves them clobbered, with no
+    copies when they are contiguous, of one dtype and share no memory.
     """
     dtype = np.result_type(lower, diag, upper, rhs)
     gtsv, = get_lapack_funcs(("gtsv",), dtype=dtype)
     _, _, _, y, info = gtsv(np.asarray(lower, dtype=dtype)[1:],
                             np.asarray(diag, dtype=dtype),
                             np.asarray(upper, dtype=dtype)[:-1],
-                            np.asarray(rhs, dtype=dtype))
+                            np.asarray(rhs, dtype=dtype),
+                            overwrite_dl=overwrite, overwrite_d=overwrite,
+                            overwrite_du=overwrite, overwrite_b=overwrite)
     if info != 0:
         raise SingularLinearization(
             f"tridiagonal solve has a zero pivot at row {info}")

@@ -287,7 +287,6 @@ def cmd_solve_periodic(cfg: RunConfig, out_dir, seed) -> int:
     report.update({
         "problem": _problem_block(problem),
         **_background_blocks(periodic, monotone_iterations=monotone.iterations,
-                             monotone_gap_sup=monotone.gap_sup,
                              monotone_agreement_sup=agreement),
         "verified": True,
         "status": "ok",

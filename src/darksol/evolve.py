@@ -107,8 +107,12 @@ def _compact_operator(problem: Problem, grid: Grid):
     return -eq.k, eq.diagonal
 
 
-def _density(psi: np.ndarray) -> np.ndarray:
-    return psi.real**2 + psi.imag**2
+def _density(psi: np.ndarray, out: np.ndarray,
+             scratch: np.ndarray) -> np.ndarray:
+    """|psi|^2 = psi.real**2 + psi.imag**2 into out; scratch takes the
+    imaginary square."""
+    return np.add(np.square(psi.real, out=out),
+                  np.square(psi.imag, out=scratch), out=out)
 
 
 def evolve_nls(psi0: ComplexField, problem: Problem,
@@ -118,7 +122,10 @@ def evolve_nls(psi0: ComplexField, problem: Problem,
     The horizon is rounded to a whole number of steps. Each step relaxes
     the diagonal, D_new = 2 d(|psi_old|^2) - D_old, and solves the
     tridiagonal Cayley system (M + z A(D_new)) psi_new =
-    (M - z A(D_new)) psi_old, z = i dt / 2, once.
+    (M - z A(D_new)) psi_old, z = i dt / 2, once. A step allocates
+    nothing: the field, its density, the diagonals, the right side and
+    the three bands are arrays made once per call and written in place,
+    and the solve works in the band and right-side arrays themselves.
     """
     grid = psi0.grid
     n_steps = max(1, round(options.t_max / options.dt))
@@ -136,27 +143,40 @@ def evolve_nls(psi0: ComplexField, problem: Problem,
     times = [0.0]
     fields = [psi0]
 
-    relaxed = diagonal(_density(psi))
+    n = grid.n
+    density, doubled = np.empty(n), np.empty(n)
+    e, side = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
+    ten_e, centre, rhs, lower, diag, upper = np.empty((6, n - 2),
+                                                      dtype=complex)
+    interior = psi[1:-1]
+    relaxed = diagonal(_density(psi, density, doubled))
     for step in range(1, n_steps + 1):
         t_new = step * options.dt
-        relaxed = 2.0 * diagonal(_density(psi)) - relaxed
-        e = (z / 12.0) * relaxed
-        ten_e = 10.0 * e[1:-1]
+        # relaxed = 2 d(density) - relaxed, density that of the old field
+        np.subtract(np.multiply(2.0, diagonal(density, out=doubled),
+                                out=doubled), relaxed, out=relaxed)
+        np.multiply(z / 12.0, relaxed, out=e)
+        np.multiply(10.0, e[1:-1], out=ten_e)
         # Explicit application of (M - z A) to the old field.
-        side = (minus_off - e) * psi
-        rhs = side[:-2] + side[2:] + (minus_diag - ten_e) * psi[1:-1]
-        coupling = plus_off + e
+        np.multiply(np.subtract(minus_off, e, out=side), psi, out=side)
+        np.multiply(np.subtract(minus_diag, ten_e, out=centre), interior,
+                    out=centre)
+        np.add(np.add(side[:-2], side[2:], out=rhs), centre, out=rhs)
         rot = np.exp(1j * problem.lam * t_new)
         new_left, new_right = rot * edge_left, rot * edge_right
-        rhs[0] -= coupling[0] * new_left
-        rhs[-1] -= coupling[-1] * new_right
+        rhs[0] -= (plus_off + e[0]) * new_left
+        rhs[-1] -= (plus_off + e[-1]) * new_right
         # Row i couples to i - 1 and i + 1 through their own diagonals.
-        interior = solve_tridiagonal(coupling[:-2], plus_diag + ten_e,
-                                     coupling[2:], rhs)
-        psi = np.concatenate(([new_left], interior, [new_right]))
-        # One reduction serves both checks: a nan or inf anywhere makes
-        # the maximum non-finite.
-        peak = float(np.max(np.abs(psi)))
+        # The bands are separate arrays: LAPACK overwrites each of them.
+        np.add(plus_off, e[:-2], out=lower)
+        np.add(plus_off, e[2:], out=upper)
+        np.add(plus_diag, ten_e, out=diag)
+        interior[:] = solve_tridiagonal(lower, diag, upper, rhs,
+                                        overwrite=True)
+        psi[0], psi[-1] = new_left, new_right
+        # The new density serves the check and the next step's diagonal;
+        # a nan or inf anywhere makes its maximum non-finite.
+        peak = float(np.sqrt(np.max(_density(psi, density, doubled))))
         if not np.isfinite(peak):
             raise StepDivergence(f"non-finite field at step {step}")
         if peak > 1e8 * scale0:

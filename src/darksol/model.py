@@ -190,13 +190,14 @@ class Equation:
             out = out + c * phi**p
         return out
 
-    def diagonal(self, rho):
-        """d(rho) = sum_p c_p rho^((p - 1) / 2) - V, by Horner's rule in rho."""
+    def diagonal(self, rho, out=None):
+        """d(rho) = sum_p c_p rho^((p - 1) / 2) - V, by Horner's rule in rho,
+        evaluated in `out` when given (a new array otherwise)."""
         *lower, (_, top) = self.powers
-        out = top * rho
+        out = np.multiply(top, rho, out=out)
         for _, c in reversed(lower):
-            out = (c + out) * rho
-        return out - self.potential
+            np.multiply(np.add(c, out, out=out), rho, out=out)
+        return np.subtract(out, self.potential, out=out)
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,27 @@ def test_tridiagonal_complex(rng):
     np.testing.assert_allclose(y, want, rtol=1e-12, atol=1e-13)
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_tridiagonal_overwrite_contract(rng, dtype):
+    # By default the four arguments are left as they were; overwrite
+    # solves in the caller's arrays, with the same bits and no copy.
+    n = 30
+
+    def draw(shift=0.0):
+        x = shift + rng.standard_normal(n)
+        return x + 1j * rng.standard_normal(n) if dtype is complex else x
+
+    args = (draw(), draw(5.0), draw(), draw())
+    kept = [a.copy() for a in args]
+    y = solve_tridiagonal(*args)
+    for a, b in zip(args, kept):
+        assert a.tobytes() == b.tobytes()
+    work = [a.copy() for a in args]
+    y_in_place = solve_tridiagonal(*work, overwrite=True)
+    assert y_in_place.tobytes() == y.tobytes()
+    assert np.shares_memory(y_in_place, work[3])
+
+
 def test_cyclic_matches_dense(rng):
     n = 40
     lower = rng.standard_normal(n)

@@ -5,10 +5,12 @@ import darksol.evolve
 from darksol import (ComplexField, EvolveOptions, Grid, Profile, Trajectory,
                      evolve_nls, kink_drift, make_ansatz, modulus_deviation,
                      phase_rotation_check, run_soliton)
+from darksol._banded import solve_tridiagonal
 from darksol.errors import (NoSignChange, PhaseUndefined, StepDivergence,
                             ValidationError)
 
-from conftest import constant_cubic, constant_quintic, sinusoidal_cubic
+from conftest import (constant_cubic, constant_quintic, sinusoidal_cubic,
+                      sinusoidal_quintic)
 
 
 @pytest.fixture(scope="module")
@@ -78,9 +80,9 @@ def test_one_tridiagonal_solve_per_step(soliton_run, monkeypatch):
     calls = []
     solve = darksol.evolve.solve_tridiagonal
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return solve(*args)
+        return solve(*args, **kwargs)
 
     monkeypatch.setattr(darksol.evolve, "solve_tridiagonal", counted)
     first = evolve(soliton_run, dt=1e-3, t_max=0.05, snapshot_every=10)
@@ -89,6 +91,83 @@ def test_one_tridiagonal_solve_per_step(soliton_run, monkeypatch):
     for a, b in zip(first.fields, second.fields):
         assert a.re.tobytes() == b.re.tobytes()
         assert a.im.tobytes() == b.im.tobytes()
+
+
+def reference_evolve(psi0, problem, options):
+    """The allocating step loop that `evolve_nls` replaced, kept as the
+    reference for its bits: every temporary is a new array, the solve
+    copies its arguments, and d(rho) is Horner's rule on new arrays."""
+    grid = psi0.grid
+    n_steps = max(1, round(options.t_max / options.dt))
+    eq = problem.equation(grid)
+    k = -eq.k
+
+    def diagonal(rho):
+        *lower, (_, top) = eq.powers
+        out = top * rho
+        for _, c in reversed(lower):
+            out = (c + out) * rho
+        return out - eq.potential
+
+    z = 0.5j * options.dt
+    zk = z * k / grid.h**2
+    plus_off, plus_diag = 1.0 / 12.0 + zk, 10.0 / 12.0 - 2.0 * zk
+    minus_off, minus_diag = 1.0 / 12.0 - zk, 10.0 / 12.0 + 2.0 * zk
+    psi = psi0.psi
+    edge_left, edge_right = psi[0], psi[-1]
+
+    def density(psi):
+        return psi.real**2 + psi.imag**2
+
+    times = [0.0]
+    fields = [psi0]
+    relaxed = diagonal(density(psi))
+    for step in range(1, n_steps + 1):
+        t_new = step * options.dt
+        relaxed = 2.0 * diagonal(density(psi)) - relaxed
+        e = (z / 12.0) * relaxed
+        ten_e = 10.0 * e[1:-1]
+        side = (minus_off - e) * psi
+        rhs = side[:-2] + side[2:] + (minus_diag - ten_e) * psi[1:-1]
+        coupling = plus_off + e
+        rot = np.exp(1j * problem.lam * t_new)
+        new_left, new_right = rot * edge_left, rot * edge_right
+        rhs[0] -= coupling[0] * new_left
+        rhs[-1] -= coupling[-1] * new_right
+        interior = solve_tridiagonal(coupling[:-2], plus_diag + ten_e,
+                                     coupling[2:], rhs)
+        psi = np.concatenate(([new_left], interior, [new_right]))
+        if step % options.snapshot_every == 0 or step == n_steps:
+            times.append(t_new)
+            fields.append(ComplexField(grid=grid, re=psi.real, im=psi.imag))
+    return Trajectory(times=np.asarray(times), fields=tuple(fields),
+                      dt=options.dt, n_steps=n_steps)
+
+
+@pytest.fixture(scope="module")
+def quintic_run():
+    return run_soliton(sinusoidal_quintic(lam=-1.0, n_per=64, amp=0.3,
+                                          g1=0.5), half_length=4.0)
+
+
+@pytest.mark.parametrize("run_name", ["soliton_run", "quintic_run"])
+def test_in_place_step_matches_the_allocating_loop(run_name, request):
+    # The in-place step keeps every expression and operand order, so
+    # its bits are those of the allocating loop at every step; the
+    # cubic-quintic run takes the Horner loop of `Equation.diagonal`.
+    run = request.getfixturevalue(run_name)
+    psi0 = make_ansatz(run.phi, run.problem.lam)
+    options = EvolveOptions(dt=1e-3, t_max=0.05, snapshot_every=1)
+    traj = evolve_nls(psi0, run.problem, options)
+    want = reference_evolve(psi0, run.problem, options)
+    assert len(traj.fields) == len(want.fields) == 51
+    assert traj.times.tobytes() == want.times.tobytes()
+    for got, ref in zip(traj.fields, want.fields):
+        assert got.re.tobytes() == ref.re.tobytes()
+        assert got.im.tobytes() == ref.im.tobytes()
+    # The field is updated in place, so a snapshot must not share its
+    # storage: the first step's snapshot still differs from the last.
+    assert traj.fields[1].im.tobytes() != traj.fields[-1].im.tobytes()
 
 
 def test_phase_rotates_at_the_stationary_rate(soliton_run):

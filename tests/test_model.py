@@ -210,3 +210,29 @@ def test_equation_states_both_models(problem, rng):
     evolve_k, diagonal = _compact_operator(problem, grid)
     assert evolve_k == k
     np.testing.assert_allclose(diagonal(rho), d, rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("problem", [
+    sinusoidal_cubic(n_per=32),
+    sinusoidal_quintic(n_per=32, g1=0.5),
+], ids=["cubic", "quintic"])
+def test_diagonal_in_place_keeps_the_bits(problem, rng):
+    # Horner's rule evaluated in the caller's buffer gives the bits of
+    # the same rule on new arrays, and leaves rho and V as they were.
+    grid = Grid(-1.0, 1.0, 2 * 32 + 1)
+    eq = problem.equation(grid)
+    rho = rng.uniform(0.0, 2.0, grid.n)
+    kept_rho = rho.copy()
+    kept_potential = np.array(eq.potential, copy=True)
+    *lower, (_, top) = eq.powers
+    want = top * rho
+    for _, c in reversed(lower):
+        want = (c + want) * rho
+    want = want - eq.potential
+    buf = np.full(grid.n, np.nan)
+    got = eq.diagonal(rho, out=buf)
+    assert got is buf
+    assert got.tobytes() == want.tobytes()
+    assert eq.diagonal(rho).tobytes() == want.tobytes()
+    assert rho.tobytes() == kept_rho.tobytes()
+    assert np.asarray(eq.potential).tobytes() == kept_potential.tobytes()
