@@ -4,14 +4,28 @@ Thin wrappers over LAPACK's tridiagonal LU. The cyclic variant handles
 the periodic discretizations via a rank-one (Sherman-Morrison) update
 of the open-chain system, so nothing here is ever densified, and it can
 be factored once for a matrix that many right-hand sides share.
+
+This is the one module that names scipy, and it imports it at the
+first linear solve (`lapack`): importing darksol, or re-checking a
+stored run with `verify`, costs no scipy import.
 """
 
+from functools import cache
+
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lapack
 
 from .errors import SingularLinearization
 
-__all__ = ["solve_tridiagonal", "solve_cyclic", "factor_cyclic"]
+__all__ = ["solve_tridiagonal", "solve_cyclic", "factor_cyclic",
+           "is_positive_definite", "lapack"]
+
+
+@cache
+def lapack():
+    """scipy.linalg.lapack, imported on the first call and bound from
+    then on; a forked worker inherits a parent's binding."""
+    from scipy.linalg import lapack as bindings
+    return bindings
 
 
 def solve_tridiagonal(lower, diag, upper, rhs, overwrite=False):
@@ -27,7 +41,7 @@ def solve_tridiagonal(lower, diag, upper, rhs, overwrite=False):
     copies when they are contiguous, of one dtype and share no memory.
     """
     dtype = np.result_type(lower, diag, upper, rhs)
-    gtsv, = get_lapack_funcs(("gtsv",), dtype=dtype)
+    gtsv, = lapack().get_lapack_funcs(("gtsv",), dtype=dtype)
     _, _, _, y, info = gtsv(np.asarray(lower, dtype=dtype)[1:],
                             np.asarray(diag, dtype=dtype),
                             np.asarray(upper, dtype=dtype)[:-1],
@@ -38,6 +52,16 @@ def solve_tridiagonal(lower, diag, upper, rhs, overwrite=False):
         raise SingularLinearization(
             f"tridiagonal solve has a zero pivot at row {info}")
     return y
+
+
+def is_positive_definite(diag, upper) -> bool:
+    """Whether the symmetric tridiagonal matrix with diagonal `diag` and
+    off-diagonal upper[:-1] (upper[-1] ignored) is positive definite:
+    exactly when its LDL^T factorization has positive pivots (dpttrf,
+    O(n)).
+    """
+    _, _, info = lapack().dpttrf(diag, upper[:-1])
+    return info == 0
 
 
 def solve_cyclic(lower, diag, upper, rhs):
@@ -73,14 +97,15 @@ def factor_cyclic(lower, diag, upper):
         gamma = -diag[0] if diag[0] != 0.0 else 1.0
         d[0] -= gamma
         d[-1] -= alpha * beta / gamma
-    dl, d, du, du2, ipiv, info = lapack.dgttrf(lower[1:], d, upper[:-1])
+    bindings = lapack()
+    dl, d, du, du2, ipiv, info = bindings.dgttrf(lower[1:], d, upper[:-1])
     if info != 0:
         raise SingularLinearization(
             f"tridiagonal factor has a zero pivot at row {info}")
+    dgttrs = bindings.dgttrs
 
     def solve_open(rhs):
-        y, _ = lapack.dgttrs(dl, d, du, du2, ipiv,
-                             np.asarray(rhs, dtype=float))
+        y, _ = dgttrs(dl, d, du, du2, ipiv, np.asarray(rhs, dtype=float))
         return y
 
     if not wrapped:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import svgplot
+from ._banded import lapack
 from .errors import EXIT_CODES, ConfigError, DarksolError
 from .evolve import (EvolveOptions, evolve_nls, kink_drift, make_ansatz,
                      modulus_deviation, phase_rotation_check)
@@ -534,7 +535,11 @@ def cmd_sweep(cfg: RunConfig, out_dir, seed, workers: int) -> int:
             payloads.append({"index": len(payloads), "cfg": cfg,
                              "lam": lam, "amplitude": amplitude})
     if workers > 1 and payloads:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # Bound here, LAPACK is inherited by forked workers instead of
+        # imported by each; a worker beyond one per row would sit idle.
+        lapack()
+        with ProcessPoolExecutor(
+                max_workers=min(workers, len(payloads))) as pool:
             rows = list(pool.map(_sweep_row, payloads))
     else:
         rows = [_sweep_row(payload) for payload in payloads]

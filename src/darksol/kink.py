@@ -34,9 +34,8 @@ from functools import reduce
 from operator import add
 
 import numpy as np
-from scipy.linalg import lapack
 
-from ._banded import solve_tridiagonal
+from ._banded import is_positive_definite, solve_tridiagonal
 from .errors import (GridMismatchError, MonotonicityLoss, NoSignChange,
                      NonConvergence, SingularLinearization, ValidationError)
 from .model import Grid, Problem, Profile
@@ -223,8 +222,7 @@ def _is_strict_minimizer(ac: WeightedAC, w: np.ndarray,
     if pin is not None:
         _hold(bands, pin)
     _, diag, upper = bands
-    _, _, info = lapack.dpttrf(-diag, -upper[:-1])
-    return info == 0
+    return is_positive_definite(-diag, -upper)
 
 
 def _is_certified_root(ac, root: PolishResult, bound: float) -> bool:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
-from darksol._banded import factor_cyclic, solve_cyclic, solve_tridiagonal
+from darksol._banded import (factor_cyclic, is_positive_definite,
+                             solve_cyclic, solve_tridiagonal)
 from darksol.errors import SingularLinearization
 
 
@@ -164,3 +166,23 @@ def test_factored_cyclic_singular_matrix_is_reported():
                                                    cyclic=True))) < 1e-12
         with pytest.raises(SingularLinearization):
             factor_cyclic(lower, diag, upper)
+
+
+def lowest_eigenvalue(diag, upper):
+    return eigh_tridiagonal(diag, upper[:-1], eigvals_only=True,
+                            select="i", select_range=(0, 0))[0]
+
+
+def test_positive_definite_matches_lowest_eigenvalue(rng):
+    # the LDL^T pivots against a route that shares no factorization with
+    # them: one band shifted just above its lowest eigenvalue, one just
+    # below; upper[-1] is outside the matrix and never read
+    n = 40
+    diag = rng.standard_normal(n)
+    upper = rng.standard_normal(n)
+    upper[-1] = np.nan
+    lowest = lowest_eigenvalue(diag, upper)
+    for shift, definite in ((1e-3, True), (-1e-3, False)):
+        band = diag - lowest + shift
+        assert (lowest_eigenvalue(band, upper) > 0.0) == definite
+        assert is_positive_definite(band, upper) == definite

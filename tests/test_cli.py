@@ -1,14 +1,17 @@
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import darksol
-from darksol import MinimizeOptions
+from darksol import MinimizeOptions, _banded
 from darksol.cli import load_config, main, read_csv, write_csv
 from darksol.errors import EXIT_CODES, ConfigError, DarksolError
 
@@ -364,6 +367,68 @@ def test_sweep_is_deterministic_across_workers(tmp_path):
                  "--workers", "2"]) == 0
     assert (serial / "summary.csv").read_bytes() == \
         (parallel / "summary.csv").read_bytes()
+
+
+def test_sweep_pool_has_at_most_one_worker_per_row(tmp_path, monkeypatch):
+    # a stand-in pool records its size and maps in this process, so no
+    # worker starts; LAPACK must already be bound when the pool is made,
+    # so that forked workers inherit it
+    made = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            made.append((max_workers, _banded.lapack.cache_info().currsize))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(darksol.cli, "ProcessPoolExecutor", RecordingPool)
+    config = write_config(
+        tmp_path, BASE + "\n[sweep]\nlambda = -0.25, -1, 0.5\n")
+    for workers, pool_size in (("4", 3), ("2", 2)):
+        _banded.lapack.cache_clear()
+        assert main(["sweep", "--config", str(config), "--out",
+                     str(tmp_path / workers), "--workers", workers]) == 0
+        assert made.pop() == (pool_size, 1)
+
+
+STARTUP_CHECK = """\
+import sys
+import darksol
+assert "scipy" not in sys.modules, "import darksol"
+from darksol import cli
+assert "scipy" not in sys.modules, "import darksol.cli"
+config, out, fresh = sys.argv[1:]
+assert cli.main(["verify", "--config", config, "--out", out]) == 0
+assert "scipy" not in sys.modules, "verify"
+assert cli.main(["solve-soliton", "--config", config, "--out", fresh]) == 0
+assert "scipy" in sys.modules, "solve-soliton"
+"""
+
+
+def test_scipy_loads_at_the_first_linear_solve(tmp_path):
+    # fresh interpreters, since this one imported scipy for the oracles:
+    # importing the package and verifying a stored run solve nothing
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    config = write_config(tmp_path, BASE)
+    out = tmp_path / "out"
+    solve = subprocess.run(
+        [sys.executable, "-m", "darksol", "solve-soliton", "--config",
+         str(config), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert solve.returncode == 0, solve.stderr
+    check = subprocess.run(
+        [sys.executable, "-c", STARTUP_CHECK, str(config), str(out),
+         str(tmp_path / "fresh")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert check.returncode == 0, check.stderr
 
 
 def test_sweep_empty_is_header_only(tmp_path):
