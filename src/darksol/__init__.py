@@ -14,9 +14,7 @@ from .evolve import (ComplexField, EvolveOptions, PhaseCheck, Trajectory,
                      evolve_nls, kink_drift, make_ansatz, modulus_deviation,
                      phase_rotation_check)
 from .exprparse import CompiledExpression, compile_expression
-from .kink import (MinimizeOptions, MinimizeResult, PolishResult,
-                   decay_rate_bound, guess_rate, initial_guess,
-                   make_truncated_grid, minimize, newton_polish,
+from .kink import (MinimizeResult, make_truncated_grid, minimize,
                    report_crossing, select_truncation)
 from .model import (Coefficient, Grid, Problem, Profile, sample_coefficient,
                     validate_problem)
@@ -24,8 +22,8 @@ from .periodic import (Bracket, MonotoneResult, PeriodicResult,
                        bracket_bounds, monotone_iteration_oracle,
                        periodic_residual, solve_periodic)
 from .pipeline import SolitonRun, run_background, run_soliton
-from .reduction import (WeightedAC, energy, energy_gradient, lift,
-                        residual_reduced, to_allen_cahn)
+from .reduction import (WeightedAC, energy, lift, residual_reduced,
+                        to_allen_cahn)
 from .verify import (DecayFit, SolitonReport, amplitude_margin,
                      build_report, check_asymptotic_ratio, fit_decay_rate,
                      monotonicity_margin, residual_phi)

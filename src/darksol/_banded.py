@@ -28,6 +28,13 @@ def lapack():
     return bindings
 
 
+@cache
+def _gtsv(dtype):
+    """LAPACK's ?gtsv for `dtype`, looked up once per dtype."""
+    gtsv, = lapack().get_lapack_funcs(("gtsv",), dtype=dtype)
+    return gtsv
+
+
 def solve_tridiagonal(lower, diag, upper, rhs, overwrite=False):
     """Solve A y = rhs for tridiagonal A.
 
@@ -41,13 +48,11 @@ def solve_tridiagonal(lower, diag, upper, rhs, overwrite=False):
     copies when they are contiguous, of one dtype and share no memory.
     """
     dtype = np.result_type(lower, diag, upper, rhs)
-    gtsv, = lapack().get_lapack_funcs(("gtsv",), dtype=dtype)
-    _, _, _, y, info = gtsv(np.asarray(lower, dtype=dtype)[1:],
-                            np.asarray(diag, dtype=dtype),
-                            np.asarray(upper, dtype=dtype)[:-1],
-                            np.asarray(rhs, dtype=dtype),
-                            overwrite_dl=overwrite, overwrite_d=overwrite,
-                            overwrite_du=overwrite, overwrite_b=overwrite)
+    _, _, _, y, info = _gtsv(dtype)(
+        np.asarray(lower, dtype=dtype)[1:], np.asarray(diag, dtype=dtype),
+        np.asarray(upper, dtype=dtype)[:-1], np.asarray(rhs, dtype=dtype),
+        overwrite_dl=overwrite, overwrite_d=overwrite,
+        overwrite_du=overwrite, overwrite_b=overwrite)
     if info != 0:
         raise SingularLinearization(
             f"tridiagonal solve has a zero pivot at row {info}")

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .errors import EXIT_CODES, ConfigError, DarksolError
 from .evolve import (EvolveOptions, evolve_nls, kink_drift, make_ansatz,
                      modulus_deviation, phase_rotation_check)
 from .exprparse import compile_expression
-from .kink import MinimizeOptions, make_truncated_grid, select_truncation
+from .kink import make_truncated_grid, select_truncation
 from .model import Grid, Problem, Profile, sample_coefficient, validate_problem
 from .periodic import solve_periodic
 from .pipeline import run_background, run_soliton
@@ -40,7 +40,6 @@ _KNOWN_KEYS = {
     "evolve": {"dt", "t_max", "snapshot_every", "initial", "modulus_tol",
                "phase_tol"},
     "sweep": {"lambda", "amplitude"},
-    "minimize": {f.name for f in fields(MinimizeOptions)},
 }
 
 
@@ -55,7 +54,6 @@ class RunConfig:
     g1: float
     half_length: float | None
     tail_fraction: float
-    minimize: MinimizeOptions
     dt: float | None
     t_max: float | None
     snapshot_every: int
@@ -140,11 +138,6 @@ def load_config(path) -> RunConfig:
         half_length=get("domain", "l", float),
         tail_fraction=get("domain", "tail_fraction", float,
                           default=TAIL_FRACTION),
-        # each field gives its key's cast, and its default when absent
-        minimize=MinimizeOptions(**{
-            f.name: get("minimize", f.name, f.type)
-            for f in fields(MinimizeOptions)
-            if cp.has_option("minimize", f.name)}),
         dt=get("evolve", "dt", float),
         t_max=get("evolve", "t_max", float),
         snapshot_every=get("evolve", "snapshot_every", int, default=100),
@@ -303,7 +296,6 @@ def cmd_solve_periodic(cfg: RunConfig, out_dir, seed) -> int:
 def _run_soliton(cfg: RunConfig, problem: Problem):
     """The one soliton run every command makes, with the config's settings."""
     return run_soliton(problem, half_length=cfg.half_length,
-                       minimize_options=cfg.minimize,
                        tail_fraction=cfg.tail_fraction)
 
 

@@ -20,11 +20,13 @@ pinning (Peierls-Nabarro) landscape E(x0) (Kivshar & Campbell, Phys.
 Rev. E 48, 3077, 1993). The pin walks downhill in E from the centre;
 unpinned Newton from the lowest node's root gives one more root, and
 the pinned root itself is the last. Every solve is tridiagonal, O(n).
-A gradient tolerance below the rounding floor of the discrete gradient,
-2 kf eps max(a) / h^2, could never be met, and is refused with a
-ValidationError before any work is done.
+Every Newton solve stops at one fixed target, sup |gradient| / h <= 1e-8
+(`_target_residual`). On a grid whose gradient rounding floor,
+2 kf eps max(a) / h^2, lies above that target it could never be met,
+and `minimize` refuses the grid with a ValidationError before any work
+is done.
 
-`newton_polish` accepts a fixed source s, which turns the equation
+`_newton_polish` accepts a fixed source s, which turns the equation
 into R(w) = s (see `reduction`); `_correct` solves that equation from
 each root `minimize` tries, the deferred correction.
 """
@@ -44,10 +46,8 @@ from .reduction import (WeightedAC, _energy_values, _jacobian_bands,
                         _residual_values)
 
 __all__ = [
-    "MinimizeOptions", "MinimizeResult", "PolishResult",
-    "decay_rate_bound", "select_truncation", "make_truncated_grid",
-    "guess_rate", "initial_guess", "minimize", "newton_polish",
-    "report_crossing",
+    "MinimizeResult", "select_truncation", "make_truncated_grid",
+    "minimize", "report_crossing",
 ]
 
 # Guess profiles stay strictly inside (-1, 1) except at the boundary.
@@ -61,19 +61,12 @@ _GUESS_CLEARANCE = 1e-12
 _POLISH_STEP_CAP = 1.0
 # Newton steps per solve.
 _MAX_NEWTON_STEPS = 40
+# Every front Newton solve stops at sup |gradient| / h <= _GRAD_TOL.
+_GRAD_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class MinimizeOptions:
-    grad_tol: float = 1e-8
-
-    def __post_init__(self):
-        if not self.grad_tol > 0:
-            raise ValidationError("invalid minimizer options")
-
-
-@dataclass(frozen=True)
-class PolishResult:
+class _PolishResult:
     values: np.ndarray
     residual_sup: float
     iterations: int
@@ -91,7 +84,7 @@ class MinimizeResult:
     flags: frozenset
 
 
-def decay_rate_bound(problem: Problem) -> float:
+def _decay_rate_bound(problem: Problem) -> float:
     """Worst-case exponential rate of approach of w to +-1.
 
     Obtained by linearizing the reduced equation about w = 1 and taking
@@ -106,7 +99,7 @@ def decay_rate_bound(problem: Problem) -> float:
 
 def select_truncation(problem: Problem) -> float:
     """Smallest whole number of periods covering 12 / rate, at least 3 periods."""
-    kappa = decay_rate_bound(problem)
+    kappa = _decay_rate_bound(problem)
     want = max(12.0 / kappa, 3.0 * problem.period)
     return float(np.ceil(want / problem.period - 1e-12) * problem.period)
 
@@ -123,7 +116,7 @@ def make_truncated_grid(period: float, half_length: float,
     return Grid(xmin=-half_length, xmax=half_length, n=n)
 
 
-def guess_rate(ac: WeightedAC) -> float:
+def _guess_rate(ac: WeightedAC) -> float:
     """Decay rate of the linearization about w = 1 on the actual background."""
     vals = reduce(add, ((p - 1) * b for p, b in ac.powers)) / ac.a
     worst = float(np.min(vals))
@@ -132,19 +125,27 @@ def guess_rate(ac: WeightedAC) -> float:
     return float(np.sqrt(worst))
 
 
-def initial_guess(grid: Grid, kappa: float, centre: float = 0.0) -> Profile:
+def _initial_guess(grid: Grid, kappa: float,
+                   centre: float = 0.0) -> np.ndarray:
     """Monotone tanh ramp with the target asymptotic rate, centred at
     `centre`."""
     w = np.tanh(0.5 * kappa * (grid.x() - centre))
     np.clip(w, -1.0 + _GUESS_CLEARANCE, 1.0 - _GUESS_CLEARANCE, out=w)
     w[0], w[-1] = -1.0, 1.0
-    return Profile(grid, w)
+    return w
 
 
-def newton_polish(w, ac: WeightedAC, tol: float, source=None,
-                  step_cap: float = _POLISH_STEP_CAP,
-                  pin: int | None = None) -> PolishResult:
-    """Damped Newton on the reduced residual with pinned boundary values.
+def _target_residual(ac: WeightedAC) -> float:
+    """The residual sup that meets _GRAD_TOL: the gradient is
+    -2 kf h times the residual (see `reduction`)."""
+    return _GRAD_TOL / (2.0 * ac.kinetic_factor)
+
+
+def _newton_polish(w: np.ndarray, ac: WeightedAC, source=None,
+                   step_cap: float = _POLISH_STEP_CAP,
+                   pin: int | None = None) -> _PolishResult:
+    """Damped Newton on the reduced residual with pinned boundary values,
+    run until its sup meets `_target_residual`.
 
     With a source s the residual is R(w) - s; the Jacobian is the same.
     A correction larger than `step_cap` in sup norm ends the solve.
@@ -157,7 +158,8 @@ def newton_polish(w, ac: WeightedAC, tol: float, source=None,
     a stalled line search all come back as converged=False with the
     work done so far, so callers can try another route.
     """
-    w = np.array(w.values if isinstance(w, Profile) else w, dtype=float)
+    tol = _target_residual(ac)
+    w = np.array(w, dtype=float)
     res = _residual_values(ac, w, source)
     if pin is not None:
         held, res[pin] = res[pin], 0.0
@@ -195,8 +197,8 @@ def newton_polish(w, ac: WeightedAC, tol: float, source=None,
         iterations += 1
     if pin is not None:
         sup = max(sup, abs(float(held)))
-    return PolishResult(values=w, residual_sup=sup, iterations=iterations,
-                        history=tuple(history), converged=sup <= tol)
+    return _PolishResult(values=w, residual_sup=sup, iterations=iterations,
+                         history=tuple(history), converged=sup <= tol)
 
 
 def _hold(bands, pin: int):
@@ -225,7 +227,7 @@ def _is_strict_minimizer(ac: WeightedAC, w: np.ndarray,
     return is_positive_definite(-diag, -upper)
 
 
-def _is_certified_root(ac, root: PolishResult, bound: float) -> bool:
+def _is_certified_root(ac, root: _PolishResult, bound: float) -> bool:
     """A converged, monotone Newton root with energy at most `bound`
     that is a strict local minimizer."""
     return (root.converged and bool(np.all(np.diff(root.values) >= 0))
@@ -255,8 +257,7 @@ def _pinning_sites(ac: WeightedAC) -> np.ndarray:
     return sites[np.argsort(np.abs(sites), kind="stable")]
 
 
-def _site_scan(ac, centre: PolishResult, start_energy: float,
-               target_res: float):
+def _site_scan(ac, centre: _PolishResult, start_energy: float):
     """Newton from a tanh guess at each pinning site; returns (the
     certified roots, lowest energy first, Newton iterations).
 
@@ -270,8 +271,8 @@ def _site_scan(ac, centre: PolishResult, start_energy: float,
     iterations = 0
     roots = []
     for site in _pinning_sites(ac):
-        root = newton_polish(initial_guess(ac.grid, guess_rate(ac), site),
-                             ac, tol=target_res, step_cap=np.inf)
+        root = _newton_polish(_initial_guess(ac.grid, _guess_rate(ac), site),
+                              ac, step_cap=np.inf)
         iterations += root.iterations
         if _is_certified_root(ac, root, bound):
             roots.append((_energy_values(ac, root.values), root))
@@ -291,7 +292,7 @@ def _shifted(w: np.ndarray, nodes: int) -> np.ndarray:
     return out
 
 
-def _phase_walk(ac, start: np.ndarray, target_res: float):
+def _phase_walk(ac, start: np.ndarray):
     """Walk the phase condition w(x0) = 0 downhill over the nodes x0;
     returns (lowest pinned root, its node, Newton iterations).
 
@@ -302,9 +303,8 @@ def _phase_walk(ac, start: np.ndarray, target_res: float):
     whose free rows miss the tolerance counts as infinite energy.
     """
     def solve(w, node):
-        root = newton_polish(w, ac, tol=target_res, step_cap=np.inf,
-                             pin=node)
-        if root.history[-1] > target_res:
+        root = _newton_polish(w, ac, step_cap=np.inf, pin=node)
+        if root.history[-1] > _target_residual(ac):
             return root, np.inf
         return root, _energy_values(ac, root.values)
 
@@ -333,8 +333,7 @@ def _phase_walk(ac, start: np.ndarray, target_res: float):
     return best, pin, iterations
 
 
-def minimize(ac: WeightedAC, source_of,
-             options: MinimizeOptions | None = None) -> MinimizeResult:
+def minimize(ac: WeightedAC, source_of) -> MinimizeResult:
     """Fourth-order front: the first certified root of the reduced
     equation whose deferred correction converges, corrected.
 
@@ -342,19 +341,26 @@ def minimize(ac: WeightedAC, source_of,
     source (see `reduction.correction_source`); a map that returns None
     gives the second-order minimizer itself. Roots are tried in the
     order of `_candidates`, and a search runs only once every earlier
-    root has failed its correction (`_correct`). Convergence test:
-    sup |gradient| / h <= grad_tol, equivalently sup |residual| <=
-    grad_tol / (2 * kinetic_factor), on the corrected equation.
-    `polish_iterations` sums every Newton iteration, searches and
-    corrections alike. NonConvergence is raised when no root corrects;
+    root has failed its correction (`_correct`). Convergence test, the
+    same for every solve: sup |gradient| / h <= 1e-8, equivalently
+    sup |residual| <= 1e-8 / (2 * kinetic_factor), on the corrected
+    equation. `polish_iterations` sums every Newton iteration, searches
+    and corrections alike. A grid whose gradient rounding floor,
+    2 kf eps max(a) / h^2, is above 1e-8 raises ValidationError before
+    any root is sought; NonConvergence is raised when no root corrects;
     a non-monotone front raises MonotonicityLoss.
     """
-    target_res = _target_residual(ac, options or MinimizeOptions())
+    floor = (2.0 * ac.kinetic_factor * np.finfo(float).eps
+             * float(np.max(ac.a)) / ac.h**2)
+    if _GRAD_TOL < floor:
+        raise ValidationError(
+            f"the front tolerance {_GRAD_TOL:.0e} is below the rounding "
+            f"floor {floor:.3e} of the gradient on this grid")
     spent = []
     residual = float("nan")
-    for root, flags in _candidates(ac, target_res, spent):
+    for root, flags in _candidates(ac, spent):
         front = _correct(ac, root.values,
-                         source_of(Profile(ac.grid, root.values)), target_res)
+                         source_of(Profile(ac.grid, root.values)))
         spent.append(front.iterations)
         if front.converged:
             return _front_result(ac, front.values, front.residual_sup,
@@ -366,7 +372,7 @@ def minimize(ac: WeightedAC, source_of,
         final_residual=residual, iterations=sum(spent))
 
 
-def _candidates(ac, target_res: float, spent: list):
+def _candidates(ac, spent: list):
     """The certified roots `minimize` tries, in order, each with its run
     flags; lazy, so each search runs only when the roots before it are
     used up. The Newton iterations of every search go onto `spent`.
@@ -378,18 +384,18 @@ def _candidates(ac, target_res: float, spent: list):
     `phase_pinned`, if its full residual meets the tolerance and it is
     a strict minimizer with the node held.
     """
-    start = initial_guess(ac.grid, guess_rate(ac)).values
+    start = _initial_guess(ac.grid, _guess_rate(ac))
     energy = _energy_values(ac, start)
-    first = newton_polish(start, ac, tol=target_res, step_cap=np.inf)
+    first = _newton_polish(start, ac, step_cap=np.inf)
     spent.append(first.iterations)
     if _is_certified_root(ac, first, energy):
         yield first, ()
-    roots, iterations = _site_scan(ac, first, energy, target_res)
+    roots, iterations = _site_scan(ac, first, energy)
     spent.append(iterations)
     for root in roots:
         yield root, ()
-    pinned, pin, iterations = _phase_walk(ac, start, target_res)
-    free = newton_polish(pinned.values, ac, tol=target_res)
+    pinned, pin, iterations = _phase_walk(ac, start)
+    free = _newton_polish(pinned.values, ac)
     spent.extend((iterations, free.iterations))
     if _is_certified_root(ac, free, _energy_values(ac, pinned.values)):
         yield free, ()
@@ -397,7 +403,7 @@ def _candidates(ac, target_res: float, spent: list):
         yield pinned, ("phase_pinned",)
 
 
-def _correct(ac, root: np.ndarray, source, tol: float) -> PolishResult:
+def _correct(ac, root: np.ndarray, source) -> _PolishResult:
     """The deferred-correction solve R(w) = source from a root; its
     iterations sum both attempts.
 
@@ -408,27 +414,15 @@ def _correct(ac, root: np.ndarray, source, tol: float) -> PolishResult:
     counts only if the full residual, pinned row included, meets the
     tolerance.
     """
-    free = newton_polish(root, ac, tol=tol, source=source)
+    free = _newton_polish(root, ac, source=source)
     if free.converged:
         return free
     pin = int(np.argmin(np.abs(ac.grid.x()
                                - report_crossing(Profile(ac.grid, root)))))
     start = root.copy()
     start[pin] = 0.0
-    pinned = newton_polish(start, ac, tol=tol, source=source, pin=pin)
+    pinned = _newton_polish(start, ac, source=source, pin=pin)
     return replace(pinned, iterations=free.iterations + pinned.iterations)
-
-
-def _target_residual(ac: WeightedAC, options: MinimizeOptions) -> float:
-    """The residual sup that meets grad_tol; a grad_tol below the
-    rounding floor of the gradient, 2 kf eps max(a) / h^2, is refused."""
-    floor = (2.0 * ac.kinetic_factor * np.finfo(float).eps
-             * float(np.max(ac.a)) / ac.h**2)
-    if options.grad_tol < floor:
-        raise ValidationError(
-            f"grad_tol {options.grad_tol:.3e} is below the rounding floor "
-            f"{floor:.3e} of the gradient on this grid")
-    return options.grad_tol / (2.0 * ac.kinetic_factor)
 
 
 def _front_result(ac, w, res_sup, polish_iterations, flags) -> MinimizeResult:

@@ -124,7 +124,6 @@ class MonotoneResult:
     from_above: Profile
     iterations: int
     gap_sup: float
-    history: tuple = ()
 
 
 def bracket_bounds(problem: Problem) -> Bracket:
@@ -280,8 +279,7 @@ def _forcing_slope(eq: Equation, phi: np.ndarray) -> np.ndarray:
     return out / eq.k
 
 
-def monotone_iteration_oracle(problem: Problem,
-                              record: bool = False) -> MonotoneResult:
+def monotone_iteration_oracle(problem: Problem) -> MonotoneResult:
     """Monotone sweeps from the constant sub- and supersolution.
 
     Each sweep solves (D2 - K) phi_new = F(phi) - K phi for both ends of
@@ -310,7 +308,6 @@ def monotone_iteration_oracle(problem: Problem,
 
     below = np.full(n, bracket.lower)
     above = np.full(n, bracket.upper)
-    history = []
     done_below = done_above = False
     iterations = 0
     for iterations in range(1, _MAX_SWEEPS + 1):
@@ -330,8 +327,6 @@ def monotone_iteration_oracle(problem: Problem,
             below, done_below = sweep(below, below, bracket.upper, "lower")
         if not done_above:
             above, done_above = sweep(above, bracket.lower, above, "upper")
-        if record:
-            history.append((below.copy(), above.copy()))
         if done_below and done_above:
             break
     else:
@@ -341,5 +336,4 @@ def monotone_iteration_oracle(problem: Problem,
     prof_below, _ = _package_background(problem, below)
     prof_above, _ = _package_background(problem, above)
     return MonotoneResult(from_below=prof_below, from_above=prof_above,
-                          iterations=iterations, gap_sup=gap,
-                          history=tuple(history))
+                          iterations=iterations, gap_sup=gap)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kink import (MinimizeOptions, MinimizeResult, make_truncated_grid,
-                   minimize, report_crossing, select_truncation)
+from .kink import (MinimizeResult, make_truncated_grid, minimize,
+                   report_crossing, select_truncation)
 from .model import Grid, Problem, Profile, validate_problem
 from .periodic import (PeriodicResult, monotone_iteration_oracle,
                        solve_periodic)
@@ -55,7 +55,6 @@ def run_background(problem: Problem):
 
 def run_soliton(problem: Problem,
                 half_length: float | None = None,
-                minimize_options: MinimizeOptions | None = None,
                 tail_fraction: float = TAIL_FRACTION) -> SolitonRun:
     """Full pipeline from problem data to a verified front profile."""
     validate_problem(problem)
@@ -68,8 +67,7 @@ def run_soliton(problem: Problem,
     ac = to_allen_cahn(problem, background_ext)
 
     result = minimize(
-        ac, lambda w: correction_source(problem, ac, background_ext, w),
-        minimize_options)
+        ac, lambda w: correction_source(problem, ac, background_ext, w))
     w = result.profile
     phi = lift(w, background_ext)
     crossing = report_crossing(w)

@@ -26,8 +26,8 @@ from .errors import GridMismatchError, ValidationError
 from .model import Grid, Problem, Profile
 
 __all__ = [
-    "WeightedAC", "to_allen_cahn", "energy", "energy_gradient",
-    "residual_reduced", "lift", "correction_source",
+    "WeightedAC", "to_allen_cahn", "energy", "residual_reduced", "lift",
+    "correction_source",
 ]
 
 # Source entries up to this many rounding units of the stiffest flux
@@ -178,19 +178,9 @@ def _jacobian_bands(ac: WeightedAC, w: np.ndarray):
     return lower, diag, upper
 
 
-def _gradient_values(ac: WeightedAC, w: np.ndarray) -> np.ndarray:
-    # Exact identity: gradient = -2 * kf * h * residual at interior nodes.
-    return -2.0 * ac.kinetic_factor * ac.h * _residual_values(ac, w)
-
-
 def energy(w: Profile, ac: WeightedAC) -> float:
     """Discrete energy of a ratio profile w."""
     return _energy_values(ac, _check_profile(w, ac))
-
-
-def energy_gradient(w: Profile, ac: WeightedAC) -> Profile:
-    """Gradient of the discrete energy; zero at the pinned boundary nodes."""
-    return Profile(ac.grid, _gradient_values(ac, _check_profile(w, ac)))
 
 
 def residual_reduced(w: Profile, ac: WeightedAC) -> Profile:

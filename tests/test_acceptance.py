@@ -22,7 +22,7 @@ from darksol import (EvolveOptions, Problem, Profile, evolve_nls, make_ansatz,
 from darksol.cli import main
 from darksol.kink import make_truncated_grid
 from darksol.periodic import bracket_bounds, periodic_residual
-from darksol.reduction import energy, energy_gradient, to_allen_cahn
+from darksol.reduction import energy, residual_reduced, to_allen_cahn
 from darksol.verify import residual_phi
 
 
@@ -157,7 +157,9 @@ def test_criterion_5_euler_lagrange_consistency(rng):
             for m in range(1, 4):
                 w = w + rng.uniform(-0.15, 0.15) * np.sin(
                     np.pi * m * (x - grid.xmin) / 6.0)
-            analytic = energy_gradient(Profile(grid, w), ac).values
+            # the energy's gradient is -2 kf h times the residual
+            analytic = -2.0 * ac.kinetic_factor * grid.h * residual_reduced(
+                Profile(grid, w), ac).values
             delta = 1e-5
             fd = np.zeros_like(w)
             for i in range(1, grid.n - 1):

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -11,7 +10,7 @@ import numpy as np
 import pytest
 
 import darksol
-from darksol import MinimizeOptions, _banded
+from darksol import _banded
 from darksol.cli import load_config, main, read_csv, write_csv
 from darksol.errors import EXIT_CODES, ConfigError, DarksolError
 
@@ -60,7 +59,6 @@ def test_load_config_fields(tmp_path):
     assert cfg.g_source == "1"
     assert cfg.config_hash == hashlib.sha256(path.read_bytes()).hexdigest()
     # defaults
-    assert cfg.minimize.grad_tol == 1e-8
     assert cfg.tail_fraction == 0.25
     assert cfg.sweep_lambdas == ()
     assert cfg.sweep_amplitudes is None
@@ -92,28 +90,17 @@ def test_load_config_rejections(tmp_path):
             load_config(write_config(tmp_path, text, name="bad.ini"))
 
 
-def test_option_sections_are_the_option_classes(tmp_path):
-    # every field of MinimizeOptions is a key of [minimize], read with
-    # the field's type, and nothing else is a key
-    options = MinimizeOptions(grad_tol=2e-7)
-    text = BASE + "\n[minimize]\n" + "".join(
-        f"{f.name} = {getattr(options, f.name)!r}\n"
-        for f in dataclasses.fields(options))
-    cfg = load_config(write_config(tmp_path, text))
-    assert cfg.minimize == options
-    for key in ("newton_polish", "max_halvings", "max_outer_iters"):
-        with pytest.raises(ConfigError):
-            load_config(write_config(tmp_path, BASE + "\n[minimize]\n"
-                                     f"{key} = 1\n", name="bad.ini"))
-
-
-def test_periodic_section_is_refused(tmp_path, capsys):
-    # the background solve has no options left; a config that still
-    # sets one is refused rather than silently ignored
-    config = write_config(tmp_path, BASE + "\n[periodic]\n"
-                                           "residual_tol = 1e-10\n")
-    assert run_cli("solve-periodic", config, tmp_path / "out") == 2
-    assert "unknown config section [periodic]" in capsys.readouterr().err
+@pytest.mark.parametrize("command, section, key", [
+    ("solve-periodic", "periodic", "residual_tol = 1e-10"),
+    ("solve-soliton", "minimize", "grad_tol = 1e-8"),
+], ids=["periodic", "minimize"])
+def test_periodic_section_is_refused(tmp_path, capsys, command, section,
+                                     key):
+    # neither the background solve nor the front solve has options left;
+    # a config that still sets one is refused rather than silently ignored
+    config = write_config(tmp_path, BASE + f"\n[{section}]\n{key}\n")
+    assert run_cli(command, config, tmp_path / "out") == 2
+    assert f"unknown config section [{section}]" in capsys.readouterr().err
 
 
 def test_load_config_table_and_inline_comments(tmp_path):

@@ -1,19 +1,18 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from darksol import (Grid, MinimizeOptions, Problem, Profile, WeightedAC,
-                     bracket_bounds, decay_rate_bound, initial_guess,
-                     guess_rate, make_truncated_grid, minimize,
-                     newton_polish, report_crossing, run_soliton,
-                     sample_coefficient, select_truncation, solve_periodic,
-                     to_allen_cahn)
+from darksol import (Grid, Problem, Profile, WeightedAC, bracket_bounds,
+                     make_truncated_grid, minimize, report_crossing,
+                     run_soliton, sample_coefficient, select_truncation,
+                     solve_periodic, to_allen_cahn)
 from darksol import kink, pipeline
+from darksol.cli import main
 from darksol.errors import (GridMismatchError, NoSignChange, NonConvergence,
                             ValidationError)
-from darksol.kink import _is_strict_minimizer
+from darksol.kink import (_decay_rate_bound, _guess_rate, _initial_guess,
+                          _is_strict_minimizer, _newton_polish,
+                          _target_residual)
 from darksol.reduction import (_jacobian_bands, correction_source, energy,
                                residual_reduced)
 
@@ -35,10 +34,10 @@ def no_correction(w):
 
 
 def test_decay_rate_bound_values():
-    assert decay_rate_bound(constant_cubic(lam=-1.0)) == pytest.approx(2.0)
-    assert decay_rate_bound(sinusoidal_cubic(amp=0.5)) == pytest.approx(
+    assert _decay_rate_bound(constant_cubic(lam=-1.0)) == pytest.approx(2.0)
+    assert _decay_rate_bound(sinusoidal_cubic(amp=0.5)) == pytest.approx(
         2.0 / np.sqrt(3.0), rel=1e-12)
-    assert decay_rate_bound(constant_quintic(lam=-1.0, g1=0.0)) == \
+    assert _decay_rate_bound(constant_quintic(lam=-1.0, g1=0.0)) == \
         pytest.approx(2.0, rel=1e-12)
 
 
@@ -65,24 +64,24 @@ def test_guess_rate_and_coercivity():
     grid = Grid(-1.0, 1.0, n)
     ac = WeightedAC(grid=grid, a=np.ones(n), powers=((3, 2.0 * np.ones(n)),),
                     kinetic_factor=1.0)
-    assert guess_rate(ac) == pytest.approx(2.0, rel=1e-14)
+    assert _guess_rate(ac) == pytest.approx(2.0, rel=1e-14)
     # sqrt(min sum_p (p - 1) b_p / a) = sqrt(2 * 0.5 + 4 * 1)
     quintic = WeightedAC(grid=grid, a=np.ones(n),
                          powers=((3, np.full(n, 0.5)), (5, np.ones(n))),
                          kinetic_factor=0.5)
-    assert guess_rate(quintic) == pytest.approx(np.sqrt(5.0), rel=1e-14)
+    assert _guess_rate(quintic) == pytest.approx(np.sqrt(5.0), rel=1e-14)
     flat = WeightedAC(grid=grid, a=np.ones(n), powers=((3, np.zeros(n)),),
                       kinetic_factor=1.0)
     with pytest.raises(ValidationError):
-        guess_rate(flat)
+        _guess_rate(flat)
 
 
 def test_initial_guess_shape():
     grid = Grid(-6.0, 6.0, 769)
-    w = initial_guess(grid, 2.0)
-    assert w.values[0] == -1.0 and w.values[-1] == 1.0
-    assert np.max(np.abs(w.values[1:-1])) <= 1.0 - 1e-12
-    assert np.all(np.diff(w.values) >= 0)
+    w = _initial_guess(grid, 2.0)
+    assert w[0] == -1.0 and w[-1] == 1.0
+    assert np.max(np.abs(w[1:-1])) <= 1.0 - 1e-12
+    assert np.all(np.diff(w) >= 0)
 
 
 def test_minimize_constant_cubic_matches_closed_form():
@@ -96,7 +95,8 @@ def test_minimize_constant_cubic_matches_closed_form():
                         - cubic_front_exact(x[collar], -1.0)))
     assert err <= 2e-6
     assert result.flow_iterations == 0
-    assert result.final_energy <= energy(initial_guess(grid, 2.0), ac)
+    assert result.final_energy <= energy(
+        Profile(grid, _initial_guess(grid, 2.0)), ac)
 
 
 def test_minimize_variable_coefficient():
@@ -130,7 +130,7 @@ def test_newton_polish_on_converged_profile():
     result = minimize(ac, no_correction)
     # the solution is a fixed point, with or without a node held
     for pin in (None, grid.n // 2, grid.n // 2 + 7):
-        polish = newton_polish(result.profile, ac, tol=5e-9, pin=pin)
+        polish = _newton_polish(result.profile.values, ac, pin=pin)
         assert polish.iterations == 0
         assert polish.converged
         np.testing.assert_array_equal(polish.values, result.profile.values)
@@ -139,10 +139,9 @@ def test_newton_polish_on_converged_profile():
 def test_newton_polish_from_good_guess():
     problem = constant_cubic(lam=-1.0)
     grid, bg, ac = reduced_problem(problem, 6.0, 256)
-    start = initial_guess(grid, 2.0)
-    polish = newton_polish(start, ac, tol=1e-10)
+    polish = _newton_polish(_initial_guess(grid, 2.0), ac)
     assert polish.converged
-    assert polish.residual_sup <= 1e-10
+    assert polish.residual_sup <= _target_residual(ac) == 5e-9
     hist = np.array(polish.history)
     assert np.all(np.diff(hist) < 0)
     assert polish.iterations <= 10
@@ -153,25 +152,32 @@ def test_newton_polish_flags_degenerate_start():
     grid, bg, ac = reduced_problem(problem, 6.0, 256)
     w = np.zeros(grid.n)
     w[0], w[-1] = -1.0, 1.0
-    polish = newton_polish(w, ac, tol=1e-10)
+    polish = _newton_polish(w, ac)
     assert not polish.converged
 
 
-def test_grad_tol_below_the_rounding_floor_is_refused():
-    # criterion-1 case: the gradient's rounding floor 2 kf eps max(a) / h^2
-    # is about 4.4e-12 here; below it the descent could only grind
-    problem = constant_cubic(lam=-1.0, n_per=100)
-    grid, bg, ac = reduced_problem(problem, 20.0, 100)
-    fine = minimize(ac, no_correction, MinimizeOptions(grad_tol=1e-11))
-    assert fine.grad_sup_per_h <= 1e-11
-    with pytest.raises(ValidationError) as err:
-        minimize(ac, no_correction, MinimizeOptions(grad_tol=1e-12))
-    assert "1.000e-12" in str(err.value) and "4.4" in str(err.value)
-    # refused before any root is sought or corrected
+def test_grad_tol_below_the_rounding_floor_is_refused(tmp_path, capsys):
+    # the front tolerance sup |gradient| / h <= 1e-8 is fixed; at
+    # lambda = -64 and n_per 1024 the gradient's rounding floor
+    # 2 kf eps max(a) / h^2 is 2.98e-8, above it, where Newton could
+    # only grind: the grid is refused before any root is sought
+    problem = constant_cubic(lam=-64.0, n_per=1024)
+    _, _, ac = reduced_problem(problem, 3.0, 1024)
     given = []
-    with pytest.raises(ValidationError):
-        minimize(ac, given.append, MinimizeOptions(grad_tol=1e-12))
+    with pytest.raises(ValidationError) as err:
+        minimize(ac, given.append)
+    assert "2.980e-08" in str(err.value)
     assert not given
+    config = tmp_path / "run.ini"
+    config.write_text("[problem]\nkind = cubic\nlambda = -64\n"
+                      "n_per_period = 1024\ng = 1\n", encoding="utf-8")
+    assert main(["solve-soliton", "--config", str(config), "--out",
+                 str(tmp_path / "out")]) == 2
+    assert "rounding floor 2.980e-08" in capsys.readouterr().err
+    # the criterion-1 grid, whose floor is about 4.4e-12, is accepted
+    problem = constant_cubic(lam=-1.0, n_per=100)
+    _, _, ac = reduced_problem(problem, 20.0, 100)
+    assert minimize(ac, no_correction).grad_sup_per_h <= 1e-8
 
 
 def recording(problem, ac, bg):
@@ -233,10 +239,9 @@ def test_correct_pins_the_front_where_newton_stalls():
     grid, bg, ac = reduced_problem(problem, 7.0, 128)
     first = minimize(ac, no_correction)
     source = correction_source(problem, ac, bg, first.profile)
-    tol = kink._target_residual(ac, MinimizeOptions())
     for cap in (1.0, np.inf):
-        free = newton_polish(first.profile, ac, tol=tol, source=source,
-                             step_cap=cap)
+        free = _newton_polish(first.profile.values, ac, source=source,
+                              step_cap=cap)
         assert free.residual_sup >= 1e-4
     source_of, given = recording(problem, ac, bg)
     fixed = minimize(ac, source_of)
@@ -325,9 +330,8 @@ def lowest_hessian_eigenvalue(ac, w):
 def phase_walk(ac):
     """The pinned root at the lowest node of the phase walk from the
     centred guess, and that node, as `minimize` computes them."""
-    tol = kink._target_residual(ac, MinimizeOptions())
     pinned, pin, _ = kink._phase_walk(
-        ac, initial_guess(ac.grid, guess_rate(ac)).values, tol)
+        ac, _initial_guess(ac.grid, _guess_rate(ac)))
     return pinned, pin
 
 
@@ -337,24 +341,22 @@ def test_minimize_takes_a_certified_newton_root():
     # walk from the centre reaches the same front
     grid, _, ac = cubic_case("1 + 0.9*sin(2*pi*x)")
     result = minimize(ac, no_correction)
-    start = energy(initial_guess(grid, guess_rate(ac)), ac)
+    start = energy(Profile(grid, _initial_guess(grid, _guess_rate(ac))), ac)
     assert result.flow_iterations == 0
     assert 0 < result.polish_iterations
     assert result.grad_sup_per_h <= 1e-8
     assert result.final_energy < start
     pinned, pin = phase_walk(ac)
     assert abs(grid.x()[pin] - report_crossing(result.profile)) <= grid.h
-    free = newton_polish(pinned.values, ac, tol=5e-9)
+    free = _newton_polish(pinned.values, ac)
     assert free.converged
     assert np.max(np.abs(free.values - result.profile.values)) <= 1e-8
 
 
-def centre_root(ac, options=None):
+def centre_root(ac):
     """The Newton root `minimize` tries first, from the centred guess."""
-    options = options or MinimizeOptions()
-    return newton_polish(initial_guess(ac.grid, guess_rate(ac)), ac,
-                         tol=options.grad_tol / (2.0 * ac.kinetic_factor),
-                         step_cap=np.inf)
+    return _newton_polish(_initial_guess(ac.grid, _guess_rate(ac)), ac,
+                          step_cap=np.inf)
 
 
 def test_minimize_falls_back_from_a_saddle():
@@ -403,13 +405,13 @@ def test_pinned_newton_holds_the_node():
     pin = grid.n // 2 + 8
     start = kink._shifted(saddle.values, 8)
     start[pin] = 0.0
-    held = newton_polish(start, ac, tol=5e-9, step_cap=np.inf, pin=pin)
+    held = _newton_polish(start, ac, step_cap=np.inf, pin=pin)
     assert held.values[pin] == 0.0
     assert held.values[0] == -1.0 and held.values[-1] == 1.0
-    assert held.history[-1] <= 5e-9 < held.residual_sup
+    assert held.history[-1] <= _target_residual(ac) < held.residual_sup
     assert not held.converged
     # at the saddle, a true root, the full residual meets the tolerance
-    at_centre = newton_polish(saddle.values, ac, tol=5e-9, pin=grid.n // 2)
+    at_centre = _newton_polish(saddle.values, ac, pin=grid.n // 2)
     assert at_centre.converged and at_centre.iterations == 0
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -85,15 +87,41 @@ def test_sinusoidal_background_dual_route():
     assert mono.gap_sup <= 1e-8
 
 
-def test_monotone_sweeps_stay_ordered():
+def recorded_sweeps(monkeypatch, problem):
+    """The oracle's result and its ends (below, above) after each sweep,
+    read off the steps it takes through `periodic._advance`."""
+    steps = []
+    advance = periodic._advance
+
+    def recording(floor, old, res, new, lo, hi, what, done):
+        out = advance(floor, old, res, new, lo, hi, what, done)
+        steps.append((done, what.split()[0], out[0].copy()))
+        return out
+
+    monkeypatch.setattr(periodic, "_advance", recording)
+    mono = monotone_iteration_oracle(problem)
+    bracket = bracket_bounds(problem)
+    ends = {"lower": np.full(problem.n_per, bracket.lower),
+            "upper": np.full(problem.n_per, bracket.upper)}
+    history = []
+    # `done` counts the sweeps before the step; an end that has
+    # stopped takes no step and keeps its last value
+    for _, sweep in itertools.groupby(steps, key=lambda step: step[0]):
+        for _, side, end in sweep:
+            ends[side] = end
+        history.append((ends["lower"], ends["upper"]))
+    return mono, history
+
+
+def test_monotone_sweeps_stay_ordered(monkeypatch):
     problem = sinusoidal_cubic(lam=-1.0, amp=0.5)
     bracket = bracket_bounds(problem)
-    mono = monotone_iteration_oracle(problem, record=True)
-    assert len(mono.history) == mono.iterations
+    mono, history = recorded_sweeps(monkeypatch, problem)
+    assert len(history) == mono.iterations
     slack = 5e-13
     prev_below = np.full(problem.n_per, bracket.lower)
     prev_above = np.full(problem.n_per, bracket.upper)
-    for below, above in mono.history:
+    for below, above in history:
         assert np.all(below <= above + slack)
         assert np.all(below >= prev_below - slack)
         assert np.all(above <= prev_above + slack)
@@ -123,15 +151,15 @@ def test_monotone_sweeps_converge_quadratically(amp, lam, max_sweeps):
     # both powers, the cubic one with a negative coefficient
     (sinusoidal_quintic(lam=-2.0, g1=-1.0), False),
 ], ids=["clamped-cubic", "quintic-negative-g1"])
-def test_sector_shift_keeps_the_sweeps_ordered(problem, clamps):
+def test_sector_shift_keeps_the_sweeps_ordered(monkeypatch, problem, clamps):
     eq = problem.equation()
     bracket = bracket_bounds(problem)
-    mono = monotone_iteration_oracle(problem, record=True)
+    _, history = recorded_sweeps(monkeypatch, problem)
     slack = 1e-11
     prev_below = np.full(problem.n_per, bracket.lower)
     prev_above = np.full(problem.n_per, bracket.upper)
     clamped = 0
-    for below, above in mono.history:
+    for below, above in history:
         slope = [eq.mu + sum(p * c * phi**(p - 1) for p, c in eq.powers)
                  for phi in (prev_below, prev_above)]
         clamped += int(np.sum(np.maximum(*slope) < 0))
