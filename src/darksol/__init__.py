@@ -24,8 +24,6 @@ from .periodic import (Bracket, MonotoneResult, PeriodicResult,
 from .pipeline import SolitonRun, run_background, run_soliton
 from .reduction import (WeightedAC, energy, lift, residual_reduced,
                         to_allen_cahn)
-from .verify import (DecayFit, SolitonReport, amplitude_margin,
-                     build_report, check_asymptotic_ratio, fit_decay_rate,
-                     monotonicity_margin, residual_phi)
+from .verify import SolitonReport, build_report
 
 __version__ = "0.1.0"

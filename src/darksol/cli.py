@@ -192,8 +192,8 @@ def read_csv(path):
             lines = [line.strip() for line in handle if line.strip()]
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    if not lines:
-        raise ConfigError(f"{path} is empty")
+    if len(lines) < 2:
+        raise ConfigError(f"{path} has no data rows")
     names = lines[0].split(",")
     data = {name: [] for name in names}
     for line in lines[1:]:

@@ -77,7 +77,6 @@ class EvolveOptions:
 class Trajectory:
     times: np.ndarray
     fields: tuple
-    dt: float
     n_steps: int
 
 
@@ -186,7 +185,7 @@ def evolve_nls(psi0: ComplexField, problem: Problem,
             fields.append(ComplexField(grid=grid, re=psi.real, im=psi.imag))
 
     return Trajectory(times=np.asarray(times), fields=tuple(fields),
-                      dt=options.dt, n_steps=n_steps)
+                      n_steps=n_steps)
 
 
 def modulus_deviation(traj: Trajectory, reference: Profile) -> float:
@@ -200,24 +199,20 @@ def modulus_deviation(traj: Trajectory, reference: Profile) -> float:
     return worst
 
 
-def phase_rotation_check(traj: Trajectory, lam: float,
-                         ref_index: int | None = None) -> PhaseCheck:
+def phase_rotation_check(traj: Trajectory, lam: float) -> PhaseCheck:
     """Fit the phase at a probe node against the stationary rotation rate.
 
-    The probe defaults to the largest-modulus interior node in the
-    right half, away from the pinned edge whose rotation is exact by
-    construction. Fails when there are too few snapshots or the
-    modulus at the probe ever drops near zero.
+    The probe is the largest-modulus interior node in the right half,
+    away from the pinned edge whose rotation is exact by construction.
+    Fails when there are too few snapshots or the modulus at the probe
+    ever drops near zero.
     """
     if len(traj.fields) < 2:
         raise PhaseUndefined("need at least two snapshots to fit a phase slope")
     field0 = traj.fields[0]
     n = field0.grid.n
-    if ref_index is None:
-        mod0 = field0.modulus()
-        start = n // 2
-        ref_index = start + int(np.argmax(mod0[start:n - 1]))
-    ref_index = int(ref_index)
+    start = n // 2
+    ref_index = start + int(np.argmax(field0.modulus()[start:n - 1]))
     values = np.array([f.psi[ref_index] for f in traj.fields])
     if np.min(np.abs(values)) < 1e-8:
         raise PhaseUndefined("modulus at the probe node is too small")

@@ -107,6 +107,8 @@ def select_truncation(problem: Problem) -> float:
 def make_truncated_grid(period: float, half_length: float,
                         n_per_period: int) -> Grid:
     """Symmetric grid on [-L, L] whose nodes tile the coefficient period."""
+    if not np.isfinite(half_length):
+        raise GridMismatchError(f"half length {half_length} is not finite")
     m = round(half_length / period)
     if m < 1 or abs(half_length - m * period) > 1e-9 * max(1.0, half_length):
         raise GridMismatchError(

@@ -123,11 +123,6 @@ class Coefficient:
         out.flags.writeable = False
         return out
 
-    def shifted(self, k_nodes: int) -> "Coefficient":
-        """Translate by k_nodes samples: result(x) = original(x - k_nodes * h)."""
-        return Coefficient(samples=np.roll(self.samples, k_nodes),
-                           period=self.period)
-
 
 def sample_coefficient(source, period: float, n_per_period: int,
                        positive: bool = False,

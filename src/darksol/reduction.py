@@ -141,16 +141,13 @@ def _nonlinearity(ac: WeightedAC, w: np.ndarray) -> np.ndarray:
                         for p, b in ac.powers))
 
 
-def _energy_values(ac: WeightedAC, w: np.ndarray, source=None) -> float:
+def _energy_values(ac: WeightedAC, w: np.ndarray) -> float:
     h = ac.h
     kinetic = ac.kinetic_factor * np.sum(_edge_weights(ac) * np.diff(w)**2) / h
     density = _potential_density(ac, w)
     weights = np.ones_like(w)
     weights[0] = weights[-1] = 0.5
-    total = kinetic + h * np.sum(weights * density)
-    if source is not None:
-        total += 2.0 * ac.kinetic_factor * h * np.dot(source, w)
-    return float(total)
+    return float(kinetic + h * np.sum(weights * density))
 
 
 def _residual_values(ac: WeightedAC, w: np.ndarray,

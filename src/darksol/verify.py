@@ -1,9 +1,13 @@
 """A-posteriori checks on a computed front profile.
 
-Everything here is read-only diagnostics: residuals of the unreduced
-equation, distance of the ratio from its clamped range, and tail decay
-rates fitted from the data. The combined report is what the command
-line prints and what downstream runs are judged by.
+`build_report` is the only route to a front's report, and everything it
+computes is read-only and recomputable from the written profiles: the
+three-point residuals of the unreduced and the reduced equation, the
+amplitude and monotonicity margins of the ratio, exponential tail rates
+fitted on each side (of the tail and of its first difference), and the
+distance of phi / background from its limits -1 and +1 in the outer
+windows. The report is what the command line writes and re-reads, and
+what downstream runs are judged by.
 """
 
 from dataclasses import dataclass
@@ -14,11 +18,7 @@ from .errors import TailUnderflow, ValidationError
 from .model import Problem, Profile
 from .reduction import _residual_values, lift, to_allen_cahn
 
-__all__ = [
-    "DecayFit", "SolitonReport", "residual_phi", "amplitude_margin",
-    "monotonicity_margin", "fit_decay_rate", "check_asymptotic_ratio",
-    "build_report",
-]
+__all__ = ["SolitonReport", "build_report"]
 
 # Tail differences below this are dominated by cancellation noise and
 # are excluded from decay fits.
@@ -26,40 +26,6 @@ _TAIL_FLOOR = 1e-14
 _MIN_FIT_POINTS = 5
 # Default outer share of the half-domain that the tail checks read.
 TAIL_FRACTION = 0.25
-
-
-def residual_phi(phi: Profile, problem: Problem) -> float:
-    """Sup norm of the unreduced stationary residual at interior nodes."""
-    v = phi.values
-    lap = np.zeros_like(v)
-    lap[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / phi.grid.h**2
-    res = problem.equation(phi.grid).residual(v, lap)[1:-1]
-    return float(np.max(np.abs(res)))
-
-
-def amplitude_margin(w: Profile) -> float:
-    """1 - max |w| over interior nodes (the boundary is pinned at 1)."""
-    return float(1.0 - np.max(np.abs(w.values[1:-1])))
-
-
-def monotonicity_margin(w: Profile) -> float:
-    """Minimum forward difference quotient over all node pairs."""
-    return float(np.min(np.diff(w.values)) / w.grid.h)
-
-
-@dataclass(frozen=True)
-class DecayFit:
-    rate_left: float
-    rate_right: float
-    r2_left: float
-    r2_right: float
-    deriv_rate_left: float
-    deriv_rate_right: float
-    deriv_r2_left: float
-    deriv_r2_right: float
-    points_left: int
-    points_right: int
-    flags: frozenset
 
 
 def _fit_line(t: np.ndarray, y: np.ndarray):
@@ -87,82 +53,34 @@ def _one_tail(t: np.ndarray, diff: np.ndarray, side: str, flags: set):
     return -slope, r2, int(t.size)
 
 
-def fit_decay_rate(phi: Profile, background_ext: Profile, period: float,
-                   tail_fraction: float = TAIL_FRACTION) -> DecayFit:
-    """Fit exponential approach rates of phi to -background on the left
-    and +background on the right.
+def _fit_tail(phi: Profile, background_ext: Profile, x: np.ndarray,
+              start: float, inner: float, side: str, flags: set):
+    """Exponential approach rate of phi to +background on the right
+    (`side` "right", window start <= x <= inner) or to -background on
+    the left (its mirror image), read outward from the core.
 
-    The fit window is the outer `tail_fraction` of the half-domain with
-    a two-period collar next to the boundary removed, so neither the
-    core of the front nor the pinned edge contaminates the slope. The
-    first difference of the tail is fitted the same way as an
-    independent consistency check on the rate.
+    The tail's first difference is fitted the same way as an independent
+    consistency check on the rate; being one cancellation noisier, an
+    unusable derivative fit is flagged, not fatal. Returns (rate, r2,
+    points, deriv_rate, deriv_r2).
     """
-    if not 0 < tail_fraction < 1:
-        raise ValidationError("tail_fraction must lie in (0, 1)")
-    grid = phi.grid
-    if background_ext.grid != grid:
-        raise ValidationError("profile and background live on different grids")
-    x = grid.x()
-    half = grid.xmax
-    inner = half - 2.0 * period
-    if inner <= 0:
-        raise ValidationError("domain too short for a tail fit")
-    start = inner * (1.0 - tail_fraction)
-    flags = set()
-
-    def tail(sign_x):
-        if sign_x > 0:
-            mask = (x >= start) & (x <= inner)
-            d = phi.values[mask] - background_ext.values[mask]
-            return x[mask], d
+    if side == "right":
+        mask = (x >= start) & (x <= inner)
+        t = x[mask]
+        d = phi.values[mask] - background_ext.values[mask]
+    else:
         mask = (x <= -start) & (x >= -inner)
-        d = phi.values[mask] + background_ext.values[mask]
-        return -x[mask][::-1], d[::-1]
-
-    t_r, d_r = tail(+1)
-    t_l, d_l = tail(-1)
-    rate_r, r2_r, n_r = _one_tail(t_r, d_r, "right", flags)
-    rate_l, r2_l, n_l = _one_tail(t_l, d_l, "left", flags)
-
-    h = grid.h
-
-    def deriv_fit(t, d, side):
-        # The differenced tail is one cancellation noisier than the
-        # tail itself; an unusable derivative fit is recorded, not fatal.
-        try:
-            rate, r2, _ = _one_tail(t[:-1] + 0.5 * h, np.diff(d) / h,
-                                    side, flags)
-            return rate, r2
-        except TailUnderflow:
-            flags.add(f"deriv_fit_unavailable_{side}")
-            return 0.0, 0.0
-
-    drate_r, dr2_r = deriv_fit(t_r, d_r, "right_deriv")
-    drate_l, dr2_l = deriv_fit(t_l, d_l, "left_deriv")
-
-    return DecayFit(rate_left=rate_l, rate_right=rate_r,
-                    r2_left=r2_l, r2_right=r2_r,
-                    deriv_rate_left=drate_l, deriv_rate_right=drate_r,
-                    deriv_r2_left=dr2_l, deriv_r2_right=dr2_r,
-                    points_left=n_l, points_right=n_r,
-                    flags=frozenset(flags))
-
-
-def check_asymptotic_ratio(phi: Profile, background_ext: Profile,
-                           tail_fraction: float = TAIL_FRACTION):
-    """Sups of |phi / background + 1| and |phi / background - 1| over the
-    outer (left, right) windows, where a front approaches -+background."""
-    if not 0 < tail_fraction < 1:
-        raise ValidationError("tail_fraction must lie in (0, 1)")
-    grid = phi.grid
-    if background_ext.grid != grid:
-        raise ValidationError("profile and background live on different grids")
-    x = grid.x()
-    cut = grid.xmax * (1.0 - tail_fraction)
-    ratio = phi.values / background_ext.values
-    return (float(np.max(np.abs(ratio[x <= -cut] + 1.0))),
-            float(np.max(np.abs(ratio[x >= cut] - 1.0))))
+        t = -x[mask][::-1]
+        d = (phi.values[mask] + background_ext.values[mask])[::-1]
+    rate, r2, points = _one_tail(t, d, side, flags)
+    h = phi.grid.h
+    try:
+        deriv_rate, deriv_r2, _ = _one_tail(t[:-1] + 0.5 * h, np.diff(d) / h,
+                                            f"{side}_deriv", flags)
+    except TailUnderflow:
+        flags.add(f"deriv_fit_unavailable_{side}_deriv")
+        deriv_rate, deriv_r2 = 0.0, 0.0
+    return rate, r2, points, deriv_rate, deriv_r2
 
 
 @dataclass(frozen=True)
@@ -206,28 +124,60 @@ class SolitonReport:
         }
 
 
+def _residual_phi(phi: Profile, problem: Problem) -> float:
+    """Sup norm of the unreduced stationary residual at interior nodes."""
+    v = phi.values
+    lap = np.zeros_like(v)
+    lap[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / phi.grid.h**2
+    res = problem.equation(phi.grid).residual(v, lap)[1:-1]
+    return float(np.max(np.abs(res)))
+
+
 def build_report(problem: Problem, w: Profile, background_ext: Profile,
                  tail_fraction: float = TAIL_FRACTION) -> SolitonReport:
-    """Assemble the full report for a ratio profile and its background."""
+    """Assemble the full report for a ratio profile and its background.
+
+    The amplitude margin is 1 - max |w| over the interior nodes (the
+    boundary is pinned at -1 and 1), the monotonicity margin the least
+    forward difference quotient of w. The tail fits read the outer
+    `tail_fraction` of the half-domain with a two-period collar next to
+    the boundary removed, so neither the core of the front nor the
+    pinned edge contaminates the slope. The ratio errors are the sups of
+    |phi / background + 1| and |phi / background - 1| over the outer
+    `tail_fraction` of the left and the right half, collar included.
+    """
+    if not 0 < tail_fraction < 1:
+        raise ValidationError("tail_fraction must lie in (0, 1)")
     ac = to_allen_cahn(problem, background_ext)
     phi = lift(w, background_ext)
     res_reduced = float(np.max(np.abs(_residual_values(ac, w.values))))
-    fit = fit_decay_rate(phi, background_ext, problem.period,
-                         tail_fraction=tail_fraction)
-    err_left, err_right = check_asymptotic_ratio(phi, background_ext,
-                                                 tail_fraction=tail_fraction)
+    grid = phi.grid
+    x = grid.x()
+    inner = grid.xmax - 2.0 * problem.period
+    if inner <= 0:
+        raise ValidationError("domain too short for a tail fit")
+    start = inner * (1.0 - tail_fraction)
+    flags = set()
+    rate_r, r2_r, _, deriv_rate_r, deriv_r2_r = _fit_tail(
+        phi, background_ext, x, start, inner, "right", flags)
+    rate_l, r2_l, _, deriv_rate_l, deriv_r2_l = _fit_tail(
+        phi, background_ext, x, start, inner, "left", flags)
+    cut = grid.xmax * (1.0 - tail_fraction)
+    ratio = phi.values / background_ext.values
     return SolitonReport(
-        residual_phi_sup=residual_phi(phi, problem),
+        residual_phi_sup=_residual_phi(phi, problem),
         residual_reduced_sup=res_reduced,
-        amplitude_margin=amplitude_margin(w),
-        monotonicity_margin=monotonicity_margin(w),
-        decay_rate_fit_left=fit.rate_left,
-        decay_rate_fit_right=fit.rate_right,
-        decay_fit_r2_left=fit.r2_left,
-        decay_fit_r2_right=fit.r2_right,
-        decay_rate_deriv_left=fit.deriv_rate_left,
-        decay_rate_deriv_right=fit.deriv_rate_right,
-        asymptotic_ratio_err_left=err_left,
-        asymptotic_ratio_err_right=err_right,
-        diagnostic_flags=tuple(sorted(fit.flags)),
+        amplitude_margin=float(1.0 - np.max(np.abs(w.values[1:-1]))),
+        monotonicity_margin=float(np.min(np.diff(w.values)) / grid.h),
+        decay_rate_fit_left=rate_l,
+        decay_rate_fit_right=rate_r,
+        decay_fit_r2_left=r2_l,
+        decay_fit_r2_right=r2_r,
+        decay_rate_deriv_left=deriv_rate_l,
+        decay_rate_deriv_right=deriv_rate_r,
+        asymptotic_ratio_err_left=float(
+            np.max(np.abs(ratio[x <= -cut] + 1.0))),
+        asymptotic_ratio_err_right=float(
+            np.max(np.abs(ratio[x >= cut] - 1.0))),
+        diagnostic_flags=tuple(sorted(flags)),
     )

@@ -219,6 +219,17 @@ def test_verify_rejects_missing_column(tmp_path):
     assert run_cli("verify", config, out) == 2
 
 
+def test_verify_rejects_a_profile_without_rows(tmp_path, capsys):
+    config = write_config(tmp_path, BASE)
+    out = tmp_path / "out"
+    assert run_cli("solve-soliton", config, out) == 0
+    header = (out / "soliton.csv").read_text().splitlines()[0]
+    (out / "soliton.csv").write_text(header + "\n")
+    capsys.readouterr()
+    assert run_cli("verify", config, out) == 2
+    assert "soliton.csv has no data rows" in capsys.readouterr().err
+
+
 def test_verify_rejects_config_mismatch(tmp_path):
     config = write_config(tmp_path, BASE)
     out = tmp_path / "out"
@@ -284,6 +295,18 @@ def test_fine_grid_background_solves(tmp_path):
 def test_incommensurate_half_length_is_rejected(tmp_path):
     config = write_config(tmp_path, BASE.replace("l = 4", "l = 6.5"))
     assert run_cli("solve-soliton", config, tmp_path / "out") == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_half_length_is_rejected(tmp_path, capsys, value):
+    config = write_config(tmp_path, BASE.replace("l = 4", f"l = {value}"))
+    assert run_cli("solve-soliton", config, tmp_path / "out") == 2
+    assert "not finite" in capsys.readouterr().err
+    sweep = write_config(tmp_path, BASE.replace("l = 4", f"l = {value}")
+                         + "\n[sweep]\nlambda = -0.25, -1\n", name="sweep.ini")
+    assert run_cli("sweep", sweep, tmp_path / "sweep") == 0
+    report = json.loads((tmp_path / "sweep" / "report.json").read_text())
+    assert report["statuses"] == ["validation_error"] * 2
 
 
 def test_evolve_needs_time_parameters(tmp_path):

@@ -141,7 +141,7 @@ def reference_evolve(psi0, problem, options):
             times.append(t_new)
             fields.append(ComplexField(grid=grid, re=psi.real, im=psi.imag))
     return Trajectory(times=np.asarray(times), fields=tuple(fields),
-                      dt=options.dt, n_steps=n_steps)
+                      n_steps=n_steps)
 
 
 @pytest.fixture(scope="module")
@@ -224,8 +224,7 @@ def test_options_validation():
 
 def test_phase_check_needs_snapshots(soliton_run):
     psi0 = make_ansatz(soliton_run.phi, -1.0)
-    single = Trajectory(times=np.array([0.0]), fields=(psi0,),
-                        dt=1e-3, n_steps=0)
+    single = Trajectory(times=np.array([0.0]), fields=(psi0,), n_steps=0)
     with pytest.raises(PhaseUndefined):
         phase_rotation_check(single, -1.0)
 
@@ -234,7 +233,7 @@ def test_phase_check_rejects_tiny_modulus():
     grid = Grid(-1.0, 1.0, 33)
     zero = ComplexField(grid=grid, re=np.zeros(33), im=np.zeros(33))
     traj = Trajectory(times=np.array([0.0, 0.1]), fields=(zero, zero),
-                      dt=0.1, n_steps=1)
+                      n_steps=1)
     with pytest.raises(PhaseUndefined):
         phase_rotation_check(traj, -1.0)
 

@@ -59,6 +59,14 @@ def test_make_truncated_grid():
         make_truncated_grid(1.0, 0.0, 256)
 
 
+@pytest.mark.parametrize("half_length", [np.nan, np.inf, -np.inf])
+def test_non_finite_half_length_is_refused(half_length):
+    with pytest.raises(GridMismatchError, match="not finite"):
+        make_truncated_grid(1.0, half_length, 64)
+    with pytest.raises(ValidationError):
+        run_soliton(constant_cubic(n_per=64), half_length=half_length)
+
+
 def test_guess_rate_and_coercivity():
     n = 33
     grid = Grid(-1.0, 1.0, n)

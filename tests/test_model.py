@@ -112,14 +112,6 @@ def test_on_grid_rejects_misalignment():
         c.on_grid(Grid(0.37 * h, 0.37 * h + 1.0, 65))
 
 
-def test_shifted_translates_samples():
-    c = sample_coefficient("1 + 0.5*sin(2*pi*x)", 1.0, 64)
-    s = c.shifted(5)
-    for k in (0, 3, 17):
-        assert s.samples[k] == c.samples[(k - 5) % 64]
-    np.testing.assert_array_equal(c.shifted(64).samples, c.samples)
-
-
 def test_problem_rejects_inconsistent_data():
     with pytest.raises(ValidationError):
         Problem(kind="septic", lam=-1.0, period=1.0)

@@ -3,10 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from darksol import (Grid, Profile, amplitude_margin, build_report,
-                     check_asymptotic_ratio, fit_decay_rate,
-                     monotonicity_margin, residual_phi, run_soliton)
+from darksol import Grid, Profile, build_report, run_soliton
 from darksol.errors import TailUnderflow, ValidationError
+from darksol.verify import _fit_tail, _residual_phi
 
 from conftest import constant_cubic, sinusoidal_cubic
 
@@ -17,6 +16,8 @@ def constant_run():
 
 
 def synthetic_pair(rate=2.0, half=10.0, n=2561, shape="front"):
+    """A front on a unit background; the grid matches the 128 nodes per
+    period of `unit_problem`."""
     grid = Grid(-half, half, n)
     x = grid.x()
     bg = Profile(grid, np.ones(n))
@@ -27,13 +28,32 @@ def synthetic_pair(rate=2.0, half=10.0, n=2561, shape="front"):
     return grid, Profile(grid, vals), bg
 
 
+def unit_problem():
+    return constant_cubic(lam=-1.0, n_per=128)
+
+
+def report_of(phi, bg):
+    """The report of phi on bg, read as the ratio phi / bg."""
+    w = Profile(phi.grid, phi.values / bg.values)
+    return build_report(unit_problem(), w, bg)
+
+
+def window_points(phi, bg, side):
+    """Nodes in the tail fit on one side at the default tail fraction:
+    the outer quarter of [0, half - 2 T], T = 1, as `build_report` reads
+    it."""
+    inner = phi.grid.xmax - 2.0
+    start = 0.75 * inner
+    return _fit_tail(phi, bg, phi.grid.x(), start, inner, side, set())[2]
+
+
 def test_residual_phi_tracks_reduced_residual(constant_run):
     # for a unit background the unreduced residual is exactly half the
     # reduced one, up to floating-point reassociation
     run = constant_run
     assert abs(run.report.residual_phi_sup
                - 0.5 * run.report.residual_reduced_sup) <= 1e-12
-    assert residual_phi(run.phi, run.problem) == run.report.residual_phi_sup
+    assert _residual_phi(run.phi, run.problem) == run.report.residual_phi_sup
 
 
 def test_residual_phi_second_order_in_h():
@@ -47,50 +67,57 @@ def test_residual_phi_second_order_in_h():
     assert 2.5 <= ratio <= 6.0
 
 
+def tampered_report(run, vals):
+    return build_report(run.problem, Profile(run.grid, vals),
+                        run.background_ext)
+
+
 def test_margins_on_computed_front(constant_run):
-    assert amplitude_margin(constant_run.w) > 0
-    assert monotonicity_margin(constant_run.w) > 0
+    assert constant_run.report.amplitude_margin > 0
+    assert constant_run.report.monotonicity_margin > 0
 
 
 def test_margins_flag_tampering(constant_run):
     vals = constant_run.w.values.copy()
     vals[len(vals) // 3] = 1.0
-    assert amplitude_margin(Profile(constant_run.grid, vals)) == 0.0
+    assert tampered_report(constant_run, vals).amplitude_margin == 0.0
     vals = constant_run.w.values.copy()
     vals[100], vals[101] = vals[101], vals[100]
-    assert monotonicity_margin(Profile(constant_run.grid, vals)) < 0
+    assert tampered_report(constant_run, vals).monotonicity_margin < 0
 
 
-def test_amplitude_margin_ignores_pinned_boundary():
-    grid = Grid(-1.0, 1.0, 5)
-    w = Profile(grid, [-1.0, -0.9, 0.0, 0.9, 1.0])
-    assert amplitude_margin(w) == pytest.approx(0.1, rel=1e-14)
+def test_amplitude_margin_ignores_pinned_boundary(constant_run):
+    vals = np.clip(constant_run.w.values, -0.9, 0.9)
+    vals[0], vals[-1] = -1.0, 1.0
+    report = tampered_report(constant_run, vals)
+    assert report.amplitude_margin == pytest.approx(0.1, rel=1e-14)
 
 
 def test_decay_fit_on_synthetic_exponential():
     grid, phi, bg = synthetic_pair(rate=2.0)
-    fit = fit_decay_rate(phi, bg, period=1.0)
-    assert fit.rate_right == pytest.approx(2.0, abs=1e-4)
-    assert fit.rate_left == pytest.approx(2.0, abs=1e-4)
-    assert fit.r2_right >= 1.0 - 1e-8
-    assert fit.r2_left >= 1.0 - 1e-8
-    assert fit.deriv_rate_right == pytest.approx(2.0, abs=1e-2)
-    assert fit.deriv_rate_left == pytest.approx(2.0, abs=1e-2)
-    assert fit.flags == frozenset()
+    report = report_of(phi, bg)
+    assert report.decay_rate_fit_right == pytest.approx(2.0, abs=1e-4)
+    assert report.decay_rate_fit_left == pytest.approx(2.0, abs=1e-4)
+    assert report.decay_fit_r2_right >= 1.0 - 1e-8
+    assert report.decay_fit_r2_left >= 1.0 - 1e-8
+    assert report.decay_rate_deriv_right == pytest.approx(2.0, abs=1e-2)
+    assert report.decay_rate_deriv_left == pytest.approx(2.0, abs=1e-2)
+    assert report.diagnostic_flags == ()
     # window is the outer quarter of [0, half - 2 T]
-    assert fit.points_right == fit.points_left
-    assert fit.points_right == int(round(2.0 / grid.h)) + 1
+    points_right = window_points(phi, bg, "right")
+    assert points_right == window_points(phi, bg, "left")
+    assert points_right == int(round(2.0 / grid.h)) + 1
 
 
 def test_decay_fit_floor_flag():
     # rate 4.5 dips below the cancellation floor inside the window but
     # keeps plenty of usable points
     grid, phi, bg = synthetic_pair(rate=4.5, shape="pure")
-    fit = fit_decay_rate(phi, bg, period=1.0)
-    assert "tail_floor_right" in fit.flags
-    assert "tail_floor_left" in fit.flags
-    assert fit.rate_right == pytest.approx(4.5, rel=1e-2)
-    assert fit.points_right >= 5
+    report = report_of(phi, bg)
+    assert "tail_floor_right" in report.diagnostic_flags
+    assert "tail_floor_left" in report.diagnostic_flags
+    assert report.decay_rate_fit_right == pytest.approx(4.5, rel=1e-2)
+    assert window_points(phi, bg, "right") >= 5
 
 
 def test_decay_fit_underflow():
@@ -101,29 +128,39 @@ def test_decay_fit_underflow():
     vals[x <= -3.0] = -1.0
     bg = Profile(grid, np.ones(grid.n))
     with pytest.raises(TailUnderflow):
-        fit_decay_rate(Profile(grid, vals), bg, period=1.0)
+        report_of(Profile(grid, vals), bg)
 
 
 def test_decay_fit_rejects_short_domain():
     grid, phi, bg = synthetic_pair(half=1.5, n=385)
-    with pytest.raises(ValidationError):
-        fit_decay_rate(phi, bg, period=1.0)
-    with pytest.raises(ValidationError):
-        fit_decay_rate(phi, bg, period=1.0, tail_fraction=1.5)
+    with pytest.raises(ValidationError, match="too short"):
+        report_of(phi, bg)
+
+
+@pytest.mark.parametrize("tail_fraction", [0.0, 1.0, 1.5, float("nan")])
+def test_build_report_refuses_tail_fraction(tail_fraction):
+    grid, phi, bg = synthetic_pair(rate=2.0)
+    with pytest.raises(ValidationError, match="tail_fraction"):
+        build_report(unit_problem(), phi, bg, tail_fraction=tail_fraction)
 
 
 def test_asymptotic_ratio_conventions():
     grid, phi, bg = synthetic_pair(rate=2.0)
-    err_left, err_right = check_asymptotic_ratio(phi, bg)
+    report = report_of(phi, bg)
+    err_left = report.asymptotic_ratio_err_left
+    err_right = report.asymptotic_ratio_err_right
     cut = 7.5
     want = 1.0 - np.tanh(cut)
     assert err_right == pytest.approx(want, rel=1e-10)
     assert err_left == pytest.approx(err_right, rel=1e-10)
-    # the exact front shape sign(x) phi+ meets both limits exactly
+    # the exact front shape sign(x) phi+ meets both limits exactly; it
+    # takes that shape only beyond the cut, so the tail still has a fit
     x = grid.x()
     modulated = Profile(grid, 1.0 + 0.3 * np.cos(2.0 * np.pi * x))
-    exact = Profile(grid, np.sign(x) * modulated.values)
-    assert check_asymptotic_ratio(exact, modulated) == (0.0, 0.0)
+    w = np.where(np.abs(x) >= cut, np.sign(x), phi.values)
+    report = build_report(unit_problem(), Profile(grid, w), modulated)
+    assert (report.asymptotic_ratio_err_left,
+            report.asymptotic_ratio_err_right) == (0.0, 0.0)
 
 
 def test_build_report_round_trips_through_json(constant_run):
