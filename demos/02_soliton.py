@@ -17,13 +17,13 @@ problem = Problem(kind="cubic", lam=-1.0, period=1.0, g=g)
 run = run_soliton(problem)
 
 print(f"status                 {run.status}")
-print(f"half length            {run.half_length:g}  "
+print(f"half length            {run.grid.xmax:g}  "
       f"(grid of {run.grid.n} nodes, h = {run.grid.h:g})")
 print(f"background enclosure   {run.periodic.enclosure_width:.3e}")
 print(f"gradient sup / h       {run.minimize.grad_sup_per_h:.3e}")
 print(f"front crossing at      {run.crossing:+.6f}")
 print(f"energy                 {run.minimize.final_energy:.8f}")
 print(f"phi dips to            {np.min(np.abs(run.phi.values)):.3e}")
-print(f"run flags              {sorted(run.run_flags) or '(none)'}")
+print(f"run flags              {sorted(run.minimize.flags) or '(none)'}")
 print()
 print(json.dumps(run.report.to_dict(), indent=2))

@@ -28,17 +28,19 @@ from .kink import make_truncated_grid, select_truncation
 from .model import Grid, Problem, Profile, sample_coefficient, validate_problem
 from .periodic import solve_periodic
 from .pipeline import run_background, run_soliton
-from .reduction import residual_reduced, to_allen_cahn
+from .reduction import lift, residual_reduced, to_allen_cahn
 from .verify import TAIL_FRACTION, build_report
 
 SCHEMA_VERSION = 1
+# Fixed evolution gates: sup | |psi| - |psi_0| |, phase-slope relative error
+_MODULUS_TOL = 1e-4
+_PHASE_TOL = 1e-3
 
 _KNOWN_KEYS = {
     "problem": {"kind", "lambda", "period", "n_per_period", "g", "g_table",
                 "v", "v_table", "g1"},
     "domain": {"l", "tail_fraction"},
-    "evolve": {"dt", "t_max", "snapshot_every", "initial", "modulus_tol",
-               "phase_tol"},
+    "evolve": {"dt", "t_max", "snapshot_every", "initial"},
     "sweep": {"lambda", "amplitude"},
 }
 
@@ -58,8 +60,6 @@ class RunConfig:
     t_max: float | None
     snapshot_every: int
     initial: str
-    modulus_tol: float
-    phase_tol: float
     sweep_lambdas: tuple
     sweep_amplitudes: tuple | None
     raw: dict
@@ -142,8 +142,6 @@ def load_config(path) -> RunConfig:
         t_max=get("evolve", "t_max", float),
         snapshot_every=get("evolve", "snapshot_every", int, default=100),
         initial=get("evolve", "initial", str, default="soliton"),
-        modulus_tol=get("evolve", "modulus_tol", float, default=1e-4),
-        phase_tol=get("evolve", "phase_tol", float, default=1e-3),
         sweep_lambdas=_float_list(get("sweep", "lambda", str, default="")),
         sweep_amplitudes=(
             _float_list(get("sweep", "amplitude", str))
@@ -234,18 +232,17 @@ def _problem_block(problem: Problem) -> dict:
 _NOTES = {
     "coefficient_extrema": "coefficient extrema are taken over the sampled "
                            "nodes, not the continuous expression",
-    "dynamics_tolerances": "dynamical tolerances are discretization-dependent "
-                           "run settings, not model constants",
+    "dynamics_tolerances": "dynamical tolerances are fixed gates that depend "
+                           "on the discretization, not model constants",
 }
 
 
-def _base_report(command, cfg: RunConfig, seed) -> dict:
+def _base_report(command, cfg: RunConfig) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "config_hash": cfg.config_hash,
         "config": cfg.raw,
-        "seed": seed,
         "notes": _NOTES,
     }
 
@@ -269,13 +266,18 @@ def _background_blocks(periodic, **oracle) -> dict:
     }
 
 
-def cmd_solve_periodic(cfg: RunConfig, out_dir, seed) -> int:
-    problem = build_problem(cfg)
-    periodic, monotone, agreement = run_background(problem)
+def _write_phi_plus(out_dir, periodic):
     x = periodic.profile.grid.x()
     write_csv(os.path.join(out_dir, "phi_plus.csv"), ["x", "phi_plus"],
               [x, periodic.profile.values])
-    report = _base_report("solve-periodic", cfg, seed)
+    return x
+
+
+def cmd_solve_periodic(cfg: RunConfig, out_dir) -> int:
+    problem = build_problem(cfg)
+    periodic, monotone, agreement = run_background(problem)
+    x = _write_phi_plus(out_dir, periodic)
+    report = _base_report("solve-periodic", cfg)
     # solve_periodic returns only at its rounding floor with a verified
     # enclosure and raises NonConvergence otherwise
     report.update({
@@ -299,13 +301,29 @@ def _run_soliton(cfg: RunConfig, problem: Problem):
                        tail_fraction=cfg.tail_fraction)
 
 
-def _soliton_report_payload(cfg: RunConfig, seed, run) -> dict:
-    report = _base_report("solve-soliton", cfg, seed)
+_SOLITON_COLUMNS = ("x", "phi_plus_ext", "w", "phi", "residual_reduced")
+
+
+def _soliton_columns(problem, w: Profile, background: Profile) -> dict:
+    """soliton.csv by column name, from the ratio and its background."""
+    ac = to_allen_cahn(problem, background)
+    return dict(zip(_SOLITON_COLUMNS, (
+        w.grid.x(), background.values, w.values, lift(w, background).values,
+        residual_reduced(w, ac).values)))
+
+
+def cmd_solve_soliton(cfg: RunConfig, out_dir) -> int:
+    run = _run_soliton(cfg, build_problem(cfg))
+    _write_phi_plus(out_dir, run.periodic)
+    columns = _soliton_columns(run.problem, run.w, run.background_ext)
+    write_csv(os.path.join(out_dir, "soliton.csv"), list(columns),
+              list(columns.values()))
+    report = _base_report("solve-soliton", cfg)
     report.update({
         "problem": _problem_block(run.problem),
         **_background_blocks(run.periodic),
         "truncation": {
-            "half_length": run.half_length,
+            "half_length": run.grid.xmax,
             "n_nodes": run.grid.n,
             "h": run.grid.h,
             "tail_fraction": run.tail_fraction,
@@ -317,42 +335,27 @@ def _soliton_report_payload(cfg: RunConfig, seed, run) -> dict:
             "final_energy": run.minimize.final_energy,
             "crossing": run.crossing,
         },
-        "run_flags": sorted(run.run_flags),
+        "run_flags": sorted(run.minimize.flags),
         "soliton_report": run.report.to_dict(),
         "verified": run.report.verified,
         "status": run.status,
     })
-    return report
-
-
-def cmd_solve_soliton(cfg: RunConfig, out_dir, seed) -> int:
-    run = _run_soliton(cfg, build_problem(cfg))
-    xp = run.periodic.profile.grid.x()
-    write_csv(os.path.join(out_dir, "phi_plus.csv"), ["x", "phi_plus"],
-              [xp, run.periodic.profile.values])
-    x = run.grid.x()
-    ac = to_allen_cahn(run.problem, run.background_ext)
-    res = residual_reduced(run.w, ac)
-    write_csv(os.path.join(out_dir, "soliton.csv"),
-              ["x", "phi_plus_ext", "w", "phi", "residual_reduced"],
-              [x, run.background_ext.values, run.w.values, run.phi.values,
-               res.values])
-    write_json(os.path.join(out_dir, "report.json"),
-               _soliton_report_payload(cfg, seed, run))
+    write_json(os.path.join(out_dir, "report.json"), report)
+    x, background, w, phi = _SOLITON_COLUMNS[:4]
     svgplot.line_plot(os.path.join(out_dir, "plot.svg"),
-                      [("phi", x, run.phi.values),
-                       ("phi_plus_ext", x, run.background_ext.values),
-                       ("w", x, run.w.values)],
+                      [(name, columns[x], columns[name])
+                       for name in (phi, background, w)],
                       title="front profile", xlabel="x", ylabel="value")
     return EXIT_CODES[run.status]
 
 
-def cmd_verify(cfg: RunConfig, out_dir, seed) -> int:
+def cmd_verify(cfg: RunConfig, out_dir) -> int:
     """Re-read a solve-soliton output directory and recompute its report.
 
-    The recomputed scalar block must equal the stored one exactly;
-    profiles are written with round-trip precision, so any difference
-    means the files no longer describe the run.
+    Every column of soliton.csv, rebuilt from x, phi_plus_ext and w, and
+    the recomputed scalar block must equal the stored ones exactly; the
+    files are written with round-trip precision, so any difference means
+    they no longer describe the run.
     """
     report_path = os.path.join(out_dir, "report.json")
     try:
@@ -363,32 +366,28 @@ def cmd_verify(cfg: RunConfig, out_dir, seed) -> int:
     if stored.get("config_hash") != cfg.config_hash:
         raise ConfigError("config file does not match the stored run")
     columns = read_csv(os.path.join(out_dir, "soliton.csv"))
-    for name in ("x", "phi_plus_ext", "w", "phi", "residual_reduced"):
+    for name in _SOLITON_COLUMNS:
         if name not in columns:
             raise ConfigError(f"soliton.csv is missing column {name!r}")
 
     problem = build_problem(cfg)
-    x = columns["x"]
+    x, background, w = (columns[name] for name in _SOLITON_COLUMNS[:3])
     grid = Grid(xmin=float(x[0]), xmax=float(x[-1]), n=int(x.size))
     validate_problem(problem, grid)
-    background = Profile(grid, columns["phi_plus_ext"])
-    w = Profile(grid, columns["w"])
+    background, w = Profile(grid, background), Profile(grid, w)
     recomputed = build_report(problem, w, background,
                               tail_fraction=cfg.tail_fraction)
 
-    mismatches = []
-    ac = to_allen_cahn(problem, background)
-    if not np.array_equal(background.values * w.values, columns["phi"]):
-        mismatches.append("phi column is not the lifted ratio")
-    if not np.array_equal(residual_reduced(w, ac).values,
-                          columns["residual_reduced"]):
-        mismatches.append("residual_reduced column does not match the data")
+    mismatches = [
+        f"soliton.csv column {name!r} differs from its rebuild"
+        for name, values in _soliton_columns(problem, w, background).items()
+        if not np.array_equal(values, columns[name])]
     stored_block = stored.get("soliton_report")
     recomputed_block = json.loads(json.dumps(recomputed.to_dict()))
     if stored_block != recomputed_block:
         mismatches.append("recomputed report differs from the stored one")
 
-    payload = _base_report("verify", cfg, seed)
+    payload = _base_report("verify", cfg)
     payload.update({
         "source_report": report_path,
         "match": not mismatches,
@@ -400,7 +399,7 @@ def cmd_verify(cfg: RunConfig, out_dir, seed) -> int:
     return EXIT_CODES[_status(payload["verified"])]
 
 
-def cmd_evolve(cfg: RunConfig, out_dir, seed) -> int:
+def cmd_evolve(cfg: RunConfig, out_dir) -> int:
     if cfg.dt is None or cfg.t_max is None:
         raise ConfigError("evolve needs dt and t_max in [evolve]")
     options = EvolveOptions(dt=cfg.dt, t_max=cfg.t_max,
@@ -429,24 +428,19 @@ def cmd_evolve(cfg: RunConfig, out_dir, seed) -> int:
 
     h = reference.grid.h
     drift_ok = drift is None or drift < 2.0 * h
-    verified = (deviation <= cfg.modulus_tol
-                and phase.rel_err <= cfg.phase_tol and drift_ok)
+    verified = (deviation <= _MODULUS_TOL
+                and phase.rel_err <= _PHASE_TOL and drift_ok)
 
-    times, xs, res, ims, mods = [], [], [], [], []
     x = reference.grid.x()
-    for t, field in zip(traj.times, traj.fields):
-        times.append(np.full(x.size, t))
-        xs.append(x)
-        res.append(field.re)
-        ims.append(field.im)
-        mods.append(field.modulus())
+    fields = traj.fields
     write_csv(os.path.join(out_dir, "snapshots.csv"),
               ["t", "x", "re", "im", "modulus"],
-              [np.concatenate(times), np.concatenate(xs),
-               np.concatenate(res), np.concatenate(ims),
-               np.concatenate(mods)])
+              [np.repeat(traj.times, x.size), np.tile(x, len(fields)),
+               np.concatenate([field.re for field in fields]),
+               np.concatenate([field.im for field in fields]),
+               np.concatenate([field.modulus() for field in fields])])
 
-    payload = _base_report("evolve", cfg, seed)
+    payload = _base_report("evolve", cfg)
     payload.update({
         "problem": _problem_block(problem),
         "dt": options.dt,
@@ -455,9 +449,9 @@ def cmd_evolve(cfg: RunConfig, out_dir, seed) -> int:
         "boundary": "pinned-rotating",
         "initial": cfg.initial,
         "modulus_deviation_sup": deviation,
-        "modulus_tol": cfg.modulus_tol,
+        "modulus_tol": _MODULUS_TOL,
         "phase": {"slope": phase.slope, "rel_err": phase.rel_err,
-                  "ref_index": phase.ref_index, "tol": cfg.phase_tol},
+                  "ref_index": phase.ref_index, "tol": _PHASE_TOL},
         "front_drift": drift,
         "front_drift_limit": 2.0 * h if track_front else None,
         "verified": verified,
@@ -493,7 +487,7 @@ def _sweep_row(payload) -> dict:
                                               amplitude=amplitude))
         rep = run.report
         row.update({
-            "half_length": run.half_length,
+            "half_length": run.grid.xmax,
             "energy": run.minimize.final_energy,
             "crossing": run.crossing,
             "residual_reduced_sup": rep.residual_reduced_sup,
@@ -510,7 +504,7 @@ def _sweep_row(payload) -> dict:
     return row
 
 
-def cmd_sweep(cfg: RunConfig, out_dir, seed, workers: int) -> int:
+def cmd_sweep(cfg: RunConfig, out_dir, workers: int) -> int:
     if cfg.sweep_amplitudes is not None:
         source = cfg.g_source if cfg.kind == "cubic" else cfg.v_source
         if not (isinstance(source, str) and "a" in compile_expression(
@@ -539,7 +533,7 @@ def cmd_sweep(cfg: RunConfig, out_dir, seed, workers: int) -> int:
     write_csv(os.path.join(out_dir, "summary.csv"), _SWEEP_COLUMNS,
               [[row[name] for row in rows] for name in _SWEEP_COLUMNS])
 
-    payload = _base_report("sweep", cfg, seed)
+    payload = _base_report("sweep", cfg)
     payload.update({
         "n_rows": len(rows),
         "statuses": [row["status"] for row in rows],
@@ -578,16 +572,16 @@ def main(argv=None) -> int:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True)
         cmd.add_argument("--out", required=True)
-        cmd.add_argument("--workers", type=int, default=1)
-        cmd.add_argument("--seed", type=int, default=None)
+        if name == "sweep":
+            cmd.add_argument("--workers", type=int, default=1)
     args = parser.parse_args(argv)
 
     try:
         cfg = load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
         if args.command == "sweep":
-            return cmd_sweep(cfg, args.out, args.seed, max(1, args.workers))
-        return _COMMANDS[args.command](cfg, args.out, args.seed)
+            return cmd_sweep(cfg, args.out, max(1, args.workers))
+        return _COMMANDS[args.command](cfg, args.out)
     except DarksolError as exc:
         print(f"darksol: {exc}", file=sys.stderr)
         return EXIT_CODES[exc.status]

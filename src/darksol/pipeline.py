@@ -21,7 +21,8 @@ from .model import Grid, Problem, Profile, validate_problem
 from .periodic import (PeriodicResult, monotone_iteration_oracle,
                        solve_periodic)
 from .reduction import correction_source, lift, to_allen_cahn
-from .verify import TAIL_FRACTION, SolitonReport, build_report
+from .verify import (TAIL_FRACTION, SolitonReport, _check_tail_fraction,
+                     build_report)
 
 __all__ = ["SolitonRun", "run_background", "run_soliton"]
 
@@ -30,7 +31,6 @@ __all__ = ["SolitonRun", "run_background", "run_soliton"]
 class SolitonRun:
     problem: Problem
     periodic: PeriodicResult
-    half_length: float
     grid: Grid
     background_ext: Profile
     minimize: MinimizeResult
@@ -38,7 +38,6 @@ class SolitonRun:
     phi: Profile
     crossing: float
     report: SolitonReport
-    run_flags: frozenset
     status: str
     tail_fraction: float
 
@@ -58,6 +57,7 @@ def run_soliton(problem: Problem,
                 tail_fraction: float = TAIL_FRACTION) -> SolitonRun:
     """Full pipeline from problem data to a verified front profile."""
     validate_problem(problem)
+    _check_tail_fraction(tail_fraction)
     periodic = solve_periodic(problem)
 
     if half_length is None:
@@ -76,9 +76,7 @@ def run_soliton(problem: Problem,
     report = build_report(problem, w, background_ext,
                           tail_fraction=tail_fraction)
     status = "ok" if report.verified else "property_violation"
-    return SolitonRun(problem=problem, periodic=periodic,
-                      half_length=float(half_length), grid=grid,
+    return SolitonRun(problem=problem, periodic=periodic, grid=grid,
                       background_ext=background_ext, minimize=result,
                       w=w, phi=phi, crossing=crossing, report=report,
-                      run_flags=result.flags,
                       status=status, tail_fraction=tail_fraction)

@@ -133,6 +133,11 @@ def _residual_phi(phi: Profile, problem: Problem) -> float:
     return float(np.max(np.abs(res)))
 
 
+def _check_tail_fraction(tail_fraction: float):
+    if not 0 < tail_fraction < 1:
+        raise ValidationError("tail_fraction must lie in (0, 1)")
+
+
 def build_report(problem: Problem, w: Profile, background_ext: Profile,
                  tail_fraction: float = TAIL_FRACTION) -> SolitonReport:
     """Assemble the full report for a ratio profile and its background.
@@ -146,8 +151,7 @@ def build_report(problem: Problem, w: Profile, background_ext: Profile,
     |phi / background + 1| and |phi / background - 1| over the outer
     `tail_fraction` of the left and the right half, collar included.
     """
-    if not 0 < tail_fraction < 1:
-        raise ValidationError("tail_fraction must lie in (0, 1)")
+    _check_tail_fraction(tail_fraction)
     ac = to_allen_cahn(problem, background_ext)
     phi = lift(w, background_ext)
     res_reduced = float(np.max(np.abs(_residual_values(ac, w.values))))

@@ -184,9 +184,9 @@ def test_solve_soliton_and_verify_round_trip(tmp_path):
     # the background's uniqueness is proved, not flagged: no regime
     # margins beside the input's own numbers
     assert set(report) == {
-        "schema_version", "command", "config_hash", "config", "seed",
-        "notes", "problem", "bracket", "periodic", "truncation",
-        "minimize", "run_flags", "soliton_report", "verified", "status"}
+        "schema_version", "command", "config_hash", "config", "notes",
+        "problem", "bracket", "periodic", "truncation", "minimize",
+        "run_flags", "soliton_report", "verified", "status"}
     assert set(report["problem"]) == {"kind", "lambda", "period",
                                       "n_per_period", "g_min", "g_max"}
     # one background solve, certified by its own enclosure
@@ -194,19 +194,32 @@ def test_solve_soliton_and_verify_round_trip(tmp_path):
         "residual_sup", "newton_iterations", "enclosure_width"}
 
 
-def test_verify_catches_tampering(tmp_path):
+def tamper_and_verify(tmp_path, column):
     config = write_config(tmp_path, BASE)
     out = tmp_path / "out"
     assert run_cli("solve-soliton", config, out) == 0
     lines = (out / "soliton.csv").read_text().splitlines()
     parts = lines[len(lines) // 2].split(",")
-    parts[2] = "0.123456"
+    parts[lines[0].split(",").index(column)] = "0.123456"
     lines[len(lines) // 2] = ",".join(parts)
     (out / "soliton.csv").write_text("\n".join(lines) + "\n")
     assert run_cli("verify", config, out) == 4
     verify = json.loads((out / "verify_report.json").read_text())
     assert verify["match"] is False
     assert verify["mismatches"]
+
+
+def test_verify_catches_tampering(tmp_path):
+    tamper_and_verify(tmp_path, "w")
+
+
+@pytest.mark.parametrize("column", ["x", "phi_plus_ext", "phi",
+                                    "residual_reduced"])
+def test_verify_catches_tampering_in_every_column(tmp_path, column):
+    # every column is rebuilt from x, phi_plus_ext and w and compared,
+    # so a changed interior x is caught although the grid is rebuilt
+    # from the end points alone; w is the case above
+    tamper_and_verify(tmp_path, column)
 
 
 def test_verify_rejects_missing_column(tmp_path):
@@ -327,6 +340,9 @@ def test_evolve_soliton(tmp_path):
     assert dyn["n_steps"] == 50
     assert dyn["modulus_deviation_sup"] <= 1e-4
     assert dyn["phase"]["rel_err"] <= 1e-3
+    # the gates are fixed, and written beside what they judged
+    assert dyn["modulus_tol"] == 1e-4
+    assert dyn["phase"]["tol"] == 1e-3
     assert dyn["front_drift"] is not None
     assert dyn["front_drift"] < dyn["front_drift_limit"]
     snaps = read_csv(out / "snapshots.csv")
@@ -491,13 +507,38 @@ def test_sweep_amplitude_needs_a_in_the_coefficient(tmp_path):
         assert run_cli("solve-periodic", config, out) == 0
 
 
-def test_seed_is_recorded(tmp_path):
+COMMANDS = ["solve-periodic", "solve-soliton", "verify", "evolve", "sweep"]
+
+
+@pytest.mark.parametrize("command, flag", [
+    *((command, "--seed") for command in COMMANDS),
+    *((command, "--workers") for command in COMMANDS if command != "sweep"),
+])
+def test_flags_that_change_no_result_are_refused(tmp_path, command, flag):
+    # nothing draws a random number, and only a sweep has rows to share
+    # out, so these flags end in argparse's usage error
     config = write_config(tmp_path, BASE)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(config), "--out", str(tmp_path),
+              flag, "1" if flag == "--seed" else "2"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("key", ["modulus_tol = 1e-4", "phase_tol = 1e-3"])
+def test_evolve_gates_are_not_config_keys(tmp_path, capsys, key):
+    config = write_config(tmp_path, BASE + "\n[evolve]\ndt = 2e-3\n"
+                                           f"t_max = 0.1\n{key}\n")
+    assert run_cli("evolve", config, tmp_path / "out") == 2
+    assert "unknown key" in capsys.readouterr().err
+
+
+def test_sweep_books_a_bad_tail_fraction_per_row(tmp_path):
+    text = BASE.replace("l = 4", "l = 4\ntail_fraction = 1.5")
+    config = write_config(tmp_path, text + "\n[sweep]\nlambda = -1, -4\n")
     out = tmp_path / "out"
-    assert main(["solve-soliton", "--config", str(config), "--out", str(out),
-                 "--seed", "7"]) == 0
+    assert run_cli("sweep", config, out) == 0
     report = json.loads((out / "report.json").read_text())
-    assert report["seed"] == 7
+    assert report["statuses"] == ["validation_error"] * 2
 
 
 def test_repeat_runs_are_byte_identical(tmp_path):

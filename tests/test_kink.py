@@ -488,7 +488,7 @@ def test_saddle_at_large_lambda_moves_to_the_minimum_of_g():
     assert run.crossing == pytest.approx(-0.25, abs=1e-3)
     assert run.minimize.final_energy == pytest.approx(23.465, abs=1e-3)
     assert run.status == "property_violation"
-    assert "amplitude_saturated" in run.run_flags
+    assert "amplitude_saturated" in run.minimize.flags
 
 
 def test_site_exchange_moves_the_front_to_the_maximum_of_g():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import darksol
 from darksol import Grid, Profile, build_report, run_soliton
 from darksol.errors import TailUnderflow, ValidationError
 from darksol.verify import _fit_tail, _residual_phi
@@ -142,6 +143,18 @@ def test_build_report_refuses_tail_fraction(tail_fraction):
     grid, phi, bg = synthetic_pair(rate=2.0)
     with pytest.raises(ValidationError, match="tail_fraction"):
         build_report(unit_problem(), phi, bg, tail_fraction=tail_fraction)
+
+
+@pytest.mark.parametrize("tail_fraction", [0.0, 1.0, 1.5, float("nan")])
+def test_run_soliton_refuses_tail_fraction_before_solving(monkeypatch,
+                                                         tail_fraction):
+    def no_solve(problem):
+        raise AssertionError("the background was solved")
+
+    monkeypatch.setattr(darksol.pipeline, "solve_periodic", no_solve)
+    with pytest.raises(ValidationError, match="tail_fraction"):
+        run_soliton(unit_problem(), half_length=6.0,
+                    tail_fraction=tail_fraction)
 
 
 def test_asymptotic_ratio_conventions():
