@@ -33,4 +33,3 @@ oracle = monotone_iteration_oracle(problem)
 gap = np.max(np.abs(vals - oracle.from_below.values))
 print(f"monotone sweeps        {oracle.iterations}")
 print(f"route disagreement     {gap:.3e}")
-print(f"below/above gap        {oracle.gap_sup:.3e}")

@@ -4,6 +4,7 @@ Writes a config file, runs the sweep in-process, and tabulates the
 fitted decay constants against the linearized prediction 2 sqrt(-lam).
 """
 
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -14,6 +15,7 @@ from darksol.cli import main, read_csv
 
 out = Path(sys.argv[1]) if len(sys.argv) > 1 else \
     Path(tempfile.mkdtemp(prefix="darksol-sweep-"))
+out.mkdir(parents=True, exist_ok=True)
 config = out / "sweep.ini"
 config.write_text("""\
 [problem]
@@ -36,10 +38,12 @@ code = main(["sweep", "--config", str(config), "--out", str(out),
 print(f"exit code {code}; outputs in {out}")
 
 rows = read_csv(out / "summary.csv")
+# read_csv reads numbers; the status strings come from the sweep's report
+statuses = json.loads((out / "report.json").read_text())["statuses"]
 print(f"{'lambda':>8} {'amp':>5} {'C0 left':>9} {'C0 right':>9} "
       f"{'2*sqrt(-lam)':>13} {'status':>8}")
 for i in range(rows["lambda"].size):
     lam = rows["lambda"][i]
     print(f"{lam:8.2f} {rows['amplitude'][i]:5.2f} "
           f"{rows['c0_left'][i]:9.4f} {rows['c0_right'][i]:9.4f} "
-          f"{2 * np.sqrt(-lam):13.4f} {'ok':>8}")
+          f"{2 * np.sqrt(-lam):13.4f} {statuses[i]:>8}")

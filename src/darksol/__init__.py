@@ -21,7 +21,8 @@ from .model import (Coefficient, Grid, Problem, Profile, sample_coefficient,
 from .periodic import (Bracket, MonotoneResult, PeriodicResult,
                        bracket_bounds, monotone_iteration_oracle,
                        periodic_residual, solve_periodic)
-from .pipeline import SolitonRun, run_background, run_soliton
+from .pipeline import (SolitonRun, run_background, run_soliton,
+                       truncated_background)
 from .reduction import (WeightedAC, energy, lift, residual_reduced,
                         to_allen_cahn)
 from .verify import SolitonReport, build_report

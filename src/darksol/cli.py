@@ -20,14 +20,13 @@ import numpy as np
 
 from . import svgplot
 from ._banded import lapack
-from .errors import EXIT_CODES, ConfigError, DarksolError
+from .errors import EXIT_CODES, ConfigError, DarksolError, _verdict_status
 from .evolve import (EvolveOptions, evolve_nls, kink_drift, make_ansatz,
                      modulus_deviation, phase_rotation_check)
 from .exprparse import compile_expression
-from .kink import make_truncated_grid, select_truncation
+from .kink import select_truncation  # noqa: F401  (bench/spans.py TARGETS)
 from .model import Grid, Problem, Profile, sample_coefficient, validate_problem
-from .periodic import solve_periodic
-from .pipeline import run_background, run_soliton
+from .pipeline import run_background, run_soliton, truncated_background
 from .reduction import lift, residual_reduced, to_allen_cahn
 from .verify import TAIL_FRACTION, build_report
 
@@ -51,8 +50,7 @@ class RunConfig:
     lam: float
     period: float
     n_per_period: int
-    g_source: object
-    v_source: object
+    coefficient_source: object
     g1: float
     half_length: float | None
     tail_fraction: float
@@ -115,26 +113,19 @@ def load_config(path) -> RunConfig:
     period = get("problem", "period", float, default=1.0)
     n_per = get("problem", "n_per_period", int, default=256)
 
-    g_source = v_source = None
-    if kind == "cubic":
-        expr = get("problem", "g", str)
-        table = get("problem", "g_table", str)
-        if (expr is None) == (table is None):
-            raise ConfigError("cubic model needs exactly one of g / g_table")
-        g_source = expr if expr is not None else _float_list(table)
-    else:
-        expr = get("problem", "v", str)
-        table = get("problem", "v_table", str)
-        if (expr is None) == (table is None):
-            raise ConfigError(
-                "cubic-quintic model needs exactly one of v / v_table")
-        v_source = expr if expr is not None else _float_list(table)
+    name = "g" if kind == "cubic" else "v"
+    expr = get("problem", name, str)
+    table = get("problem", f"{name}_table", str)
+    if (expr is None) == (table is None):
+        raise ConfigError(
+            f"{kind} model needs exactly one of {name} / {name}_table")
+    source = expr if expr is not None else _float_list(table)
     g1 = get("problem", "g1", float, default=0.0)
 
     raw = {section: dict(cp[section]) for section in cp.sections()}
     return RunConfig(
         kind=kind, lam=lam, period=period, n_per_period=n_per,
-        g_source=g_source, v_source=v_source, g1=g1,
+        coefficient_source=source, g1=g1,
         half_length=get("domain", "l", float),
         tail_fraction=get("domain", "tail_fraction", float,
                           default=TAIL_FRACTION),
@@ -156,14 +147,14 @@ def build_problem(cfg: RunConfig, lam: float | None = None,
     the sweep amplitude variable `a` in coefficient expressions."""
     variables = {} if amplitude is None else {"a": amplitude}
     lam = cfg.lam if lam is None else lam
-    if cfg.kind == "cubic":
-        g = sample_coefficient(cfg.g_source, cfg.period, cfg.n_per_period,
-                               positive=True, variables=variables)
-        return Problem(kind="cubic", lam=lam, period=cfg.period, g=g)
-    pot = sample_coefficient(cfg.v_source, cfg.period, cfg.n_per_period,
-                             variables=variables)
+    cubic = cfg.kind == "cubic"
+    coeff = sample_coefficient(cfg.coefficient_source, cfg.period,
+                               cfg.n_per_period, positive=cubic,
+                               variables=variables)
+    if cubic:
+        return Problem(kind="cubic", lam=lam, period=cfg.period, g=coeff)
     return Problem(kind="cubic-quintic", lam=lam, period=cfg.period,
-                   potential=pot, g1=cfg.g1)
+                   potential=coeff, g1=cfg.g1)
 
 
 def _fmt(value) -> str:
@@ -219,12 +210,10 @@ def _problem_block(problem: Problem) -> dict:
         "period": problem.period,
         "n_per_period": problem.n_per,
     }
-    if problem.is_cubic:
-        block["g_min"] = problem.g.cmin
-        block["g_max"] = problem.g.cmax
-    else:
-        block["v_min"] = problem.potential.cmin
-        block["v_max"] = problem.potential.cmax
+    name = "g" if problem.is_cubic else "v"
+    block[f"{name}_min"] = problem.model_coefficient.cmin
+    block[f"{name}_max"] = problem.model_coefficient.cmax
+    if not problem.is_cubic:
         block["g1"] = problem.g1
     return block
 
@@ -245,10 +234,6 @@ def _base_report(command, cfg: RunConfig) -> dict:
         "config": cfg.raw,
         "notes": _NOTES,
     }
-
-
-def _status(verified: bool) -> str:
-    return "ok" if verified else "property_violation"
 
 
 def _background_blocks(periodic, **oracle) -> dict:
@@ -329,7 +314,6 @@ def cmd_solve_soliton(cfg: RunConfig, out_dir) -> int:
             "tail_fraction": run.tail_fraction,
         },
         "minimize": {
-            "flow_iterations": run.minimize.flow_iterations,
             "polish_iterations": run.minimize.polish_iterations,
             "grad_sup_per_h": run.minimize.grad_sup_per_h,
             "final_energy": run.minimize.final_energy,
@@ -396,7 +380,7 @@ def cmd_verify(cfg: RunConfig, out_dir) -> int:
         "verified": recomputed.verified and not mismatches,
     })
     write_json(os.path.join(out_dir, "verify_report.json"), payload)
-    return EXIT_CODES[_status(payload["verified"])]
+    return EXIT_CODES[_verdict_status(payload["verified"])]
 
 
 def cmd_evolve(cfg: RunConfig, out_dir) -> int:
@@ -412,13 +396,8 @@ def cmd_evolve(cfg: RunConfig, out_dir) -> int:
     if track_front:
         reference = _run_soliton(cfg, problem).phi
     else:
-        validate_problem(problem)
-        periodic = solve_periodic(problem)
-        half = cfg.half_length
-        if half is None:
-            half = select_truncation(problem)
-        grid = make_truncated_grid(problem.period, half, problem.n_per)
-        reference = Profile(grid, periodic.coefficient.on_grid(grid))
+        _, reference = truncated_background(problem, cfg.half_length,
+                                            cfg.tail_fraction)
 
     psi0 = make_ansatz(reference, problem.lam)
     traj = evolve_nls(psi0, problem, options)
@@ -426,10 +405,9 @@ def cmd_evolve(cfg: RunConfig, out_dir) -> int:
     phase = phase_rotation_check(traj, problem.lam)
     drift = kink_drift(traj, problem.lam) if track_front else None
 
-    h = reference.grid.h
-    drift_ok = drift is None or drift < 2.0 * h
-    verified = (deviation <= _MODULUS_TOL
-                and phase.rel_err <= _PHASE_TOL and drift_ok)
+    drift_limit = 2.0 * reference.grid.h if track_front else None
+    verified = (deviation <= _MODULUS_TOL and phase.rel_err <= _PHASE_TOL
+                and (drift is None or drift < drift_limit))
 
     x = reference.grid.x()
     fields = traj.fields
@@ -453,9 +431,9 @@ def cmd_evolve(cfg: RunConfig, out_dir) -> int:
         "phase": {"slope": phase.slope, "rel_err": phase.rel_err,
                   "ref_index": phase.ref_index, "tol": _PHASE_TOL},
         "front_drift": drift,
-        "front_drift_limit": 2.0 * h if track_front else None,
+        "front_drift_limit": drift_limit,
         "verified": verified,
-        "status": _status(verified),
+        "status": _verdict_status(verified),
     })
     write_json(os.path.join(out_dir, "dynamics.json"), payload)
     svgplot.line_plot(os.path.join(out_dir, "plot.svg"),
@@ -506,7 +484,7 @@ def _sweep_row(payload) -> dict:
 
 def cmd_sweep(cfg: RunConfig, out_dir, workers: int) -> int:
     if cfg.sweep_amplitudes is not None:
-        source = cfg.g_source if cfg.kind == "cubic" else cfg.v_source
+        source = cfg.coefficient_source
         if not (isinstance(source, str) and "a" in compile_expression(
                 source, variables=("x", "a")).variables):
             raise ConfigError(

@@ -1,8 +1,8 @@
 """Exception hierarchy shared by all darksol modules.
 
 Every class carries `status`, the outcome a run that raises it is
-booked as (a sweep row's status). `EXIT_CODES` is the one table from
-a status, raised or written by a successful run, to the command-line
+booked as (a sweep row's status); `_verdict_status` books a finished
+run. `EXIT_CODES` is the one table from a status to the command-line
 exit code.
 """
 
@@ -12,6 +12,10 @@ EXIT_CODES = {
     "nonconvergence": 3,
     "property_violation": 4,
 }
+
+
+def _verdict_status(verified: bool) -> str:
+    return "ok" if verified else "property_violation"
 
 
 class DarksolError(Exception):

@@ -233,9 +233,14 @@ class Problem:
         return self.kind == "cubic"
 
     @property
+    def model_coefficient(self) -> Coefficient | None:
+        """The model's periodic coefficient: g for the cubic model, V for
+        the cubic-quintic one."""
+        return self.g if self.is_cubic else self.potential
+
+    @property
     def n_per(self) -> int:
-        coeff = self.g if self.is_cubic else self.potential
-        return coeff.n_per
+        return self.model_coefficient.n_per
 
     def equation(self, grid: Grid | None = None) -> Equation:
         """This problem as an `Equation`, its coefficients sampled on one
@@ -280,8 +285,7 @@ def validate_problem(problem: Problem, grid: Grid | None = None) -> None:
                 f"lambda must lie below min V = {problem.potential.cmin}",
                 reason="lambda_sign")
     if grid is not None:
-        coeff = problem.g if problem.is_cubic else problem.potential
-        coeff.on_grid(grid)  # raises GridMismatchError if incommensurate
+        problem.model_coefficient.on_grid(grid)  # raises if incommensurate
         span = grid.xmax - grid.xmin
         periods = span / problem.period
         if abs(periods - round(periods)) > _ALIGN_RTOL * max(1.0, periods):

@@ -4,17 +4,19 @@ A soliton run is: validate the problem, solve the periodic background
 once (Newton, certified by its own sub/supersolution enclosure), extend
 it to a truncated symmetric domain, reduce, find the front (a certified
 minimizer of the reduced energy, lifted to fourth order by one deferred
-correction), and assemble the verification report. The run's status is
-`ok` when the report verifies and `property_violation` when it does
-not. Everything the command line writes comes out of the run object
-built here. `run_background` is the two-route background check: Newton
-and the monotone oracle, with their disagreement.
+correction), and assemble the verification report; the first three
+steps are `truncated_background`. The run's status is `ok` when the
+report verifies and `property_violation` when it does not. Everything
+the command line writes comes out of the run object built here.
+`run_background` is the two-route background check: Newton and the
+monotone oracle, with their disagreement.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _verdict_status
 from .kink import (MinimizeResult, make_truncated_grid, minimize,
                    report_crossing, select_truncation)
 from .model import Grid, Problem, Profile, validate_problem
@@ -24,7 +26,8 @@ from .reduction import correction_source, lift, to_allen_cahn
 from .verify import (TAIL_FRACTION, SolitonReport, _check_tail_fraction,
                      build_report)
 
-__all__ = ["SolitonRun", "run_background", "run_soliton"]
+__all__ = ["SolitonRun", "run_background", "run_soliton",
+           "truncated_background"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,18 +55,27 @@ def run_background(problem: Problem):
     return periodic, monotone, agreement
 
 
+def truncated_background(problem: Problem,
+                         half_length: float | None = None,
+                         tail_fraction: float = TAIL_FRACTION):
+    """`(periodic, background_ext)`: the validated problem's background
+    solve and its extension onto [-L, L], L by `select_truncation` when
+    no half length is given; a bad tail fraction is refused first."""
+    validate_problem(problem)
+    _check_tail_fraction(tail_fraction)
+    periodic = solve_periodic(problem)
+    if half_length is None:
+        half_length = select_truncation(problem)
+    grid = make_truncated_grid(problem.period, half_length, problem.n_per)
+    return periodic, Profile(grid, periodic.coefficient.on_grid(grid))
+
+
 def run_soliton(problem: Problem,
                 half_length: float | None = None,
                 tail_fraction: float = TAIL_FRACTION) -> SolitonRun:
     """Full pipeline from problem data to a verified front profile."""
-    validate_problem(problem)
-    _check_tail_fraction(tail_fraction)
-    periodic = solve_periodic(problem)
-
-    if half_length is None:
-        half_length = select_truncation(problem)
-    grid = make_truncated_grid(problem.period, half_length, problem.n_per)
-    background_ext = Profile(grid, periodic.coefficient.on_grid(grid))
+    periodic, background_ext = truncated_background(problem, half_length,
+                                                    tail_fraction)
     ac = to_allen_cahn(problem, background_ext)
 
     result = minimize(
@@ -75,8 +87,8 @@ def run_soliton(problem: Problem,
     # profiles; solver-side flags stay on the run object.
     report = build_report(problem, w, background_ext,
                           tail_fraction=tail_fraction)
-    status = "ok" if report.verified else "property_violation"
-    return SolitonRun(problem=problem, periodic=periodic, grid=grid,
-                      background_ext=background_ext, minimize=result,
-                      w=w, phi=phi, crossing=crossing, report=report,
-                      status=status, tail_fraction=tail_fraction)
+    return SolitonRun(problem=problem, periodic=periodic,
+                      grid=background_ext.grid, background_ext=background_ext,
+                      minimize=result, w=w, phi=phi, crossing=crossing,
+                      report=report, status=_verdict_status(report.verified),
+                      tail_fraction=tail_fraction)

@@ -56,7 +56,7 @@ def test_load_config_fields(tmp_path):
     assert cfg.lam == -1.0
     assert cfg.n_per_period == 64
     assert cfg.half_length == 4.0
-    assert cfg.g_source == "1"
+    assert cfg.coefficient_source == "1"
     assert cfg.config_hash == hashlib.sha256(path.read_bytes()).hexdigest()
     # defaults
     assert cfg.tail_fraction == 0.25
@@ -113,7 +113,7 @@ n_per_period = 3
 g_table = 1.0, 1.25, 0.75  # one period of samples
 """
     cfg = load_config(write_config(tmp_path, text))
-    assert cfg.g_source == (1.0, 1.25, 0.75)
+    assert cfg.coefficient_source == (1.0, 1.25, 0.75)
 
 
 def test_csv_round_trip_is_exact(tmp_path, rng):
@@ -189,6 +189,9 @@ def test_solve_soliton_and_verify_round_trip(tmp_path):
         "run_flags", "soliton_report", "verified", "status"}
     assert set(report["problem"]) == {"kind", "lambda", "period",
                                       "n_per_period", "g_min", "g_max"}
+    # no key that reads 0 on every run (the gradient flow is gone)
+    assert set(report["minimize"]) == {
+        "polish_iterations", "grad_sup_per_h", "final_energy", "crossing"}
     # one background solve, certified by its own enclosure
     assert set(report["periodic"]) == {
         "residual_sup", "newton_iterations", "enclosure_width"}
@@ -362,6 +365,28 @@ def test_evolve_background_has_no_front(tmp_path):
     assert dyn["front_drift"] is None
     assert dyn["initial"] == "background"
     assert dyn["verified"] is True
+    # the soliton start's domain: 2 L n_per + 1 nodes per snapshot
+    snaps = read_csv(out / "snapshots.csv")
+    assert snaps["t"].size == np.unique(snaps["t"]).size * (2 * 4 * 64 + 1)
+    # with no l, L is the one solve-soliton chooses for the same config
+    text = BASE.replace("l = 4\n", "")
+    config = write_config(tmp_path, text + "\n[evolve]\ndt = 2e-3\n"
+                          "t_max = 0.05\ninitial = background\n", "auto.ini")
+    assert run_cli("evolve", config, tmp_path / "auto") == 0
+    assert run_cli("solve-soliton", config, tmp_path / "auto") == 0
+    half = json.loads((tmp_path / "auto" / "report.json").read_text())[
+        "truncation"]["half_length"]
+    x = read_csv(tmp_path / "auto" / "snapshots.csv")["x"]
+    assert (x.min(), x.max()) == (-half, half)
+
+
+@pytest.mark.parametrize("initial", ["soliton", "background"])
+def test_evolve_refuses_a_bad_tail_fraction(tmp_path, capsys, initial):
+    text = BASE.replace("l = 4", "l = 4\ntail_fraction = 1.5")
+    config = write_config(tmp_path, text + "\n[evolve]\ndt = 2e-3\n"
+                          f"t_max = 0.05\ninitial = {initial}\n")
+    assert run_cli("evolve", config, tmp_path / "out") == 2
+    assert "tail_fraction" in capsys.readouterr().err
 
 
 def test_sweep_rows_and_failure_isolation(tmp_path):

@@ -5,7 +5,7 @@ from scipy.linalg import eigh_tridiagonal
 from darksol import (Grid, Problem, Profile, WeightedAC, bracket_bounds,
                      make_truncated_grid, minimize, report_crossing,
                      run_soliton, sample_coefficient, select_truncation,
-                     solve_periodic, to_allen_cahn)
+                     to_allen_cahn)
 from darksol import kink, pipeline
 from darksol.cli import main
 from darksol.errors import (GridMismatchError, NoSignChange, NonConvergence,
@@ -21,10 +21,9 @@ from conftest import (constant_cubic, constant_quintic, cubic_front_exact,
 
 
 def reduced_problem(problem, half_length, n_per):
-    periodic = solve_periodic(problem)
-    grid = make_truncated_grid(problem.period, half_length, n_per)
-    bg = Profile(grid, periodic.coefficient.on_grid(grid))
-    return grid, bg, to_allen_cahn(problem, bg)
+    assert n_per == problem.n_per
+    _, bg = pipeline.truncated_background(problem, half_length)
+    return bg.grid, bg, to_allen_cahn(problem, bg)
 
 
 def no_correction(w):
