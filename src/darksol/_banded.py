@@ -5,12 +5,18 @@ the periodic discretizations via a rank-one (Sherman-Morrison) update
 of the open-chain system, so nothing here is ever densified, and it can
 be factored once for a matrix that many right-hand sides share.
 
-This is the one module that names scipy, and it imports it at the
-first linear solve (`lapack`): importing darksol, or re-checking a
-stored run with `verify`, costs no scipy import.
+This is the one module that names scipy. At the first linear solve
+(`lapack`) it loads scipy's compiled LAPACK extension, and only that:
+the `scipy.linalg` package, whose import pulls in scipy's array-API
+layer, is never imported. Importing darksol, or re-checking a stored
+run with `verify`, loads no scipy at all.
 """
 
+import os
+import sys
 from functools import cache
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 
 import numpy as np
 
@@ -20,19 +26,55 @@ __all__ = ["solve_tridiagonal", "solve_cyclic", "factor_cyclic",
            "is_positive_definite", "lapack"]
 
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
 @cache
 def lapack():
-    """scipy.linalg.lapack, imported on the first call and bound from
-    then on; a forked worker inherits a parent's binding."""
-    from scipy.linalg import lapack as bindings
-    return bindings
+    """scipy's LAPACK extension module, loaded on the first call and
+    bound from then on; a forked worker inherits a parent's binding.
+
+    Its routines are the ones `scipy.linalg.lapack` hands out. The
+    module is loaded from its file in scipy's `linalg` folder under its
+    own dotted name, so a later `import scipy.linalg` finds and reuses
+    it; the light top-level `scipy` package is imported first for that
+    folder and for its shared-library set-up.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is not None:
+        return module
+    import scipy
+    folder = os.path.join(scipy.__path__[0], "linalg")
+    spec = PathFinder.find_spec(_FLAPACK, [folder])
+    if spec is None:
+        raise ImportError(f"no LAPACK extension _flapack in {folder}",
+                          name=_FLAPACK)
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[_FLAPACK] = module
+    return module
+
+
+def _prefix(dtype):
+    """The LAPACK type prefix `scipy.linalg.get_lapack_funcs` picks for
+    `dtype`: s for the types float32 holds exactly (bool, 8- and 16-bit
+    integers, float16, float32), c for complex64, z for complex128 and
+    wider complex, d for everything else (wider integers, float64,
+    long double, and types LAPACK has no routine for)."""
+    char = np.dtype(dtype).char
+    if char in "?bBhHef":
+        return "s"
+    if char == "F":
+        return "c"
+    if char in "DG":
+        return "z"
+    return "d"
 
 
 @cache
 def _gtsv(dtype):
     """LAPACK's ?gtsv for `dtype`, looked up once per dtype."""
-    gtsv, = lapack().get_lapack_funcs(("gtsv",), dtype=dtype)
-    return gtsv
+    return getattr(lapack(), _prefix(dtype) + "gtsv")
 
 
 def solve_tridiagonal(lower, diag, upper, rhs, overwrite=False):

@@ -157,8 +157,13 @@ def build_problem(cfg: RunConfig, lam: float | None = None,
                    potential=coeff, g1=cfg.g1)
 
 
-def _fmt(value) -> str:
-    return format(float(value), ".17g")
+def _cells(col):
+    """One CSV column as text: a column of strings as it is, numbers in
+    round-trip form (.17g), formatted as one batch of Python floats."""
+    if all(isinstance(value, str) for value in col):
+        return col
+    return [format(value, ".17g")
+            for value in np.asarray(col, dtype=float).tolist()]
 
 
 def write_csv(path, names, columns):
@@ -166,12 +171,10 @@ def write_csv(path, names, columns):
     for col in columns:
         if len(col) != rows:
             raise ValueError("ragged csv columns")
+    cells = [_cells(col) for col in columns]
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(",".join(names) + "\n")
-        for i in range(rows):
-            handle.write(",".join(
-                col[i] if isinstance(col[i], str) else _fmt(col[i])
-                for col in columns) + "\n")
+        handle.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def read_csv(path):

@@ -1,7 +1,12 @@
+import re
+import sys
+
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal
+import scipy
+from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
 
+from darksol import _banded
 from darksol._banded import (factor_cyclic, is_positive_definite,
                              solve_cyclic, solve_tridiagonal)
 from darksol.errors import SingularLinearization
@@ -186,3 +191,40 @@ def test_positive_definite_matches_lowest_eigenvalue(rng):
         band = diag - lowest + shift
         assert (lowest_eigenvalue(band, upper) > 0.0) == definite
         assert is_positive_definite(band, upper) == definite
+
+
+@pytest.mark.parametrize("dtype", [
+    np.int8, np.int64, np.float16, np.float32, np.float64, np.longdouble,
+    np.complex64, np.complex128, np.clongdouble])
+def test_gtsv_is_the_routine_scipy_picks(dtype):
+    # the extension's own routine objects, chosen by scipy's type rule:
+    # s for types float32 holds exactly, d for wider integers and long
+    # double, z for wider complex
+    dtype = np.dtype(dtype)
+    assert _banded._gtsv(dtype) is get_lapack_funcs(("gtsv",),
+                                                    dtype=dtype)[0]
+
+
+def test_tridiagonal_integer_bands_solve_in_float64():
+    lower = np.array([0, 1, 1, 1])
+    diag = np.array([4, 4, 4, 4])
+    upper = np.array([1, 1, 1, 0])
+    rhs = np.array([1, 2, 3, 4])
+    y = solve_tridiagonal(lower, diag, upper, rhs)
+    assert y.dtype == np.float64
+    want = np.linalg.solve(dense_tridiagonal(lower, diag, upper), rhs)
+    np.testing.assert_allclose(y, want, rtol=1e-14)
+
+
+def test_missing_lapack_extension_names_the_folder(tmp_path, monkeypatch):
+    # a scipy whose linalg folder holds no extension: the loader has no
+    # second route, it fails naming where it looked
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack",
+                        raising=False)
+    _banded.lapack.cache_clear()
+    try:
+        with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+            _banded.lapack()
+    finally:
+        _banded.lapack.cache_clear()

@@ -126,6 +126,34 @@ def test_csv_round_trip_is_exact(tmp_path, rng):
     np.testing.assert_array_equal(back["b"], b)
 
 
+def per_cell_csv(path, names, columns):
+    """The reference writer: every cell formatted on its own."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(",".join(names) + "\n")
+        for i in range(len(columns[0])):
+            handle.write(",".join(
+                col[i] if isinstance(col[i], str)
+                else format(float(col[i]), ".17g")
+                for col in columns) + "\n")
+
+
+def test_csv_text_matches_the_per_cell_writer(tmp_path, rng):
+    tiny = np.finfo(float).tiny
+    special = [0.0, -0.0, np.nan, np.inf, -np.inf, tiny, tiny / 3,
+               -5e-324, 1e308, 0.1, 1.0 / 3.0, 2.0 ** 53 + 2.0]
+    n = len(special)
+    columns = [np.array(special), rng.standard_normal(n),
+               np.exp(rng.uniform(-700, 700, n)),
+               list(range(n)),
+               [float(v) for v in rng.standard_normal(n)],
+               ["ok", "property_violation", "nan"] * (n // 3)]
+    names = ["special", "normal", "wide", "index", "floats", "status"]
+    write_csv(tmp_path / "batch.csv", names, columns)
+    per_cell_csv(tmp_path / "cell.csv", names, columns)
+    assert (tmp_path / "batch.csv").read_bytes() == \
+        (tmp_path / "cell.csv").read_bytes()
+
+
 def test_solve_periodic_outputs(tmp_path):
     config = write_config(tmp_path, SINUSOIDAL)
     out = tmp_path / "out"
@@ -460,12 +488,19 @@ assert cli.main(["verify", "--config", config, "--out", out]) == 0
 assert "scipy" not in sys.modules, "verify"
 assert cli.main(["solve-soliton", "--config", config, "--out", fresh]) == 0
 assert "scipy" in sys.modules, "solve-soliton"
+assert "scipy.linalg" not in sys.modules, "solve-soliton"
+import scipy.linalg.lapack
+from darksol import _banded
+assert _banded.lapack() is scipy.linalg.lapack._flapack
+assert _banded.lapack().dgtsv is scipy.linalg.lapack.dgtsv
 """
 
 
 def test_scipy_loads_at_the_first_linear_solve(tmp_path):
     # fresh interpreters, since this one imported scipy for the oracles:
-    # importing the package and verifying a stored run solve nothing
+    # importing the package and verifying a stored run solve nothing, and
+    # a solve loads LAPACK's extension without the scipy.linalg package,
+    # which a later import of it then shares
     env = {**os.environ,
            "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     config = write_config(tmp_path, BASE)
