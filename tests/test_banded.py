@@ -222,9 +222,10 @@ def test_missing_lapack_extension_names_the_folder(tmp_path, monkeypatch):
     monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack",
                         raising=False)
+    folder = re.escape(str(tmp_path / "linalg"))
     _banded.lapack.cache_clear()
     try:
-        with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+        with pytest.raises(ImportError, match=folder):
             _banded.lapack()
     finally:
         _banded.lapack.cache_clear()
