@@ -173,7 +173,8 @@ def _newton_polish(w: np.ndarray, ac: WeightedAC, source=None,
         if pin is not None:
             _hold(bands, pin)
         try:
-            delta = solve_tridiagonal(*bands, -res[1:-1])
+            # every band is a new array, and so is the right side
+            delta = solve_tridiagonal(*bands, -res[1:-1], overwrite=True)
         except SingularLinearization:
             break
         if not np.all(np.isfinite(delta)) or \

@@ -84,9 +84,10 @@ def run_soliton(problem: Problem,
     phi = lift(w, background_ext)
     crossing = report_crossing(w)
     # The report carries only what is recomputable from the written
-    # profiles; solver-side flags stay on the run object.
+    # profiles; solver-side flags stay on the run object. It reads the
+    # run's own reduction, with the bits a fresh one gives.
     report = build_report(problem, w, background_ext,
-                          tail_fraction=tail_fraction)
+                          tail_fraction=tail_fraction, ac=ac)
     return SolitonRun(problem=problem, periodic=periodic,
                       grid=background_ext.grid, background_ext=background_ext,
                       minimize=result, w=w, phi=phi, crossing=crossing,

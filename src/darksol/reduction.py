@@ -23,7 +23,7 @@ from operator import add, mul
 import numpy as np
 
 from .errors import GridMismatchError, ValidationError
-from .model import Grid, Problem, Profile
+from .model import Equation, Grid, Problem, Profile
 
 __all__ = [
     "WeightedAC", "to_allen_cahn", "energy", "residual_reduced", "lift",
@@ -44,13 +44,21 @@ class WeightedAC:
     a is the squared background; `powers` holds (p, b_p) for each
     (p, c_p) of `Equation.powers`, with b_p = (c_p / k) phi+^(p+1).
     kinetic_factor is the prefactor of the gradient term in the energy,
-    1 / (2k) for the k of `Problem.equation`.
+    1 / (2k) for the k of `Problem.equation`. `equation` is the
+    unreduced equation on `grid` that `to_allen_cahn` reduced; a
+    reduction assembled by hand has none.
+
+    Every array that does not depend on w is built once here, read-only:
+    the edge weights, the Jacobian's off-diagonal bands and the flux
+    part of its diagonal (already divided by h^2), and the trapezoid
+    weights.
     """
 
     grid: Grid
     a: np.ndarray
     powers: tuple
     kinetic_factor: float
+    equation: Equation | None = None
 
     def __post_init__(self):
         def checked(name, values):
@@ -76,6 +84,18 @@ class WeightedAC:
         object.__setattr__(self, "_wells", tuple(
             (p, b / ((p + 1) / (2.0 * self.kinetic_factor)))
             for p, b in self.powers))
+        h2 = self.h**2
+        edge = 0.5 * (self.a[:-1] + self.a[1:])
+        trapezoid = np.ones(self.grid.n)
+        trapezoid[0] = trapezoid[-1] = 0.5
+        for name, arr in (
+                ("_edge", edge),
+                ("_lower", np.concatenate([[0.0], edge[1:-1]]) / h2),
+                ("_upper", np.concatenate([edge[1:-1], [0.0]]) / h2),
+                ("_flux_diag", -(edge[1:] + edge[:-1]) / h2),
+                ("_trapezoid", trapezoid)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def h(self) -> float:
@@ -98,7 +118,16 @@ def to_allen_cahn(problem: Problem, background: Profile) -> WeightedAC:
     return WeightedAC(grid=grid, a=phi**2,
                       powers=tuple((p, (c / eq.k) * phi**(p + 1))
                                    for p, c in eq.powers),
-                      kinetic_factor=0.5 / eq.k)
+                      kinetic_factor=0.5 / eq.k, equation=eq)
+
+
+def _equation(problem: Problem, ac: WeightedAC) -> Equation:
+    """The unreduced equation on ac's grid: the one `to_allen_cahn` kept,
+    or, for a reduction assembled by hand, the problem's, built the
+    same way."""
+    if ac.equation is not None:
+        return ac.equation
+    return problem.equation(ac.grid)
 
 
 def _check_profile(w: Profile, ac: WeightedAC) -> np.ndarray:
@@ -107,13 +136,24 @@ def _check_profile(w: Profile, ac: WeightedAC) -> np.ndarray:
     return w.values
 
 
-def _edge_weights(ac: WeightedAC) -> np.ndarray:
-    return 0.5 * (ac.a[:-1] + ac.a[1:])
-
-
 def _even_power(w2, p):
-    """w^(p-1) as products of w^2: numpy's pow is ten times slower."""
+    """w^(p-1) as products of w^2. numpy's pow of a w with negative
+    entries costs 50 to 200 times as much: on a 5,121-node tanh front,
+    229 us for w**4 against 1 us for w2 * w2."""
     return reduce(mul, [w2] * ((p - 1) // 2))
+
+
+def _odd_power(x, p):
+    """x^p for odd p as p - 1 products of x, keeping the sign of -0.0.
+
+    Each product rounds once, so the relative error is at most
+    (p - 1) eps / 2. Against numpy's pow that is within 1 ulp for p = 3
+    and within 2 ulp for p = 5 but on about one entry in 10^5 (3 ulp).
+    On an array with negative entries pow costs about 60 times as much:
+    229 us for x**3 against 4 us for x * x * x on a 5,121-node tanh
+    front.
+    """
+    return reduce(mul, [x] * p)
 
 
 def _well_terms(ac: WeightedAC, w2: np.ndarray):
@@ -143,17 +183,14 @@ def _nonlinearity(ac: WeightedAC, w: np.ndarray) -> np.ndarray:
 
 def _energy_values(ac: WeightedAC, w: np.ndarray) -> float:
     h = ac.h
-    kinetic = ac.kinetic_factor * np.sum(_edge_weights(ac) * np.diff(w)**2) / h
+    kinetic = ac.kinetic_factor * np.sum(ac._edge * np.diff(w)**2) / h
     density = _potential_density(ac, w)
-    weights = np.ones_like(w)
-    weights[0] = weights[-1] = 0.5
-    return float(kinetic + h * np.sum(weights * density))
+    return float(kinetic + h * np.sum(ac._trapezoid * density))
 
 
 def _residual_values(ac: WeightedAC, w: np.ndarray,
                      source=None) -> np.ndarray:
-    edge = _edge_weights(ac)
-    flux = edge * np.diff(w)
+    flux = ac._edge * np.diff(w)
     out = np.zeros_like(w)
     out[1:-1] = (flux[1:] - flux[:-1]) / ac.h**2 - _nonlinearity(ac, w)[1:-1]
     if source is not None:
@@ -163,16 +200,14 @@ def _residual_values(ac: WeightedAC, w: np.ndarray,
 
 def _jacobian_bands(ac: WeightedAC, w: np.ndarray):
     """Bands (lower, diag, upper) of the residual's Jacobian at the
-    interior nodes; lower[0] and upper[-1] are zero."""
-    edge = _edge_weights(ac)
+    interior nodes; lower[0] and upper[-1] are zero. All three are new
+    arrays, free for the caller to overwrite (`kink._hold`, an in-place
+    solve)."""
     wi = w[1:-1]
     wi2 = wi * wi
     ramp = reduce(add, (b[1:-1] * (p * _even_power(wi2, p) - 1.0)
                         for p, b in ac.powers))
-    diag = -(edge[1:] + edge[:-1]) / ac.h**2 - ramp
-    lower = np.concatenate([[0.0], edge[1:-1]]) / ac.h**2
-    upper = np.concatenate([edge[1:-1], [0.0]]) / ac.h**2
-    return lower, diag, upper
+    return ac._lower.copy(), ac._flux_diag - ramp, ac._upper.copy()
 
 
 def energy(w: Profile, ac: WeightedAC) -> float:
@@ -192,31 +227,30 @@ def lift(w: Profile, background_ext: Profile) -> Profile:
     return Profile(w.grid, background_ext.values * w.values)
 
 
-def _numerov_defect(problem: Problem, background_ext: Profile,
+def _numerov_defect(eq: Equation, background_ext: Profile,
                    w: np.ndarray) -> np.ndarray:
     """Numerov residual of the unreduced equation, reduced to the ratio.
 
     With the unreduced residual written as R(phi) = sigma D2 phi + M f(phi),
-    M = (1, 10, 1) / 12 and sigma = -k (see `Problem.equation`), this is
+    M = (1, 10, 1) / 12 and sigma = -k for the Equation `eq` on the
+    background's grid (see `Problem.equation`), this is
     (phi+ / sigma) [R(w phi+) - w R(phi+)]: the compact fourth-order
     counterpart of the reduced residual, which it matches in the
     continuum limit. Each term is formed from differences of w, so it
     vanishes exactly where w is flat at +-1. Zero at the pinned
     boundary nodes.
     """
-    grid = background_ext.grid
     phi = background_ext.values
-    h = grid.h
-    eq = problem.equation(grid)
+    h = background_ext.grid.h
     sigma = -eq.k
     linear = eq.mu * phi
-    powers = [(p, c * phi**p) for p, c in eq.powers]
+    powers = [(p, c * _odd_power(phi, p)) for p, c in eq.powers]
     wc = w[1:-1]
     left, right = w[:-2] - wc, w[2:] - wc
     # f(w_j phi_j) - w_i f(phi_j) for j = i - 1, i, i + 1, weighted by M
     compact = linear[:-2] * left + linear[2:] * right
     for k, coef in powers:
-        wk = w**k
+        wk = _odd_power(w, k)
         compact = compact + (coef[:-2] * (wk[:-2] - wc)
                              + 10.0 * coef[1:-1] * (wk[1:-1] - wc)
                              + coef[2:] * (wk[2:] - wc))
@@ -241,7 +275,7 @@ def correction_source(problem: Problem, ac: WeightedAC,
         raise GridMismatchError(
             "background grid differs from the reduction grid")
     source = _residual_values(ac, vals) - _numerov_defect(
-        problem, background_ext, vals)
+        _equation(problem, ac), background_ext, vals)
     floor = _SOURCE_FLOOR_ULPS * np.finfo(float).eps * np.max(ac.a) / ac.h**2
     source[np.abs(source) <= floor] = 0.0
     return source

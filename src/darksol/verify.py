@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TailUnderflow, ValidationError
-from .model import Problem, Profile
-from .reduction import _residual_values, lift, to_allen_cahn
+from .errors import GridMismatchError, TailUnderflow, ValidationError
+from .model import Equation, Problem, Profile
+from .reduction import (WeightedAC, _equation, _odd_power, _residual_values,
+                        lift, to_allen_cahn)
 
 __all__ = ["SolitonReport", "build_report"]
 
@@ -124,13 +125,17 @@ class SolitonReport:
         }
 
 
-def _residual_phi(phi: Profile, problem: Problem) -> float:
-    """Sup norm of the unreduced stationary residual at interior nodes."""
+def _residual_phi(phi: Profile, eq: Equation) -> float:
+    """Sup norm of the unreduced stationary residual at interior nodes,
+    `Equation.residual` with its odd powers of the sign-changing phi
+    formed by products (`reduction._odd_power`)."""
     v = phi.values
     lap = np.zeros_like(v)
     lap[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / phi.grid.h**2
-    res = problem.equation(phi.grid).residual(v, lap)[1:-1]
-    return float(np.max(np.abs(res)))
+    res = -eq.k * lap + eq.mu * v
+    for p, c in eq.powers:
+        res = res + c * _odd_power(v, p)
+    return float(np.max(np.abs(res[1:-1])))
 
 
 def _check_tail_fraction(tail_fraction: float):
@@ -139,8 +144,13 @@ def _check_tail_fraction(tail_fraction: float):
 
 
 def build_report(problem: Problem, w: Profile, background_ext: Profile,
-                 tail_fraction: float = TAIL_FRACTION) -> SolitonReport:
+                 tail_fraction: float = TAIL_FRACTION,
+                 ac: WeightedAC | None = None) -> SolitonReport:
     """Assemble the full report for a ratio profile and its background.
+
+    `ac` is the reduction of the problem onto this background, as
+    `to_allen_cahn` builds it; a run passes its own, and without one it
+    is built here. Either way the report has the same bits.
 
     The amplitude margin is 1 - max |w| over the interior nodes (the
     boundary is pinned at -1 and 1), the monotonicity margin the least
@@ -152,8 +162,12 @@ def build_report(problem: Problem, w: Profile, background_ext: Profile,
     `tail_fraction` of the left and the right half, collar included.
     """
     _check_tail_fraction(tail_fraction)
-    ac = to_allen_cahn(problem, background_ext)
+    if ac is None:
+        ac = to_allen_cahn(problem, background_ext)
     phi = lift(w, background_ext)
+    if ac.grid != phi.grid:
+        raise GridMismatchError(
+            "reduction grid differs from the profile grid")
     res_reduced = float(np.max(np.abs(_residual_values(ac, w.values))))
     grid = phi.grid
     x = grid.x()
@@ -169,7 +183,7 @@ def build_report(problem: Problem, w: Profile, background_ext: Profile,
     cut = grid.xmax * (1.0 - tail_fraction)
     ratio = phi.values / background_ext.values
     return SolitonReport(
-        residual_phi_sup=_residual_phi(phi, problem),
+        residual_phi_sup=_residual_phi(phi, _equation(problem, ac)),
         residual_reduced_sup=res_reduced,
         amplitude_margin=float(1.0 - np.max(np.abs(w.values[1:-1]))),
         monotonicity_margin=float(np.min(np.diff(w.values)) / grid.h),

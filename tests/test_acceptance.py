@@ -71,7 +71,7 @@ def test_criterion_1_constant_cubic_closed_form():
     # oracle self-check: the closed form satisfies the stationary
     # equation up to discretization error of the residual stencil
     self_res = _residual_phi(Profile(run.grid, cubic_front_exact(x, -1.0)),
-                             run.problem)
+                             run.problem.equation(run.grid))
     assert self_res <= 1e-3
     core = np.abs(x) <= 20.0 - 2.0 * problem.period
     err = float(np.max(np.abs(run.phi.values - oracle)[core]))

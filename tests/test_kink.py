@@ -422,6 +422,25 @@ def test_pinned_newton_holds_the_node():
     assert at_centre.converged and at_centre.iterations == 0
 
 
+def test_pinned_solves_leave_the_reduction_as_built():
+    # a held row (`kink._hold`) and the in-place tridiagonal solve write
+    # into the Jacobian bands; a later free solve on the same reduction
+    # must have the bits of one on a freshly built reduction
+    grid, _, ac = cubic_case("1 + 0.5*cos(2*pi*x)")
+    _, _, fresh = cubic_case("1 + 0.5*cos(2*pi*x)")
+    saddle = centre_root(ac)
+    pin = grid.n // 2 + 8
+    start = kink._shifted(saddle.values, 8)
+    start[pin] = 0.0
+    held = _newton_polish(start, ac, step_cap=np.inf, pin=pin)
+    assert held.iterations > 0
+    assert _is_strict_minimizer(ac, saddle.values, pin=grid.n // 2)
+    again, clean = centre_root(ac), centre_root(fresh)
+    assert again.iterations > 0
+    assert again.values.tobytes() == clean.values.tobytes()
+    assert again.history == clean.history
+
+
 def test_flat_landscape_keeps_the_pinned_root():
     # seed 951, b12.const0: a constant cubic whose translation eigenvalue,
     # 3.5e-12, is below what dpttrf resolves, so no Newton root

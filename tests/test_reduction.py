@@ -1,3 +1,6 @@
+from functools import reduce
+from operator import add
+
 import numpy as np
 import pytest
 
@@ -5,8 +8,8 @@ from darksol import (Grid, Profile, WeightedAC, energy, lift,
                      residual_reduced, run_soliton, solve_periodic,
                      to_allen_cahn)
 from darksol.errors import GridMismatchError, ValidationError
-from darksol.reduction import (_energy_values, _jacobian_bands,
-                               _nonlinearity, _numerov_defect,
+from darksol.reduction import (_energy_values, _even_power, _jacobian_bands,
+                               _nonlinearity, _numerov_defect, _odd_power,
                                _potential_density, _residual_values,
                                correction_source)
 
@@ -264,7 +267,8 @@ def test_numerov_defect_is_fourth_order_on_closed_forms():
             ac = to_allen_cahn(problem, bg)
             w = exact(grid.x())
             three_point.append(np.max(np.abs(_residual_values(ac, w))))
-            numerov.append(np.max(np.abs(_numerov_defect(problem, bg, w))))
+            numerov.append(np.max(np.abs(_numerov_defect(ac.equation, bg,
+                                                         w))))
         assert 3.5 <= three_point[0] / three_point[1] <= 4.5
         assert 14.0 <= numerov[0] / numerov[1] <= 18.0
         assert numerov[1] <= 1e-3 * three_point[1]
@@ -284,3 +288,104 @@ def test_correction_source_vanishes_where_the_front_is_flat():
     other, _ = background_on(problem, -3.0, 3.0)
     with pytest.raises(GridMismatchError):
         correction_source(problem, ac, bg, Profile(other, np.tanh(other.x())))
+
+
+def rebuilt_kernels(ac, w):
+    """(residual, Jacobian bands, energy) at w as the kernels computed
+    them when every call rebuilt the edge weights, the bands and the
+    trapezoid weights from ac.a."""
+    h = ac.h
+    edge = 0.5 * (ac.a[:-1] + ac.a[1:])
+    flux = edge * np.diff(w)
+    residual = np.zeros_like(w)
+    residual[1:-1] = ((flux[1:] - flux[:-1]) / h**2
+                      - _nonlinearity(ac, w)[1:-1])
+    wi2 = w[1:-1] * w[1:-1]
+    ramp = reduce(add, (b[1:-1] * (p * _even_power(wi2, p) - 1.0)
+                        for p, b in ac.powers))
+    bands = (np.concatenate([[0.0], edge[1:-1]]) / h**2,
+             -(edge[1:] + edge[:-1]) / h**2 - ramp,
+             np.concatenate([edge[1:-1], [0.0]]) / h**2)
+    weights = np.ones_like(w)
+    weights[0] = weights[-1] = 0.5
+    kinetic = ac.kinetic_factor * np.sum(edge * np.diff(w)**2) / h
+    energy_value = float(kinetic
+                         + h * np.sum(weights * _potential_density(ac, w)))
+    return residual, bands, energy_value
+
+
+# n_per 100: h^2 is not a power of two, so a division and a product by
+# its reciprocal round differently
+@pytest.mark.parametrize("make", [
+    lambda: sinusoidal_cubic(lam=-1.0, amp=0.5, n_per=100),
+    lambda: sinusoidal_quintic(lam=-1.0, amp=0.3, g1=0.5, n_per=100),
+], ids=["cubic", "cubic-quintic"])
+def test_cached_kernels_keep_their_bits(make, rng):
+    problem = make()
+    grid, bg = background_on(problem, -2.0, 2.0)
+    ac = to_allen_cahn(problem, bg)
+    for w in (rng.uniform(-1.2, 1.2, grid.n), np.tanh(grid.x())):
+        residual, bands, energy_value = rebuilt_kernels(ac, w)
+        assert _residual_values(ac, w).tobytes() == residual.tobytes()
+        for got, want in zip(_jacobian_bands(ac, w), bands):
+            assert got.tobytes() == want.tobytes()
+        assert _energy_values(ac, w) == energy_value
+
+
+def test_cached_arrays_are_read_only_and_bands_are_new(rng):
+    problem = sinusoidal_cubic(lam=-1.0, amp=0.5, n_per=32)
+    grid, bg = background_on(problem, -1.0, 1.0)
+    ac = to_allen_cahn(problem, bg)
+    for cached in (ac._edge, ac._lower, ac._upper, ac._flux_diag,
+                   ac._trapezoid):
+        assert not cached.flags.writeable
+    w = rng.uniform(-1.0, 1.0, grid.n)
+    first, second = _jacobian_bands(ac, w), _jacobian_bands(ac, w)
+    for band, again in zip(first, second):
+        assert band.flags.writeable
+        assert not np.shares_memory(band, again)
+    assert ac.equation is not None
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_odd_power_matches_pow(rng, p):
+    x = np.concatenate([rng.uniform(-1.5, 1.5, 2000),
+                        rng.uniform(-1e-3, 1e-3, 100),
+                        [0.0, -0.0, 1.0, -1.0, -0.0]])
+    got, want = _odd_power(x, p), x**p
+    assert np.all(np.abs(got - want) <= 2.0 * np.spacing(np.abs(want)))
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+    assert np.signbit(_odd_power(np.array([-0.0]), p)[0])
+
+
+def pow_numerov_defect(eq, background_ext, w):
+    """`_numerov_defect` with numpy's pow for the odd powers of the
+    background and of w."""
+    phi = background_ext.values
+    h = background_ext.grid.h
+    linear = eq.mu * phi
+    wc = w[1:-1]
+    left, right = w[:-2] - wc, w[2:] - wc
+    compact = linear[:-2] * left + linear[2:] * right
+    for k, c in eq.powers:
+        coef, wk = c * phi**k, w**k
+        compact = compact + (coef[:-2] * (wk[:-2] - wc)
+                             + 10.0 * coef[1:-1] * (wk[1:-1] - wc)
+                             + coef[2:] * (wk[2:] - wc))
+    out = np.zeros_like(w)
+    out[1:-1] = phi[1:-1] * ((phi[:-2] * left + phi[2:] * right) / h**2
+                             + compact / (12.0 * -eq.k))
+    return out
+
+
+def test_numerov_defect_matches_the_pow_formula():
+    # on fronts that change sign, where pow takes its slow path
+    for problem in (sinusoidal_cubic(lam=-1.0, amp=0.5, n_per=64),
+                    sinusoidal_quintic(lam=-1.0, amp=0.3, g1=0.5,
+                                       n_per=64)):
+        grid, bg = background_on(problem, -4.0, 4.0)
+        ac = to_allen_cahn(problem, bg)
+        for w in (np.tanh(grid.x()), np.tanh(1.7 * grid.x() - 0.3)):
+            want = pow_numerov_defect(ac.equation, bg, w)
+            got = _numerov_defect(ac.equation, bg, w)
+            assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import darksol
-from darksol import Grid, Profile, build_report, run_soliton
-from darksol.errors import TailUnderflow, ValidationError
+from darksol import (Grid, Profile, build_report, run_soliton,
+                     to_allen_cahn)
+from darksol.errors import GridMismatchError, TailUnderflow, ValidationError
 from darksol.verify import _fit_tail, _residual_phi
 
-from conftest import constant_cubic, sinusoidal_cubic
+from conftest import constant_cubic, sinusoidal_cubic, sinusoidal_quintic
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +55,8 @@ def test_residual_phi_tracks_reduced_residual(constant_run):
     run = constant_run
     assert abs(run.report.residual_phi_sup
                - 0.5 * run.report.residual_reduced_sup) <= 1e-12
-    assert _residual_phi(run.phi, run.problem) == run.report.residual_phi_sup
+    assert _residual_phi(run.phi, run.problem.equation(run.grid)) \
+        == run.report.residual_phi_sup
 
 
 def test_residual_phi_second_order_in_h():
@@ -193,3 +195,30 @@ def test_constant_front_decay_rate(constant_run):
     assert report.decay_rate_fit_left == pytest.approx(2.0, rel=0.03)
     assert report.decay_fit_r2_right >= 0.999
     assert report.asymptotic_ratio_err_right < 1e-3
+
+
+@pytest.mark.parametrize("make, half_length, tail_fraction", [
+    (lambda: sinusoidal_cubic(lam=-1.0, amp=0.5, n_per=128), 6.0, 0.25),
+    (lambda: sinusoidal_quintic(lam=-1.0, amp=0.3, g1=0.5, n_per=128),
+     None, 0.3),
+    (lambda: constant_cubic(lam=-1.0, n_per=128), 6.0, 0.2),
+], ids=["cubic", "cubic-quintic", "constant"])
+def test_run_report_is_the_recomputed_report(make, half_length,
+                                             tail_fraction):
+    # the run's report reads the run's reduction; built afresh from the
+    # written profiles it must come out the same, bit for bit
+    run = run_soliton(make(), half_length=half_length,
+                      tail_fraction=tail_fraction)
+    assert run.status == "ok"
+    again = build_report(run.problem, run.w, run.background_ext,
+                         tail_fraction=run.tail_fraction)
+    assert json.dumps(again.to_dict(), sort_keys=True) == \
+        json.dumps(run.report.to_dict(), sort_keys=True)
+
+
+def test_build_report_refuses_a_reduction_on_another_grid():
+    grid, phi, bg = synthetic_pair()
+    _, _, other = synthetic_pair(half=8.0, n=2049)
+    ac = to_allen_cahn(unit_problem(), other)
+    with pytest.raises(GridMismatchError):
+        build_report(unit_problem(), phi, bg, ac=ac)
