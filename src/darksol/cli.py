@@ -292,9 +292,9 @@ def _run_soliton(cfg: RunConfig, problem: Problem):
 _SOLITON_COLUMNS = ("x", "phi_plus_ext", "w", "phi", "residual_reduced")
 
 
-def _soliton_columns(problem, w: Profile, background: Profile) -> dict:
-    """soliton.csv by column name, from the ratio and its background."""
-    ac = to_allen_cahn(problem, background)
+def _soliton_columns(w: Profile, background: Profile, ac) -> dict:
+    """soliton.csv by column name, from the ratio, its background and
+    the reduction onto that background."""
     return dict(zip(_SOLITON_COLUMNS, (
         w.grid.x(), background.values, w.values, lift(w, background).values,
         residual_reduced(w, ac).values)))
@@ -303,7 +303,7 @@ def _soliton_columns(problem, w: Profile, background: Profile) -> dict:
 def cmd_solve_soliton(cfg: RunConfig, out_dir) -> int:
     run = _run_soliton(cfg, build_problem(cfg))
     _write_phi_plus(out_dir, run.periodic)
-    columns = _soliton_columns(run.problem, run.w, run.background_ext)
+    columns = _soliton_columns(run.w, run.background_ext, run.ac)
     write_csv(os.path.join(out_dir, "soliton.csv"), list(columns),
               list(columns.values()))
     report = _base_report("solve-soliton", cfg)
@@ -362,12 +362,13 @@ def cmd_verify(cfg: RunConfig, out_dir) -> int:
     grid = Grid(xmin=float(x[0]), xmax=float(x[-1]), n=int(x.size))
     validate_problem(problem, grid)
     background, w = Profile(grid, background), Profile(grid, w)
+    ac = to_allen_cahn(problem, background)
     recomputed = build_report(problem, w, background,
-                              tail_fraction=cfg.tail_fraction)
+                              tail_fraction=cfg.tail_fraction, ac=ac)
 
     mismatches = [
         f"soliton.csv column {name!r} differs from its rebuild"
-        for name, values in _soliton_columns(problem, w, background).items()
+        for name, values in _soliton_columns(w, background, ac).items()
         if not np.array_equal(values, columns[name])]
     stored_block = stored.get("soliton_report")
     recomputed_block = json.loads(json.dumps(recomputed.to_dict()))

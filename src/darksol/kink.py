@@ -13,7 +13,13 @@ refused root is often a saddle: the front pinned on the wrong site of
 the periodic landscape. The next roots come from the other pinning
 sites, the strict extrema of the weight a nearest the centre: Newton
 runs from a tanh guess at each, and the certified roots follow lowest
-energy first, none above the centre root's energy. The last ones come
+energy first, none above the centre root's energy. The scan only
+accelerates the search, so a site solve gives up at its first step
+that needs a line-search step below 1/16 (`_SITE_MIN_STEP`; every other
+solve halves down to 2^-29). Of two mirror sites, the second starts
+from the first one's root reflected; when that start is already a root
+it is the mirror twin and is dropped, so the left site stands for both
+and no rounding-level energy difference decides. The last ones come
 from the phase condition w(x0) = 0 (Beyn & Thuemmler, SIAM J. Appl.
 Dyn. Syst. 3, 2004): Newton with node x0 held, whose roots trace the
 pinning (Peierls-Nabarro) landscape E(x0) (Kivshar & Campbell, Phys.
@@ -63,6 +69,13 @@ _POLISH_STEP_CAP = 1.0
 _MAX_NEWTON_STEPS = 40
 # Every front Newton solve stops at sup |gradient| / h <= _GRAD_TOL.
 _GRAD_TOL = 1e-8
+# Smallest line-search step: the search halves from t = 1 down to it,
+# 30 trials, before a solve ends as stalled.
+_MIN_LINE_STEP = 2.0**-29
+# The site scan's smallest step, 5 trials: a site solve that needs a
+# shorter step stalls on a weakly pinned landscape, where the phase walk
+# finds the front anyway.
+_SITE_MIN_STEP = 1.0 / 16.0
 
 
 @dataclass(frozen=True)
@@ -145,12 +158,15 @@ def _target_residual(ac: WeightedAC) -> float:
 
 def _newton_polish(w: np.ndarray, ac: WeightedAC, source=None,
                    step_cap: float = _POLISH_STEP_CAP,
-                   pin: int | None = None) -> _PolishResult:
+                   pin: int | None = None,
+                   min_step: float = _MIN_LINE_STEP) -> _PolishResult:
     """Damped Newton on the reduced residual with pinned boundary values,
     run until its sup meets `_target_residual`.
 
     With a source s the residual is R(w) - s; the Jacobian is the same.
-    A correction larger than `step_cap` in sup norm ends the solve.
+    A correction larger than `step_cap` in sup norm ends the solve, and
+    so does a step whose residual line search, halving t from 1, finds
+    no decrease down to t = `min_step`.
 
     With `pin`, an interior node index, that node's value is held too:
     its residual row is left out of the steps and `history` (see
@@ -181,7 +197,7 @@ def _newton_polish(w: np.ndarray, ac: WeightedAC, source=None,
                 float(np.max(np.abs(delta))) > step_cap:
             break
         t = 1.0
-        for _ in range(30):
+        while t >= min_step:
             trial = w.copy()
             trial[1:-1] += t * delta
             trial_res = _residual_values(ac, trial, source)
@@ -239,30 +255,34 @@ def _is_certified_root(ac, root: _PolishResult, bound: float) -> bool:
 
 
 def _pinning_sites(ac: WeightedAC) -> np.ndarray:
-    """The strict extrema of the weight a nearest the centre x = 0 on
-    each side, nearest first; a constant weight has none.
+    """The nodes of the strict extrema of the weight a nearest the centre
+    node on each side, nearest first, the left one first on a tie; a
+    constant weight has none.
 
-    When the grid and every weight are even about x = 0 to the last bit,
-    the right-hand site mirrors the left one, and so would its root, at
-    the same energy up to rounding: only the left one is returned.
+    The order is by node count, so no rounding of x decides it.
     """
     a = ac.a
     mid = a[1:-1]
     strict = (((mid > a[:-2]) & (mid > a[2:]))
               | ((mid < a[:-2]) & (mid < a[2:])))
-    x = ac.grid.x()[1:-1][strict]
-    left, right = x[x < 0.0][-1:], x[x > 0.0][:1]
-    even = ac.grid.xmin == -ac.grid.xmax and all(
-        np.array_equal(v, v[::-1]) for v in (a, *(b for _, b in ac.powers)))
-    if even:
-        return left
-    sites = np.concatenate([left, right])
-    return sites[np.argsort(np.abs(sites), kind="stable")]
+    nodes = np.flatnonzero(strict) + 1
+    centre = ac.grid.n // 2
+    sites = np.concatenate([nodes[nodes < centre][-1:],
+                            nodes[nodes > centre][:1]])
+    return sites[np.argsort(np.abs(sites - centre), kind="stable")]
 
 
 def _site_scan(ac, centre: _PolishResult, start_energy: float):
-    """Newton from a tanh guess at each pinning site; returns (the
-    certified roots, lowest energy first, Newton iterations).
+    """Newton at each pinning site; returns (the certified roots, lowest
+    energy first, Newton iterations).
+
+    A site solve starts from a tanh guess at the site, or, when the
+    mirror site was solved first and converged, from that root
+    reflected, -w[::-1]. A reflection that already meets the tolerance
+    is the mirror twin of a root in hand, and adds nothing: of two
+    mirror sites, the first one solved stands for both. Each solve
+    gives up at its first step that needs a line-search step below
+    `_SITE_MIN_STEP`; the walk of `_candidates` covers what it leaves.
 
     A site root counts if it passes `_is_certified_root` with an energy
     no higher than the start's and the centre root's. Of equal
@@ -271,12 +291,22 @@ def _site_scan(ac, centre: _PolishResult, start_energy: float):
     bound = start_energy
     if centre.converged:
         bound = min(bound, _energy_values(ac, centre.values))
+    x, last = ac.grid.x(), ac.grid.n - 1
+    kappa = _guess_rate(ac)
     iterations = 0
-    roots = []
+    solved, roots = {}, []
     for site in _pinning_sites(ac):
-        root = _newton_polish(_initial_guess(ac.grid, _guess_rate(ac), site),
-                              ac, step_cap=np.inf)
+        mirror = solved.get(last - site)
+        start = (_initial_guess(ac.grid, kappa, x[site]) if mirror is None
+                 else -mirror.values[::-1])
+        root = _newton_polish(start, ac, step_cap=np.inf,
+                              min_step=_SITE_MIN_STEP)
         iterations += root.iterations
+        if not root.converged:
+            continue
+        if mirror is not None and root.iterations == 0:
+            continue  # the mirror twin
+        solved[site] = root
         if _is_certified_root(ac, root, bound):
             roots.append((_energy_values(ac, root.values), root))
     return [root for _, root in sorted(roots, key=lambda item: item[0])], \

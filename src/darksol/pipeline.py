@@ -22,7 +22,7 @@ from .kink import (MinimizeResult, make_truncated_grid, minimize,
 from .model import Grid, Problem, Profile, validate_problem
 from .periodic import (PeriodicResult, monotone_iteration_oracle,
                        solve_periodic)
-from .reduction import correction_source, lift, to_allen_cahn
+from .reduction import WeightedAC, correction_source, lift, to_allen_cahn
 from .verify import (TAIL_FRACTION, SolitonReport, _check_tail_fraction,
                      build_report)
 
@@ -36,6 +36,7 @@ class SolitonRun:
     periodic: PeriodicResult
     grid: Grid
     background_ext: Profile
+    ac: WeightedAC
     minimize: MinimizeResult
     w: Profile
     phi: Profile
@@ -90,6 +91,6 @@ def run_soliton(problem: Problem,
                           tail_fraction=tail_fraction, ac=ac)
     return SolitonRun(problem=problem, periodic=periodic,
                       grid=background_ext.grid, background_ext=background_ext,
-                      minimize=result, w=w, phi=phi, crossing=crossing,
+                      ac=ac, minimize=result, w=w, phi=phi, crossing=crossing,
                       report=report, status=_verdict_status(report.verified),
                       tail_fraction=tail_fraction)

@@ -225,6 +225,28 @@ def test_solve_soliton_and_verify_round_trip(tmp_path):
         "residual_sup", "newton_iterations", "enclosure_width"}
 
 
+def test_each_soliton_command_builds_one_reduction(tmp_path, monkeypatch):
+    # soliton.csv's residual_reduced column reads the reduction that the
+    # run (solve-soliton) or the recomputed report (verify) was built on
+    from darksol import cli, pipeline, reduction, verify
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return reduction.to_allen_cahn(*args, **kwargs)
+
+    for module in (cli, pipeline, verify):
+        monkeypatch.setattr(module, "to_allen_cahn", counted)
+    config = write_config(tmp_path, SINUSOIDAL)
+    out = tmp_path / "out"
+    assert run_cli("solve-soliton", config, out) == 0
+    assert len(calls) == 1
+    assert run_cli("verify", config, out) == 0
+    assert len(calls) == 2
+    verify_report = json.loads((out / "verify_report.json").read_text())
+    assert verify_report["match"] is True
+
+
 def tamper_and_verify(tmp_path, column):
     config = write_config(tmp_path, BASE)
     out = tmp_path / "out"

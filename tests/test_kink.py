@@ -273,10 +273,11 @@ def test_step_cap_keeps_the_correction_off_the_translation_mode():
     assert run.minimize.polish_iterations == 5
 
 
-def sourced_cos_case():
+def sourced_cos_case(expr="1 + 0.5*cos(2*pi*x)"):
     """1 + 0.5 cos at lambda = -1: the centre root is a saddle, and the
-    site scan certifies the fronts at x = -0.5 and x = +0.5."""
-    g = sample_coefficient("1 + 0.5*cos(2*pi*x)", 1.0, 128, positive=True)
+    site scan certifies the front at x = -0.5; the walk's free root is
+    its mirror at x = +0.5."""
+    g = sample_coefficient(expr, 1.0, 128, positive=True)
     problem = Problem(kind="cubic", lam=-1.0, period=1.0, g=g)
     grid, bg, ac = reduced_problem(problem, 6.0, 128)
     return ac, lambda w: correction_source(problem, ac, bg, w)
@@ -305,7 +306,13 @@ def test_a_root_whose_correction_fails_hands_on_to_the_next():
 
 
 def test_no_root_that_corrects_is_one_nonconvergence():
-    ac, _ = sourced_cos_case()
+    # a phase of 0.1 puts the sites at x = -0.4 and x = 0.1, which are
+    # not mirror images, so neither stands for the other
+    ac, _ = sourced_cos_case("1 + 0.5*cos(2*pi*(x - 0.1))")
+    sites = kink._pinning_sites(ac)
+    np.testing.assert_allclose(ac.grid.x()[sites], [0.1, -0.4],
+                               atol=ac.grid.h)
+    assert sites[0] + sites[1] != ac.grid.n - 1
     given = []
 
     def unmet(w):
@@ -314,7 +321,7 @@ def test_no_root_that_corrects_is_one_nonconvergence():
 
     with pytest.raises(NonConvergence) as err:
         minimize(ac, unmet)
-    # both site roots, then the walk's free root, each tried once
+    # the certified site roots, then the walk's free root, each tried once
     assert len(given) >= 3
     assert err.value.final_residual >= 1e2
     assert err.value.iterations > 0
@@ -459,21 +466,63 @@ def test_flat_landscape_keeps_the_pinned_root():
 
 
 def test_pinning_sites():
-    # the nearest strict extremum of a on each side of the centre
+    # the node of the nearest strict extremum of a on each side of the
+    # centre; of two nodes equally far from the centre, the left first
     _, _, ac = cubic_case("1 + 0.8*sin(2*pi*x)")
-    np.testing.assert_allclose(kink._pinning_sites(ac), [-0.25, 0.25],
-                               atol=1e-12)
+    np.testing.assert_allclose(ac.grid.x()[kink._pinning_sites(ac)],
+                               [-0.25, 0.25], atol=1e-12)
     # the sampled 1 + 0.5 cos is even only to rounding, and keeps both
     _, _, ac = cubic_case("1 + 0.5*cos(2*pi*x)")
-    np.testing.assert_allclose(kink._pinning_sites(ac), [-0.5, 0.5],
-                               atol=1e-12)
-    # even to the last bit, the right site mirrors the left one
+    sites = kink._pinning_sites(ac)
+    np.testing.assert_allclose(ac.grid.x()[sites], [-0.5, 0.5], atol=1e-12)
+    assert sites[0] + sites[1] == ac.grid.n - 1
+    _, _, ac = cubic_case("1")
+    assert kink._pinning_sites(ac).size == 0
+
+
+def site_scan(ac):
+    """`_site_scan` as `_candidates` calls it: after the centre root,
+    bounded by the centred guess's energy."""
+    start = _initial_guess(ac.grid, _guess_rate(ac))
+    return kink._site_scan(ac, centre_root(ac),
+                           energy(Profile(ac.grid, start), ac))
+
+
+def site_root(ac, x0, **options):
+    """Newton from the tanh guess at x0, as a site solve starts."""
+    return _newton_polish(_initial_guess(ac.grid, _guess_rate(ac), x0), ac,
+                          step_cap=np.inf, **options)
+
+
+def test_mirror_sites_give_one_root():
+    # 1 + 0.5 cos is even only to rounding: the right site starts from
+    # the left root reflected, which already meets the tolerance, so it
+    # is the left root's mirror twin and adds no candidate
+    _, _, ac = cubic_case("1 + 0.5*cos(2*pi*x)")
+    assert not np.array_equal(ac.a, ac.a[::-1])
+    roots, iterations = site_scan(ac)
+    assert len(roots) == 1
+    assert report_crossing(Profile(ac.grid, roots[0].values)) == \
+        pytest.approx(-0.5, abs=1e-3)
+    left = site_root(ac, -0.5, min_step=kink._SITE_MIN_STEP)
+    assert roots[0].values.tobytes() == left.values.tobytes()
+    assert iterations == left.iterations > 0
+
+
+def test_bit_even_weights_keep_the_left_site_root():
+    # even to the last bit, the right site's reflected start is the exact
+    # mirror of the left root, a root at once: the scan returns the left
+    # root alone, the one Newton with the full line search gives
+    _, _, ac = cubic_case("1 + 0.5*cos(2*pi*x)")
     even = WeightedAC(grid=ac.grid, a=ac.a + ac.a[::-1],
                       powers=tuple((p, b + b[::-1]) for p, b in ac.powers),
                       kinetic_factor=ac.kinetic_factor)
-    np.testing.assert_allclose(kink._pinning_sites(even), [-0.5], atol=1e-12)
-    _, _, ac = cubic_case("1")
-    assert kink._pinning_sites(ac).size == 0
+    roots, iterations = site_scan(even)
+    left = site_root(even, even.grid.x()[kink._pinning_sites(even)[0]])
+    assert left.converged
+    assert len(roots) == 1
+    assert roots[0].values.tobytes() == left.values.tobytes()
+    assert iterations == left.iterations
 
 
 def test_minimizer_certificate():
@@ -561,14 +610,18 @@ def test_weakly_pinned_site_root_is_not_taken(monkeypatch):
     assert energy(root, ac) < unchecked.final_energy
 
 
+def draw14():
+    """Seed 922, b0.draw14: a weakly pinned cubic draw (L = 8)."""
+    g = sample_coefficient(
+        lambda x: 1.0 + 0.18473429851971404 * np.cos(2.0 * np.pi * x), 1.0,
+        256, positive=True)
+    return Problem(kind="cubic", lam=-0.25251611383570216, period=1.0, g=g)
+
+
 @pytest.mark.parametrize("problem, half_length, crossing", [
     # seed 922, b0.draw14: the cubic centre root is a saddle 1.05e-7
     # above the front
-    (Problem(kind="cubic", lam=-0.25251611383570216, period=1.0,
-             g=sample_coefficient(
-                 lambda x: 1.0 + 0.18473429851971404
-                 * np.cos(2.0 * np.pi * x), 1.0, 256, positive=True)),
-     8.0, -0.357),
+    (draw14(), 8.0, -0.357),
     # seed 922, b0.draw26: the cubic-quintic one, 6.5e-9 above
     (weak_quintic(-0.4696574166573085, 0.05042428552404413,
                   0.5609484571941229, 0.5, 128), 9.0, -0.425),
@@ -587,6 +640,29 @@ def test_walk_certifies_the_weakly_pinned_fronts(monkeypatch, problem,
     assert saddle.converged
     assert lowest_hessian_eigenvalue(ac, saddle.values) < 0
     assert energy(root, ac) < energy(Profile(ac.grid, saddle.values), ac)
+
+
+def test_stalled_site_solve_gives_up_early():
+    # seed 922, b0.draw14: the site solves at x = -0.5 and x = +0.5 need
+    # ever shorter line-search steps. Each crept through 40 damped steps
+    # and 266 halvings and ended unconverged (116 iterations in the run).
+    # Bounded at t = 1/16, each stops after 2 steps, and the phase walk
+    # finds the same front
+    run = run_soliton(draw14(), half_length=8.0)
+    assert run.status == "ok"
+    assert run.crossing == 0.3572872067153436
+    assert run.minimize.polish_iterations == 40
+
+
+def test_walk_keeps_the_full_line_search():
+    # seed 2651, b89.draw27: the walk's free Newton creeps through 12
+    # damped steps from 1.4e-8 to just under the tolerance; with the
+    # site scan's step bound applied to it, the run ends NonConvergence
+    problem = weak_quintic(-0.5391068268439893, 0.0006981670819564511,
+                           0.46076985551983196, 0.5, 128)
+    run = run_soliton(problem, half_length=9.0)
+    assert run.status == "ok"
+    assert run.minimize.grad_sup_per_h <= 1e-8
 
 
 def test_random_phase_front_travels_to_the_descents_answer():
