@@ -8,24 +8,29 @@ does not raise the energy and is a strict local minimizer: the energy
 Hessian is -2 kf h times the residual Jacobian, a symmetric tridiagonal
 matrix, and an LDL^T factorization with positive pivots proves it
 positive definite. The first root comes from one damped Newton solve
-from the centred tanh guess (residual line search, no step cap). A
-refused root is often a saddle: the front pinned on the wrong site of
-the periodic landscape. The next roots come from the other pinning
-sites, the strict extrema of the weight a nearest the centre: Newton
-runs from a tanh guess at each, and the certified roots follow lowest
-energy first, none above the centre root's energy. The scan only
-accelerates the search, so a site solve gives up at its first step
-that needs a line-search step below 1/16 (`_SITE_MIN_STEP`; every other
-solve halves down to 2^-29). Of two mirror sites, the second starts
-from the first one's root reflected; when that start is already a root
-it is the mirror twin and is dropped, so the left site stands for both
-and no rounding-level energy difference decides. The last ones come
-from the phase condition w(x0) = 0 (Beyn & Thuemmler, SIAM J. Appl.
-Dyn. Syst. 3, 2004): Newton with node x0 held, whose roots trace the
+from the centred tanh guess. A refused root is often a saddle: the
+front pinned on the wrong site of the periodic landscape. The next
+roots come from the other pinning sites, the strict extrema of the
+weight a nearest the centre: Newton runs from a tanh guess at each,
+and the certified roots follow lowest energy first, none above the
+centre root's energy. Of two mirror sites, the second starts from the
+first one's root reflected; when that start is already a root it is
+the mirror twin and is dropped, so the left site stands for both and
+no rounding-level energy difference decides. The last ones come from
+the phase condition w(x0) = 0 (Beyn & Thuemmler, SIAM J. Appl. Dyn.
+Syst. 3, 2004): Newton with node x0 held, whose roots trace the
 pinning (Peierls-Nabarro) landscape E(x0) (Kivshar & Campbell, Phys.
 Rev. E 48, 3077, 1993). The pin walks downhill in E from the centre;
 unpinned Newton from the lowest node's root gives one more root, and
 the pinned root itself is the last. Every solve is tridiagonal, O(n).
+
+Each Newton solve has one of two roles. A search (the centre, each
+site, each pinned solve of the walk) takes uncapped steps and gives up
+at its first step that needs a line-search step below 1/16
+(`_SEARCH_MIN_STEP`): a later route covers what it leaves. A finish
+(the walk's free root and both corrections) has nothing after it, so
+its steps are capped at `_POLISH_STEP_CAP` and its line search halves
+down to 2^-29.
 Every Newton solve stops at one fixed target, sup |gradient| / h <= 1e-8
 (`_target_residual`). On a grid whose gradient rounding floor,
 2 kf eps max(a) / h^2, lies above that target it could never be met,
@@ -69,13 +74,13 @@ _POLISH_STEP_CAP = 1.0
 _MAX_NEWTON_STEPS = 40
 # Every front Newton solve stops at sup |gradient| / h <= _GRAD_TOL.
 _GRAD_TOL = 1e-8
-# Smallest line-search step: the search halves from t = 1 down to it,
-# 30 trials, before a solve ends as stalled.
+# A finish's smallest line-search step: the search halves from t = 1
+# down to it, 30 trials, before the solve ends as stalled.
 _MIN_LINE_STEP = 2.0**-29
-# The site scan's smallest step, 5 trials: a site solve that needs a
-# shorter step stalls on a weakly pinned landscape, where the phase walk
-# finds the front anyway.
-_SITE_MIN_STEP = 1.0 / 16.0
+# A search's smallest step, 5 trials: a search that needs a shorter step
+# stalls on a weakly pinned landscape, where a later route finds the
+# front anyway.
+_SEARCH_MIN_STEP = 1.0 / 16.0
 
 
 @dataclass(frozen=True)
@@ -157,16 +162,17 @@ def _target_residual(ac: WeightedAC) -> float:
 
 
 def _newton_polish(w: np.ndarray, ac: WeightedAC, source=None,
-                   step_cap: float = _POLISH_STEP_CAP,
                    pin: int | None = None,
-                   min_step: float = _MIN_LINE_STEP) -> _PolishResult:
+                   search: bool = False) -> _PolishResult:
     """Damped Newton on the reduced residual with pinned boundary values,
     run until its sup meets `_target_residual`.
 
     With a source s the residual is R(w) - s; the Jacobian is the same.
-    A correction larger than `step_cap` in sup norm ends the solve, and
-    so does a step whose residual line search, halving t from 1, finds
-    no decrease down to t = `min_step`.
+    A step whose residual line search, halving t from 1, finds no
+    decrease ends the solve. A search (`search=True`) takes corrections
+    of any size and halves only down to t = `_SEARCH_MIN_STEP`; a finish
+    ends at a correction larger than `_POLISH_STEP_CAP` in sup norm and
+    halves down to t = `_MIN_LINE_STEP`.
 
     With `pin`, an interior node index, that node's value is held too:
     its residual row is left out of the steps and `history` (see
@@ -177,6 +183,8 @@ def _newton_polish(w: np.ndarray, ac: WeightedAC, source=None,
     work done so far, so callers can try another route.
     """
     tol = _target_residual(ac)
+    step_cap = np.inf if search else _POLISH_STEP_CAP
+    min_step = _SEARCH_MIN_STEP if search else _MIN_LINE_STEP
     w = np.array(w, dtype=float)
     res = _residual_values(ac, w, source)
     if pin is not None:
@@ -276,13 +284,15 @@ def _site_scan(ac, centre: _PolishResult, start_energy: float):
     """Newton at each pinning site; returns (the certified roots, lowest
     energy first, Newton iterations).
 
-    A site solve starts from a tanh guess at the site, or, when the
-    mirror site was solved first and converged, from that root
-    reflected, -w[::-1]. A reflection that already meets the tolerance
-    is the mirror twin of a root in hand, and adds nothing: of two
-    mirror sites, the first one solved stands for both. Each solve
-    gives up at its first step that needs a line-search step below
-    `_SITE_MIN_STEP`; the walk of `_candidates` covers what it leaves.
+    Each site solve is a search (see `_newton_polish`); the walk of
+    `_candidates` covers what it leaves. It starts from a tanh guess at
+    the site, or, when the mirror site was solved first and converged,
+    from that root reflected, -w[::-1]. A reflection that already meets
+    the tolerance is the mirror twin of a root in hand, and adds
+    nothing: of two mirror sites, the first one solved stands for both.
+    When the mirror site's solve failed and the weights equal their
+    reversals bit for bit, the site is skipped: its solve would repeat
+    the failed one, mirrored.
 
     A site root counts if it passes `_is_certified_root` with an energy
     no higher than the start's and the centre root's. Of equal
@@ -294,15 +304,19 @@ def _site_scan(ac, centre: _PolishResult, start_energy: float):
     x, last = ac.grid.x(), ac.grid.n - 1
     kappa = _guess_rate(ac)
     iterations = 0
-    solved, roots = {}, []
+    solved, failed, roots = {}, set(), []
     for site in _pinning_sites(ac):
+        if last - site in failed and all(
+                np.array_equal(v, v[::-1])
+                for v in (ac.a, *(b for _, b in ac.powers))):
+            continue  # the failed solve, mirrored
         mirror = solved.get(last - site)
         start = (_initial_guess(ac.grid, kappa, x[site]) if mirror is None
                  else -mirror.values[::-1])
-        root = _newton_polish(start, ac, step_cap=np.inf,
-                              min_step=_SITE_MIN_STEP)
+        root = _newton_polish(start, ac, search=True)
         iterations += root.iterations
         if not root.converged:
+            failed.add(site)
             continue
         if mirror is not None and root.iterations == 0:
             continue  # the mirror twin
@@ -336,7 +350,7 @@ def _phase_walk(ac, start: np.ndarray):
     whose free rows miss the tolerance counts as infinite energy.
     """
     def solve(w, node):
-        root = _newton_polish(w, ac, step_cap=np.inf, pin=node)
+        root = _newton_polish(w, ac, pin=node, search=True)
         if root.history[-1] > _target_residual(ac):
             return root, np.inf
         return root, _energy_values(ac, root.values)
@@ -373,7 +387,7 @@ def minimize(ac: WeightedAC, source_of) -> MinimizeResult:
     `source_of` maps a root, as a Profile, to its deferred-correction
     source (see `reduction.correction_source`); a map that returns None
     gives the second-order minimizer itself. Roots are tried in the
-    order of `_candidates`, and a search runs only once every earlier
+    order of `_candidates`, and a route runs only once every earlier
     root has failed its correction (`_correct`). Convergence test, the
     same for every solve: sup |gradient| / h <= 1e-8, equivalently
     sup |residual| <= 1e-8 / (2 * kinetic_factor), on the corrected
@@ -407,19 +421,20 @@ def minimize(ac: WeightedAC, source_of) -> MinimizeResult:
 
 def _candidates(ac, spent: list):
     """The certified roots `minimize` tries, in order, each with its run
-    flags; lazy, so each search runs only when the roots before it are
-    used up. The Newton iterations of every search go onto `spent`.
+    flags; lazy, so each route runs only when the roots before it are
+    used up. The Newton iterations of every route go onto `spent`.
 
-    First the centre root, Newton from the centred tanh guess; then the
-    site roots of `_site_scan`; then unpinned Newton from the root at
-    the lowest node of `_phase_walk`, certified with energy no higher
-    than that root's; last the pinned root itself, with flag
-    `phase_pinned`, if its full residual meets the tolerance and it is
-    a strict minimizer with the node held.
+    First the centre root, a Newton search from the centred tanh guess;
+    then the site roots of `_site_scan`; then a finish, unpinned Newton
+    from the root at the lowest node of `_phase_walk` (whose pinned
+    solves are searches), certified with energy no higher than that
+    root's; last the pinned root itself, with flag `phase_pinned`, if
+    its full residual meets the tolerance and it is a strict minimizer
+    with the node held.
     """
     start = _initial_guess(ac.grid, _guess_rate(ac))
     energy = _energy_values(ac, start)
-    first = _newton_polish(start, ac, step_cap=np.inf)
+    first = _newton_polish(start, ac, search=True)
     spent.append(first.iterations)
     if _is_certified_root(ac, first, energy):
         yield first, ()
@@ -445,7 +460,7 @@ def _correct(ac, root: np.ndarray, source) -> _PolishResult:
     mode stalls it, Newton runs once more from the root with the node
     nearest its crossing pinned to zero, the phase condition; that
     counts only if the full residual, pinned row included, meets the
-    tolerance.
+    tolerance. Both solves are finishes (see `_newton_polish`).
     """
     free = _newton_polish(root, ac, source=source)
     if free.converged:

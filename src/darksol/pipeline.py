@@ -80,7 +80,7 @@ def run_soliton(problem: Problem,
     ac = to_allen_cahn(problem, background_ext)
 
     result = minimize(
-        ac, lambda w: correction_source(problem, ac, background_ext, w))
+        ac, lambda w: correction_source(ac, background_ext, w))
     w = result.profile
     phi = lift(w, background_ext)
     crossing = report_crossing(w)

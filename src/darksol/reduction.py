@@ -46,7 +46,8 @@ class WeightedAC:
     kinetic_factor is the prefactor of the gradient term in the energy,
     1 / (2k) for the k of `Problem.equation`. `equation` is the
     unreduced equation on `grid` that `to_allen_cahn` reduced; a
-    reduction assembled by hand has none.
+    reduction assembled by hand has none, and feeds neither
+    `correction_source` nor a report.
 
     Every array that does not depend on w is built once here, read-only:
     the edge weights, the Jacobian's off-diagonal bands and the flux
@@ -119,15 +120,6 @@ def to_allen_cahn(problem: Problem, background: Profile) -> WeightedAC:
                       powers=tuple((p, (c / eq.k) * phi**(p + 1))
                                    for p, c in eq.powers),
                       kinetic_factor=0.5 / eq.k, equation=eq)
-
-
-def _equation(problem: Problem, ac: WeightedAC) -> Equation:
-    """The unreduced equation on ac's grid: the one `to_allen_cahn` kept,
-    or, for a reduction assembled by hand, the problem's, built the
-    same way."""
-    if ac.equation is not None:
-        return ac.equation
-    return problem.equation(ac.grid)
 
 
 def _check_profile(w: Profile, ac: WeightedAC) -> np.ndarray:
@@ -260,22 +252,23 @@ def _numerov_defect(eq: Equation, background_ext: Profile,
     return out
 
 
-def correction_source(problem: Problem, ac: WeightedAC,
-                      background_ext: Profile, w: Profile) -> np.ndarray:
+def correction_source(ac: WeightedAC, background_ext: Profile,
+                      w: Profile) -> np.ndarray:
     """Deferred-correction source s = R(w) - T(w) for a solved front w.
 
     R is the second-order reduced residual and T the Numerov defect.
     Solving R(v) = s moves the front to the root of T up to O(h^4) in
     the constant-coefficient case; with a periodic background the
     background itself stays O(h^2). Entries at the rounding floor are
-    zeroed (see _SOURCE_FLOOR_ULPS).
+    zeroed (see _SOURCE_FLOOR_ULPS). `ac` is a reduction that
+    `to_allen_cahn` built, which keeps the unreduced equation.
     """
     vals = _check_profile(w, ac)
     if background_ext.grid != ac.grid:
         raise GridMismatchError(
             "background grid differs from the reduction grid")
     source = _residual_values(ac, vals) - _numerov_defect(
-        _equation(problem, ac), background_ext, vals)
+        ac.equation, background_ext, vals)
     floor = _SOURCE_FLOOR_ULPS * np.finfo(float).eps * np.max(ac.a) / ac.h**2
     source[np.abs(source) <= floor] = 0.0
     return source

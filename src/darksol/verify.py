@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import GridMismatchError, TailUnderflow, ValidationError
 from .model import Equation, Problem, Profile
-from .reduction import (WeightedAC, _equation, _odd_power, _residual_values,
-                        lift, to_allen_cahn)
+from .reduction import (WeightedAC, _odd_power, _residual_values, lift,
+                        to_allen_cahn)
 
 __all__ = ["SolitonReport", "build_report"]
 
@@ -183,7 +183,7 @@ def build_report(problem: Problem, w: Profile, background_ext: Profile,
     cut = grid.xmax * (1.0 - tail_fraction)
     ratio = phi.values / background_ext.values
     return SolitonReport(
-        residual_phi_sup=_residual_phi(phi, _equation(problem, ac)),
+        residual_phi_sup=_residual_phi(phi, ac.equation),
         residual_reduced_sup=res_reduced,
         amplitude_margin=float(1.0 - np.max(np.abs(w.values[1:-1]))),
         monotonicity_margin=float(np.min(np.diff(w.values)) / grid.h),

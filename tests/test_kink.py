@@ -187,14 +187,14 @@ def test_grad_tol_below_the_rounding_floor_is_refused(tmp_path, capsys):
     assert minimize(ac, no_correction).grad_sup_per_h <= 1e-8
 
 
-def recording(problem, ac, bg):
+def recording(ac, bg):
     """A correction source map, and the list of the roots it was given:
     the last is the one whose correction `minimize` returned."""
     given = []
 
     def source_of(w):
         given.append(w.values)
-        return correction_source(problem, ac, bg, w)
+        return correction_source(ac, bg, w)
 
     return source_of, given
 
@@ -207,12 +207,12 @@ def test_correct_lifts_the_minimizer_to_fourth_order():
     problem = constant_cubic(lam=-1.0, n_per=128)
     grid, bg, ac = reduced_problem(problem, 10.0, 128)
     first = minimize(ac, no_correction)
-    source_of, given = recording(problem, ac, bg)
+    source_of, given = recording(ac, bg)
     fixed = minimize(ac, source_of)
     # corrected from the minimizer itself, the centre root
     assert len(given) == 1
     np.testing.assert_array_equal(given[0], first.profile.values)
-    source = correction_source(problem, ac, bg, first.profile)
+    source = correction_source(ac, bg, first.profile)
     x = grid.x()
     collar = np.abs(x) <= 4.0
 
@@ -237,20 +237,20 @@ def test_correct_lifts_the_minimizer_to_fourth_order():
 def test_correct_pins_the_front_where_newton_stalls():
     # seed 951, b22.const0: the centre root certifies 9.3e-9 off centre;
     # the free Newton of the correction from it drifts along the
-    # near-zero translation mode and stalls near residual 1e-3, capped
-    # or not. Pinned to zero at the node nearest the crossing, x = 0, it
-    # converges; the gradient flow's fallback ended 1.7e-8 from the
-    # closed form centred at 0.
+    # near-zero translation mode and stalls near residual 1e-3, as a
+    # finish or as a search. Pinned to zero at the node nearest the
+    # crossing, x = 0, it converges; the gradient flow's fallback ended
+    # 1.7e-8 from the closed form centred at 0.
     lam = -3.8034336019150903
     problem = constant_cubic(lam=lam, n_per=128)
     grid, bg, ac = reduced_problem(problem, 7.0, 128)
     first = minimize(ac, no_correction)
-    source = correction_source(problem, ac, bg, first.profile)
-    for cap in (1.0, np.inf):
+    source = correction_source(ac, bg, first.profile)
+    for search in (False, True):
         free = _newton_polish(first.profile.values, ac, source=source,
-                              step_cap=cap)
+                              search=search)
         assert free.residual_sup >= 1e-4
-    source_of, given = recording(problem, ac, bg)
+    source_of, given = recording(ac, bg)
     fixed = minimize(ac, source_of)
     assert len(given) == 1
     np.testing.assert_array_equal(given[0], first.profile.values)
@@ -280,7 +280,7 @@ def sourced_cos_case(expr="1 + 0.5*cos(2*pi*x)"):
     g = sample_coefficient(expr, 1.0, 128, positive=True)
     problem = Problem(kind="cubic", lam=-1.0, period=1.0, g=g)
     grid, bg, ac = reduced_problem(problem, 6.0, 128)
-    return ac, lambda w: correction_source(problem, ac, bg, w)
+    return ac, lambda w: correction_source(ac, bg, w)
 
 
 def test_a_root_whose_correction_fails_hands_on_to_the_next():
@@ -370,7 +370,7 @@ def test_minimize_takes_a_certified_newton_root():
 def centre_root(ac):
     """The Newton root `minimize` tries first, from the centred guess."""
     return _newton_polish(_initial_guess(ac.grid, _guess_rate(ac)), ac,
-                          step_cap=np.inf)
+                          search=True)
 
 
 def test_minimize_falls_back_from_a_saddle():
@@ -419,7 +419,7 @@ def test_pinned_newton_holds_the_node():
     pin = grid.n // 2 + 8
     start = kink._shifted(saddle.values, 8)
     start[pin] = 0.0
-    held = _newton_polish(start, ac, step_cap=np.inf, pin=pin)
+    held = _newton_polish(start, ac, pin=pin, search=True)
     assert held.values[pin] == 0.0
     assert held.values[0] == -1.0 and held.values[-1] == 1.0
     assert held.history[-1] <= _target_residual(ac) < held.residual_sup
@@ -439,7 +439,7 @@ def test_pinned_solves_leave_the_reduction_as_built():
     pin = grid.n // 2 + 8
     start = kink._shifted(saddle.values, 8)
     start[pin] = 0.0
-    held = _newton_polish(start, ac, step_cap=np.inf, pin=pin)
+    held = _newton_polish(start, ac, pin=pin, search=True)
     assert held.iterations > 0
     assert _is_strict_minimizer(ac, saddle.values, pin=grid.n // 2)
     again, clean = centre_root(ac), centre_root(fresh)
@@ -488,10 +488,10 @@ def site_scan(ac):
                            energy(Profile(ac.grid, start), ac))
 
 
-def site_root(ac, x0, **options):
-    """Newton from the tanh guess at x0, as a site solve starts."""
+def site_root(ac, x0):
+    """The search from the tanh guess at x0, as a site solve starts."""
     return _newton_polish(_initial_guess(ac.grid, _guess_rate(ac), x0), ac,
-                          step_cap=np.inf, **options)
+                          search=True)
 
 
 def test_mirror_sites_give_one_root():
@@ -504,7 +504,7 @@ def test_mirror_sites_give_one_root():
     assert len(roots) == 1
     assert report_crossing(Profile(ac.grid, roots[0].values)) == \
         pytest.approx(-0.5, abs=1e-3)
-    left = site_root(ac, -0.5, min_step=kink._SITE_MIN_STEP)
+    left = site_root(ac, -0.5)
     assert roots[0].values.tobytes() == left.values.tobytes()
     assert iterations == left.iterations > 0
 
@@ -512,7 +512,7 @@ def test_mirror_sites_give_one_root():
 def test_bit_even_weights_keep_the_left_site_root():
     # even to the last bit, the right site's reflected start is the exact
     # mirror of the left root, a root at once: the scan returns the left
-    # root alone, the one Newton with the full line search gives
+    # root alone, the one the search from the left site gives
     _, _, ac = cubic_case("1 + 0.5*cos(2*pi*x)")
     even = WeightedAC(grid=ac.grid, a=ac.a + ac.a[::-1],
                       powers=tuple((p, b + b[::-1]) for p, b in ac.powers),
@@ -567,6 +567,13 @@ def test_site_exchange_moves_the_front_to_the_maximum_of_g():
     assert run.minimize.final_energy == pytest.approx(79.369, abs=1e-3)
 
 
+def weak_cubic(lam, amp, phase, n_per):
+    g = sample_coefficient(
+        lambda x: 1.0 + amp * np.cos(2.0 * np.pi * (x - phase)), 1.0, n_per,
+        positive=True)
+    return Problem(kind="cubic", lam=lam, period=1.0, g=g)
+
+
 def weak_quintic(lam, amp, g1, phase, n_per):
     potential = sample_coefficient(
         lambda x: amp * abs(lam) * np.cos(2.0 * np.pi * (x - phase)), 1.0,
@@ -580,9 +587,9 @@ def run_front(monkeypatch, problem, half_length):
     its front: the last root the run's source map was given."""
     given = []
 
-    def source(problem, ac, bg, w):
+    def source(ac, bg, w):
         given.append((ac, w))
-        return correction_source(problem, ac, bg, w)
+        return correction_source(ac, bg, w)
 
     monkeypatch.setattr(pipeline, "correction_source", source)
     run = run_soliton(problem, half_length=half_length)
@@ -612,10 +619,7 @@ def test_weakly_pinned_site_root_is_not_taken(monkeypatch):
 
 def draw14():
     """Seed 922, b0.draw14: a weakly pinned cubic draw (L = 8)."""
-    g = sample_coefficient(
-        lambda x: 1.0 + 0.18473429851971404 * np.cos(2.0 * np.pi * x), 1.0,
-        256, positive=True)
-    return Problem(kind="cubic", lam=-0.25251611383570216, period=1.0, g=g)
+    return weak_cubic(-0.25251611383570216, 0.18473429851971404, 0.0, 256)
 
 
 @pytest.mark.parametrize("problem, half_length, crossing", [
@@ -656,13 +660,58 @@ def test_stalled_site_solve_gives_up_early():
 
 def test_walk_keeps_the_full_line_search():
     # seed 2651, b89.draw27: the walk's free Newton creeps through 12
-    # damped steps from 1.4e-8 to just under the tolerance; with the
-    # site scan's step bound applied to it, the run ends NonConvergence
+    # damped steps from 1.4e-8 to just under the tolerance; run as a
+    # search, with its step bound, it stalls and the run ends
+    # NonConvergence. A finish keeps the full line search.
     problem = weak_quintic(-0.5391068268439893, 0.0006981670819564511,
                            0.46076985551983196, 0.5, 128)
     run = run_soliton(problem, half_length=9.0)
     assert run.status == "ok"
     assert run.minimize.grad_sup_per_h <= 1e-8
+
+
+def test_stalled_centre_search_gives_up_early():
+    # seed 7, random-phase draw 54: the centre search sits at residual
+    # 1.11e-5 after its first step and still after step 40, so the run
+    # took 47 iterations. As a search it gives up after that step, and
+    # the site scan certifies the same front
+    problem = weak_cubic(-0.3995558386491612, 0.01829373836996796,
+                         0.8839224647221466, 256)
+    run = run_soliton(problem, half_length=8.0)
+    assert run.status == "ok"
+    assert run.crossing == 0.3826013060765954
+    assert run.minimize.polish_iterations == 8
+    centre = centre_root(run.ac)
+    assert not centre.converged
+    assert centre.iterations == 1
+
+
+def test_free_correction_keeps_the_full_line_search():
+    # seed 2802, b184.draw39: the free correction creeps at 2.7 times
+    # its target for 11 damped steps before it converges in the twelfth;
+    # run as a search, with its step bound, it stalls, and the run ended
+    # NonConvergence
+    problem = weak_quintic(-0.3292548664518557, 0.06602562089559146,
+                           0.17856331265735131, 0.0, 256)
+    run = run_soliton(problem, half_length=10.0)
+    assert run.status == "ok"
+    assert run.crossing == 0.21034005128308098
+    assert run.minimize.polish_iterations == 40
+
+
+def test_failed_site_search_is_not_repeated_on_its_mirror():
+    # seed 922, b0.draw26: the weights are even to the last bit, and the
+    # left site search creeps through 40 steps without converging. The
+    # right site's search repeated it mirrored (111 iterations in the
+    # run); it is skipped, and the walk finds the same front
+    problem = weak_quintic(-0.4696574166573085, 0.05042428552404413,
+                           0.5609484571941229, 0.5, 128)
+    run = run_soliton(problem, half_length=9.0)
+    assert np.array_equal(run.ac.a, run.ac.a[::-1])
+    assert all(np.array_equal(b, b[::-1]) for _, b in run.ac.powers)
+    assert run.status == "ok"
+    assert run.crossing == 0.4252692254834052
+    assert run.minimize.polish_iterations == 71
 
 
 def test_random_phase_front_travels_to_the_descents_answer():

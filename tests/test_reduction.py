@@ -280,14 +280,14 @@ def test_correction_source_vanishes_where_the_front_is_flat():
     ac = to_allen_cahn(problem, bg)
     x = grid.x()
     w = np.where(np.abs(x) >= 2.0, np.sign(x), np.tanh(x))
-    source = correction_source(problem, ac, bg, Profile(grid, w))
+    source = correction_source(ac, bg, Profile(grid, w))
     flat = np.abs(x) > 2.0 + 1.5 * grid.h
     assert np.all(source[flat] == 0.0)
     assert np.max(np.abs(source[~flat])) > 1e-6
     assert source[0] == 0.0 and source[-1] == 0.0
     other, _ = background_on(problem, -3.0, 3.0)
     with pytest.raises(GridMismatchError):
-        correction_source(problem, ac, bg, Profile(other, np.tanh(other.x())))
+        correction_source(ac, bg, Profile(other, np.tanh(other.x())))
 
 
 def rebuilt_kernels(ac, w):
