@@ -52,9 +52,8 @@ from ._banded import is_positive_definite, solve_tridiagonal
 from .errors import (GridMismatchError, MonotonicityLoss, NoSignChange,
                      NonConvergence, SingularLinearization, ValidationError)
 from .model import Grid, Problem, Profile
-from .periodic import bracket_bounds
 from .reduction import (WeightedAC, _energy_values, _jacobian_bands,
-                        _residual_values)
+                        _residual_values, to_allen_cahn)
 
 __all__ = [
     "MinimizeResult", "select_truncation", "make_truncated_grid",
@@ -102,22 +101,19 @@ class MinimizeResult:
     flags: frozenset
 
 
-def _decay_rate_bound(problem: Problem) -> float:
-    """Worst-case exponential rate of approach of w to +-1.
+def select_truncation(problem: Problem, background: Profile) -> float:
+    """The fewest whole periods covering max(3 T, 12 / kappa), for the
+    solved background on its period cell.
 
-    Obtained by linearizing the reduced equation about w = 1 and taking
-    the least favorable background value allowed by the bracket.
+    kappa is `_guess_rate` of the cell's reduction: kappa^2 = min over
+    the cell of sum_p (p - 1) b_p / a, the tail's slowest local rate. It
+    is never below the worst case over the bracket (see `periodic`), so
+    L never exceeds what that rate gives: the cubic's 4 g phi^2 >=
+    4 (-lam) g_min / g_max as phi^2 >= -lam / g_max, and the
+    cubic-quintic's 2 g1 phi^2 + 4 phi^4 grows with phi^2 >= rho1^2 >
+    -g1. On constant coefficients the two rates agree.
     """
-    bracket = bracket_bounds(problem)
-    if problem.is_cubic:
-        return 2.0 * np.sqrt(-problem.lam * problem.g.cmin / problem.g.cmax)
-    rho1sq = bracket.lower**2
-    return float(np.sqrt(2.0 * problem.g1 * rho1sq + 4.0 * rho1sq**2))
-
-
-def select_truncation(problem: Problem) -> float:
-    """Smallest whole number of periods covering 12 / rate, at least 3 periods."""
-    kappa = _decay_rate_bound(problem)
+    kappa = _guess_rate(to_allen_cahn(problem, background))
     want = max(12.0 / kappa, 3.0 * problem.period)
     return float(np.ceil(want / problem.period - 1e-12) * problem.period)
 

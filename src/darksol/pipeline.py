@@ -66,7 +66,7 @@ def truncated_background(problem: Problem,
     _check_tail_fraction(tail_fraction)
     periodic = solve_periodic(problem)
     if half_length is None:
-        half_length = select_truncation(problem)
+        half_length = select_truncation(problem, periodic.profile)
     grid = make_truncated_grid(problem.period, half_length, problem.n_per)
     return periodic, Profile(grid, periodic.coefficient.on_grid(grid))
 

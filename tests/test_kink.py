@@ -10,14 +10,15 @@ from darksol import kink, pipeline
 from darksol.cli import main
 from darksol.errors import (GridMismatchError, NoSignChange, NonConvergence,
                             ValidationError)
-from darksol.kink import (_decay_rate_bound, _guess_rate, _initial_guess,
-                          _is_strict_minimizer, _newton_polish,
-                          _target_residual)
+from darksol.kink import (_guess_rate, _initial_guess, _is_strict_minimizer,
+                          _newton_polish, _target_residual)
+from darksol.periodic import solve_periodic
 from darksol.reduction import (_jacobian_bands, correction_source, energy,
                                residual_reduced)
 
 from conftest import (constant_cubic, constant_quintic, cubic_front_exact,
-                      quintic_front_oracle, sinusoidal_cubic)
+                      quintic_front_oracle, sinusoidal_cubic,
+                      sinusoidal_quintic)
 
 
 def reduced_problem(problem, half_length, n_per):
@@ -32,19 +33,51 @@ def no_correction(w):
     return None
 
 
-def test_decay_rate_bound_values():
-    assert _decay_rate_bound(constant_cubic(lam=-1.0)) == pytest.approx(2.0)
-    assert _decay_rate_bound(sinusoidal_cubic(amp=0.5)) == pytest.approx(
-        2.0 / np.sqrt(3.0), rel=1e-12)
-    assert _decay_rate_bound(constant_quintic(lam=-1.0, g1=0.0)) == \
-        pytest.approx(2.0, rel=1e-12)
+def auto_truncation(problem):
+    return select_truncation(problem, solve_periodic(problem).profile)
+
+
+def bracket_truncation(problem):
+    """The rule with the worst-case rate over the background's bracket:
+    2 sqrt(-lam g_min / g_max) for the cubic, sqrt(2 g1 rho1^2 + 4 rho1^4)
+    for the cubic-quintic, rho1 the bracket's lower bound."""
+    if problem.is_cubic:
+        kappa = 2.0 * np.sqrt(-problem.lam * problem.g.cmin / problem.g.cmax)
+    else:
+        rho1sq = bracket_bounds(problem).lower ** 2
+        kappa = np.sqrt(2.0 * problem.g1 * rho1sq + 4.0 * rho1sq**2)
+    want = max(12.0 / kappa, 3.0 * problem.period)
+    return float(np.ceil(want / problem.period - 1e-12) * problem.period)
 
 
 def test_select_truncation_examples():
-    assert select_truncation(constant_cubic(lam=-1.0)) == 6.0
-    assert select_truncation(constant_cubic(lam=-0.01)) == 60.0
+    assert auto_truncation(constant_cubic(lam=-1.0)) == 6.0
+    assert auto_truncation(constant_cubic(lam=-0.01)) == 60.0
     # fast decay bottoms out at three periods
-    assert select_truncation(constant_cubic(lam=-16.0)) == 3.0
+    assert auto_truncation(constant_cubic(lam=-16.0)) == 3.0
+    # the slowest rate on the cell sizes L, not the fastest (which gives 5)
+    assert auto_truncation(sinusoidal_cubic(lam=-1.0, amp=0.9,
+                                            n_per=128)) == 18.0
+
+
+@pytest.mark.parametrize("problem, constant", [
+    (constant_cubic(lam=-1.0), True),
+    (sinusoidal_cubic(lam=-1.0, amp=0.5), False),
+    (sinusoidal_cubic(lam=-1.0, amp=0.9), False),
+    (constant_quintic(lam=-1.0, g1=-0.3), True),
+    (constant_quintic(lam=-1.0, g1=0.0), True),
+    (constant_quintic(lam=-1.0, g1=0.5), True),
+    (sinusoidal_quintic(lam=-1.0, g1=-0.3), False),
+    (sinusoidal_quintic(lam=-1.0, g1=0.0), False),
+    (sinusoidal_quintic(lam=-1.0, g1=0.5), False),
+], ids=["cubic-const", "cubic-sin05", "cubic-sin09", "quintic-const-g1m0.3",
+        "quintic-const-g1-0", "quintic-const-g1-0.5", "quintic-cos-g1m0.3",
+        "quintic-cos-g1-0", "quintic-cos-g1-0.5"])
+def test_truncation_never_exceeds_the_bracket_rule(problem, constant):
+    # the background lies inside its bracket, so its slowest rate is at
+    # least the bracket's worst case; on constant coefficients they agree
+    half, reference = auto_truncation(problem), bracket_truncation(problem)
+    assert half == reference if constant else half < reference
 
 
 def test_make_truncated_grid():
@@ -119,7 +152,7 @@ def test_minimize_variable_coefficient():
 
 def test_minimize_quintic_matches_quadrature(rng):
     problem = constant_quintic(lam=-1.0, g1=0.5)
-    half = select_truncation(problem)
+    half = auto_truncation(problem)
     assert half == 7.0
     grid, bg, ac = reduced_problem(problem, half, 256)
     result = minimize(ac, no_correction)
@@ -549,13 +582,14 @@ def test_saddle_at_large_lambda_moves_to_the_minimum_of_g():
     # g = 1 + 0.8 sin, lambda = -4, automatic L: Newton lands on the
     # front at the maximum of g (E = 24.18), a saddle, and the descent
     # ended NonConvergence; the scan certifies the front at x = -0.25.
-    # The tail still rounds to 1 at this L (amplitude_saturated).
+    # L = 6 leaves the tail short of 1.
     run = sine_run(0.8, -4.0)
     assert run.minimize.flow_iterations == 0
     assert run.crossing == pytest.approx(-0.25, abs=1e-3)
     assert run.minimize.final_energy == pytest.approx(23.465, abs=1e-3)
-    assert run.status == "property_violation"
-    assert "amplitude_saturated" in run.minimize.flags
+    assert run.grid.xmax == 6.0
+    assert run.status == "ok"
+    assert "amplitude_saturated" not in run.minimize.flags
 
 
 def test_site_exchange_moves_the_front_to_the_maximum_of_g():
