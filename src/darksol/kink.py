@@ -40,6 +40,12 @@ is done.
 `_newton_polish` accepts a fixed source s, which turns the equation
 into R(w) = s (see `reduction`); `_correct` solves that equation from
 each root `minimize` tries, the deferred correction.
+
+Each quantity of a root is evaluated once and handed on. A Newton
+solve returns its last iterate's full residual, which the line search
+has already formed, and the walk's free solve and the correction start
+from it (`_newton_from`); the certificate's energy of a root also sets
+the site scan's bound and order.
 """
 
 from dataclasses import dataclass, replace
@@ -62,8 +68,8 @@ __all__ = [
 
 # Guess profiles stay strictly inside (-1, 1) except at the boundary.
 _GUESS_CLEARANCE = 1e-12
-# Newton corrections larger than this in sup norm are treated as
-# divergence of the linearization, not as a usable step. The deferred
+# A finish's Newton corrections larger than this in sup norm are treated
+# as divergence of the linearization, not as a usable step. The deferred
 # correction relies on it: on a constant cubic (lam = -3.9496041383066816,
 # n_per 128, L = 7) the uncapped free solve drifts along the translation
 # mode for 37 steps and ends 2.8e-9 off centre, where the capped one
@@ -84,7 +90,14 @@ _SEARCH_MIN_STEP = 1.0 / 16.0
 
 @dataclass(frozen=True)
 class _PolishResult:
+    """A Newton solve's last iterate `values` and its full residual
+    R(values) - s for the solve's source s, the held row of a pinned
+    solve included: what `_correct` and the walk's free solve start
+    from. `residual_sup` is that residual's sup; `history` holds the
+    sup over the rows the steps solve, one per iterate."""
+
     values: np.ndarray
+    residual: np.ndarray
     residual_sup: float
     iterations: int
     history: tuple
@@ -166,62 +179,79 @@ def _newton_polish(w: np.ndarray, ac: WeightedAC, source=None,
     With a source s the residual is R(w) - s; the Jacobian is the same.
     A step whose residual line search, halving t from 1, finds no
     decrease ends the solve. A search (`search=True`) takes corrections
-    of any size and halves only down to t = `_SEARCH_MIN_STEP`; a finish
-    ends at a correction larger than `_POLISH_STEP_CAP` in sup norm and
-    halves down to t = `_MIN_LINE_STEP`.
+    of any finite size and halves only down to t = `_SEARCH_MIN_STEP`;
+    a finish ends at a correction larger than `_POLISH_STEP_CAP` in sup
+    norm and halves down to t = `_MIN_LINE_STEP`.
 
     With `pin`, an interior node index, that node's value is held too:
     its residual row is left out of the steps and `history` (see
-    `_hold`), but `residual_sup` and `converged` take the full residual.
+    `_hold`), but `residual_sup`, `converged` and the returned
+    `residual` take the full residual.
 
-    Never raises: a singular factorization, an oversized correction or
-    a stalled line search all come back as converged=False with the
-    work done so far, so callers can try another route.
+    Never raises: a singular factorization, an oversized or non-finite
+    correction or a stalled line search all come back as
+    converged=False with the work done so far, so callers can try
+    another route.
     """
-    tol = _target_residual(ac)
-    step_cap = np.inf if search else _POLISH_STEP_CAP
-    min_step = _SEARCH_MIN_STEP if search else _MIN_LINE_STEP
     w = np.array(w, dtype=float)
-    res = _residual_values(ac, w, source)
-    if pin is not None:
-        held, res[pin] = res[pin], 0.0
-    sup = float(np.max(np.abs(res)))
+    return _newton_from(w, _residual_values(ac, w, source), ac, source,
+                        pin, search)
+
+
+def _newton_from(w: np.ndarray, res: np.ndarray, ac: WeightedAC,
+                 source=None, pin: int | None = None,
+                 search: bool = False) -> _PolishResult:
+    """`_newton_polish` from w with its full residual res = R(w) - s in
+    hand, a root's `residual` (minus the source of the solve to come).
+    Both are only read; a solve that takes no step returns them."""
+    tol = _target_residual(ac)
+    # a correction's sup must pass `<= step_cap`, which nan and inf
+    # fail: a search's cap is the largest finite float
+    step_cap = np.finfo(float).max if search else _POLISH_STEP_CAP
+    min_step = _SEARCH_MIN_STEP if search else _MIN_LINE_STEP
+    sup = _stepped_sup(res, pin)
     history = [sup]
     iterations = 0
     while sup > tol and iterations < _MAX_NEWTON_STEPS:
         bands = _jacobian_bands(ac, w)
+        rhs = -res[1:-1]
         if pin is not None:
             _hold(bands, pin)
+            rhs[pin - 1] = -0.0  # the held row's zero, negated
         try:
             # every band is a new array, and so is the right side
-            delta = solve_tridiagonal(*bands, -res[1:-1], overwrite=True)
+            delta = solve_tridiagonal(*bands, rhs, overwrite=True)
         except SingularLinearization:
             break
-        if not np.all(np.isfinite(delta)) or \
-                float(np.max(np.abs(delta))) > step_cap:
+        if not float(np.max(np.abs(delta))) <= step_cap:
             break
         t = 1.0
         while t >= min_step:
             trial = w.copy()
             trial[1:-1] += t * delta
             trial_res = _residual_values(ac, trial, source)
-            if pin is not None:
-                trial_held, trial_res[pin] = trial_res[pin], 0.0
-            trial_sup = float(np.max(np.abs(trial_res)))
+            trial_sup = _stepped_sup(trial_res, pin)
             if trial_sup < sup:
                 break
             t *= 0.5
         else:
             break  # no direction of decrease left, usually the rounding floor
         w, res, sup = trial, trial_res, trial_sup
-        if pin is not None:
-            held = trial_held
         history.append(sup)
         iterations += 1
     if pin is not None:
-        sup = max(sup, abs(float(held)))
-    return _PolishResult(values=w, residual_sup=sup, iterations=iterations,
-                         history=tuple(history), converged=sup <= tol)
+        sup = max(sup, abs(float(res[pin])))
+    return _PolishResult(values=w, residual=res, residual_sup=sup,
+                         iterations=iterations, history=tuple(history),
+                         converged=sup <= tol)
+
+
+def _stepped_sup(res: np.ndarray, pin: int | None) -> float:
+    """sup |res| over the rows a Newton step solves: all but `pin`."""
+    size = np.abs(res)
+    if pin is not None:
+        size[pin] = 0.0
+    return float(np.max(size))
 
 
 def _hold(bands, pin: int):
@@ -250,12 +280,16 @@ def _is_strict_minimizer(ac: WeightedAC, w: np.ndarray,
     return is_positive_definite(-diag, -upper)
 
 
-def _is_certified_root(ac, root: _PolishResult, bound: float) -> bool:
-    """A converged, monotone Newton root with energy at most `bound`
-    that is a strict local minimizer."""
-    return (root.converged and bool(np.all(np.diff(root.values) >= 0))
-            and _energy_values(ac, root.values) <= bound
-            and _is_strict_minimizer(ac, root.values))
+def _certify(ac, root: _PolishResult, bound: float):
+    """(energy, certified) of a Newton root: its energy, infinite when it
+    did not converge, and whether it is a converged, monotone root with
+    energy at most `bound` that is a strict local minimizer."""
+    if not root.converged:
+        return np.inf, False
+    energy = _energy_values(ac, root.values)
+    return energy, (energy <= bound
+                    and bool(np.all(np.diff(root.values) >= 0))
+                    and _is_strict_minimizer(ac, root.values))
 
 
 def _pinning_sites(ac: WeightedAC) -> np.ndarray:
@@ -276,7 +310,7 @@ def _pinning_sites(ac: WeightedAC) -> np.ndarray:
     return sites[np.argsort(np.abs(sites - centre), kind="stable")]
 
 
-def _site_scan(ac, centre: _PolishResult, start_energy: float):
+def _site_scan(ac, bound: float):
     """Newton at each pinning site; returns (the certified roots, lowest
     energy first, Newton iterations).
 
@@ -290,13 +324,11 @@ def _site_scan(ac, centre: _PolishResult, start_energy: float):
     reversals bit for bit, the site is skipped: its solve would repeat
     the failed one, mirrored.
 
-    A site root counts if it passes `_is_certified_root` with an energy
-    no higher than the start's and the centre root's. Of equal
-    energies, the site nearest the centre comes first.
+    A site root counts if `_certify` passes it with an energy no higher
+    than `bound`, the start's and the centre root's; that energy orders
+    the roots. Of equal energies, the site nearest the centre comes
+    first.
     """
-    bound = start_energy
-    if centre.converged:
-        bound = min(bound, _energy_values(ac, centre.values))
     x, last = ac.grid.x(), ac.grid.n - 1
     kappa = _guess_rate(ac)
     iterations = 0
@@ -317,8 +349,9 @@ def _site_scan(ac, centre: _PolishResult, start_energy: float):
         if mirror is not None and root.iterations == 0:
             continue  # the mirror twin
         solved[site] = root
-        if _is_certified_root(ac, root, bound):
-            roots.append((_energy_values(ac, root.values), root))
+        energy, certified = _certify(ac, root, bound)
+        if certified:
+            roots.append((energy, root))
     return [root for _, root in sorted(roots, key=lambda item: item[0])], \
         iterations
 
@@ -402,8 +435,7 @@ def minimize(ac: WeightedAC, source_of) -> MinimizeResult:
     spent = []
     residual = float("nan")
     for root, flags in _candidates(ac, spent):
-        front = _correct(ac, root.values,
-                         source_of(Profile(ac.grid, root.values)))
+        front = _correct(ac, root, source_of(Profile(ac.grid, root.values)))
         spent.append(front.iterations)
         if front.converged:
             return _front_result(ac, front.values, front.residual_sup,
@@ -421,49 +453,53 @@ def _candidates(ac, spent: list):
     used up. The Newton iterations of every route go onto `spent`.
 
     First the centre root, a Newton search from the centred tanh guess;
-    then the site roots of `_site_scan`; then a finish, unpinned Newton
+    then the site roots of `_site_scan`, bounded by the lower of the
+    guess's and the centre root's energy; then a finish, unpinned Newton
     from the root at the lowest node of `_phase_walk` (whose pinned
-    solves are searches), certified with energy no higher than that
-    root's; last the pinned root itself, with flag `phase_pinned`, if
-    its full residual meets the tolerance and it is a strict minimizer
-    with the node held.
+    solves are searches) and its full residual, certified with energy
+    no higher than that root's; last the pinned root itself, with flag
+    `phase_pinned`, if its full residual meets the tolerance and it is a
+    strict minimizer with the node held.
     """
     start = _initial_guess(ac.grid, _guess_rate(ac))
     energy = _energy_values(ac, start)
     first = _newton_polish(start, ac, search=True)
     spent.append(first.iterations)
-    if _is_certified_root(ac, first, energy):
+    first_energy, certified = _certify(ac, first, energy)
+    if certified:
         yield first, ()
-    roots, iterations = _site_scan(ac, first, energy)
+    roots, iterations = _site_scan(ac, min(energy, first_energy))
     spent.append(iterations)
     for root in roots:
         yield root, ()
     pinned, pin, iterations = _phase_walk(ac, start)
-    free = _newton_polish(pinned.values, ac)
+    free = _newton_from(pinned.values, pinned.residual, ac)
     spent.extend((iterations, free.iterations))
-    if _is_certified_root(ac, free, _energy_values(ac, pinned.values)):
+    if _certify(ac, free, _energy_values(ac, pinned.values))[1]:
         yield free, ()
     if pinned.converged and _is_strict_minimizer(ac, pinned.values, pin):
         yield pinned, ("phase_pinned",)
 
 
-def _correct(ac, root: np.ndarray, source) -> _PolishResult:
+def _correct(ac, root: _PolishResult, source) -> _PolishResult:
     """The deferred-correction solve R(w) = source from a root; its
     iterations sum both attempts.
 
     Newton from the root normally converges in a few steps, since the
-    source moves the root by O(h^2). Where the near-zero translation
-    mode stalls it, Newton runs once more from the root with the node
-    nearest its crossing pinned to zero, the phase condition; that
-    counts only if the full residual, pinned row included, meets the
-    tolerance. Both solves are finishes (see `_newton_polish`).
+    source moves the root by O(h^2); it starts from the root's carried
+    residual minus the source. Where the near-zero translation mode
+    stalls it, Newton runs once more from the root with the node nearest
+    its crossing pinned to zero, the phase condition; that counts only
+    if the full residual, pinned row included, meets the tolerance. Both
+    solves are finishes (see `_newton_polish`).
     """
-    free = _newton_polish(root, ac, source=source)
+    res = root.residual if source is None else root.residual - source
+    free = _newton_from(root.values, res, ac, source=source)
     if free.converged:
         return free
-    pin = int(np.argmin(np.abs(ac.grid.x()
-                               - report_crossing(Profile(ac.grid, root)))))
-    start = root.copy()
+    pin = int(np.argmin(np.abs(
+        ac.grid.x() - report_crossing(Profile(ac.grid, root.values)))))
+    start = root.values.copy()
     start[pin] = 0.0
     pinned = _newton_polish(start, ac, source=source, pin=pin)
     return replace(pinned, iterations=free.iterations + pinned.iterations)

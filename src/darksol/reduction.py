@@ -14,11 +14,19 @@ R(w) = s, whose energy gains the linear term 2 * kf * h * sum(s w), so
 the identity survives; `correction_source` builds the s that lifts the
 front to fourth order (deferred correction against the Numerov form of
 the unreduced equation).
+
+The residual, its Jacobian and the energy are the front solver's inner
+loop. The residual and the Jacobian form the nonlinearity on the
+interior nodes only, since the pinned boundary rows are fixed, and
+every kernel builds its terms with in-place products on its own new
+arrays. Each keeps the operation order of its plain expression, so its
+bits are those of that expression: products are only commuted, never
+regrouped, and sums keep their order.
 """
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import add, mul
+from operator import iadd, imul, isub, mul
 
 import numpy as np
 
@@ -160,31 +168,49 @@ def _well_terms(ac: WeightedAC, w2: np.ndarray):
 
 
 # Every sum over powers starts from its first term (reduce without a
-# seed): a 0.0 seed would turn a -0.0 term into +0.0.
+# seed): a 0.0 seed would turn a -0.0 term into +0.0. Every term is a
+# new array, so the sums and the products with it run in place.
 def _potential_density(ac: WeightedAC, w: np.ndarray) -> np.ndarray:
-    w2 = w**2
-    q2 = (1.0 - w2)**2
-    return reduce(add, (t * q2 for t in _well_terms(ac, w2)))
-
-
-def _nonlinearity(ac: WeightedAC, w: np.ndarray) -> np.ndarray:
+    """sum_p 2 kf b_p P_p(w^2) (1 - w^2)^2 / (p + 1), a new array."""
     w2 = w * w
-    return reduce(add, (b * w * (_even_power(w2, p) - 1.0)
-                        for p, b in ac.powers))
+    q2 = 1.0 - w2
+    q2 *= q2
+    return reduce(iadd, (imul(t, q2) for t in _well_terms(ac, w2)))
+
+
+def _nonlinearity(ac: WeightedAC, w: np.ndarray,
+                  nodes: slice = slice(None)) -> np.ndarray:
+    """sum_p b_p w (w^(p-1) - 1) on `nodes`, a new array."""
+    w = w[nodes]
+    w2 = w * w
+    return reduce(iadd, (imul(b[nodes] * w, _even_power(w2, p) - 1.0)
+                         for p, b in ac.powers))
 
 
 def _energy_values(ac: WeightedAC, w: np.ndarray) -> float:
+    """kf sum(edge (w_{i+1} - w_i)^2) / h + h sum(trapezoid density)."""
     h = ac.h
-    kinetic = ac.kinetic_factor * np.sum(ac._edge * np.diff(w)**2) / h
+    kinetic = w[1:] - w[:-1]
+    kinetic *= kinetic
+    kinetic *= ac._edge
     density = _potential_density(ac, w)
-    return float(kinetic + h * np.sum(ac._trapezoid * density))
+    density *= ac._trapezoid
+    return float(ac.kinetic_factor * np.sum(kinetic) / h
+                 + h * np.sum(density))
 
 
 def _residual_values(ac: WeightedAC, w: np.ndarray,
                      source=None) -> np.ndarray:
-    flux = ac._edge * np.diff(w)
-    out = np.zeros_like(w)
-    out[1:-1] = (flux[1:] - flux[:-1]) / ac.h**2 - _nonlinearity(ac, w)[1:-1]
+    """R(w) - s, a new array: the flux difference over h^2 minus the
+    nonlinearity at the interior nodes, 0 - s at the two pinned ones."""
+    flux = w[1:] - w[:-1]
+    flux *= ac._edge
+    out = np.empty_like(w)
+    inner = out[1:-1]
+    np.subtract(flux[1:], flux[:-1], out=inner)
+    inner /= ac.h**2
+    inner -= _nonlinearity(ac, w, slice(1, -1))
+    out[0] = out[-1] = 0.0
     if source is not None:
         out -= source
     return out
@@ -197,9 +223,10 @@ def _jacobian_bands(ac: WeightedAC, w: np.ndarray):
     solve)."""
     wi = w[1:-1]
     wi2 = wi * wi
-    ramp = reduce(add, (b[1:-1] * (p * _even_power(wi2, p) - 1.0)
-                        for p, b in ac.powers))
-    return ac._lower.copy(), ac._flux_diag - ramp, ac._upper.copy()
+    ramp = reduce(iadd, (imul(isub(p * _even_power(wi2, p), 1.0), b[1:-1])
+                         for p, b in ac.powers))
+    return (ac._lower.copy(), np.subtract(ac._flux_diag, ramp, out=ramp),
+            ac._upper.copy())
 
 
 def energy(w: Profile, ac: WeightedAC) -> float:

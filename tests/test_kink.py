@@ -7,18 +7,21 @@ from darksol import (Grid, Problem, Profile, WeightedAC, bracket_bounds,
                      run_soliton, sample_coefficient, select_truncation,
                      to_allen_cahn)
 from darksol import kink, pipeline
+from darksol._banded import solve_tridiagonal
 from darksol.cli import main
 from darksol.errors import (GridMismatchError, NoSignChange, NonConvergence,
-                            ValidationError)
+                            SingularLinearization, ValidationError)
 from darksol.kink import (_guess_rate, _initial_guess, _is_strict_minimizer,
                           _newton_polish, _target_residual)
 from darksol.periodic import solve_periodic
-from darksol.reduction import (_jacobian_bands, correction_source, energy,
+from darksol.reduction import (_energy_values, _jacobian_bands,
+                               _residual_values, correction_source, energy,
                                residual_reduced)
 
 from conftest import (constant_cubic, constant_quintic, cubic_front_exact,
                       quintic_front_oracle, sinusoidal_cubic,
                       sinusoidal_quintic)
+from test_reduction import rebuilt_kernels
 
 
 def reduced_problem(problem, half_length, n_per):
@@ -481,6 +484,162 @@ def test_pinned_solves_leave_the_reduction_as_built():
     assert again.history == clean.history
 
 
+def reference_newton(ac, w, source=None, pin=None, search=False):
+    """(values, residual_sup, iterations, history) of the Newton solve as
+    it ran when each residual was formed on all n nodes and a pinned
+    solve zeroed its held row in place, on the kernels of
+    `rebuilt_kernels`."""
+    tol = _target_residual(ac)
+    step_cap = np.inf if search else kink._POLISH_STEP_CAP
+    min_step = kink._SEARCH_MIN_STEP if search else kink._MIN_LINE_STEP
+
+    def residual(v):
+        res = rebuilt_kernels(ac, v)[0]
+        if source is not None:
+            res -= source
+        return res
+
+    w = np.array(w, dtype=float)
+    res = residual(w)
+    if pin is not None:
+        held, res[pin] = res[pin], 0.0
+    sup = float(np.max(np.abs(res)))
+    history = [sup]
+    iterations = 0
+    while sup > tol and iterations < kink._MAX_NEWTON_STEPS:
+        bands = rebuilt_kernels(ac, w)[1]
+        if pin is not None:
+            kink._hold(bands, pin)
+        try:
+            delta = solve_tridiagonal(*bands, -res[1:-1], overwrite=True)
+        except SingularLinearization:
+            break
+        if not np.all(np.isfinite(delta)) or \
+                float(np.max(np.abs(delta))) > step_cap:
+            break
+        t = 1.0
+        while t >= min_step:
+            trial = w.copy()
+            trial[1:-1] += t * delta
+            trial_res = residual(trial)
+            if pin is not None:
+                trial_held, trial_res[pin] = trial_res[pin], 0.0
+            trial_sup = float(np.max(np.abs(trial_res)))
+            if trial_sup < sup:
+                break
+            t *= 0.5
+        else:
+            break
+        w, res, sup = trial, trial_res, trial_sup
+        if pin is not None:
+            held = trial_held
+        history.append(sup)
+        iterations += 1
+    if pin is not None:
+        sup = max(sup, abs(float(held)))
+    return w, sup, iterations, tuple(history)
+
+
+# n_per 100: h^2 is not a power of two, so a division and a product by
+# its reciprocal round differently
+@pytest.mark.parametrize("problem", [
+    sinusoidal_cubic(lam=-1.0, amp=0.5, n_per=100),
+    sinusoidal_quintic(lam=-1.0, amp=0.3, g1=0.5, n_per=100),
+], ids=["cubic", "cubic-quintic"])
+def test_newton_solve_keeps_its_bits(problem):
+    # from an off-centre guess, the guess's own deferred-correction
+    # source, and a degenerate start that a finish refuses at its first
+    # step: searches and finishes, free and held, take the same steps as
+    # the solve whose kernels formed every node. A held node at -0.0
+    # keeps its sign only if the held row's right side is -0.0 too.
+    grid, bg, ac = reduced_problem(problem, 4.0, 100)
+    guess = _initial_guess(grid, _guess_rate(ac), 0.3)
+    flat = np.zeros(grid.n)
+    flat[0], flat[-1] = -1.0, 1.0
+    held = grid.n // 2 + 7
+    signed = guess.copy()
+    signed[held] = -0.0
+    sources = (None, correction_source(ac, bg, Profile(grid, guess)))
+    steps = set()
+    for start in (guess, flat, signed):
+        for source in sources:
+            for pin in (None, held):
+                for search in (False, True):
+                    got = _newton_polish(start, ac, source=source, pin=pin,
+                                         search=search)
+                    values, sup, iterations, history = reference_newton(
+                        ac, start, source, pin, search)
+                    assert got.values.tobytes() == values.tobytes()
+                    assert got.history == history
+                    assert got.iterations == iterations
+                    assert got.residual_sup == sup
+                    steps.add(iterations)
+    assert 0 in steps and max(steps) >= 4
+
+
+def carried_roots(ac):
+    """Every root a `minimize` of `ac` could correct: the centre root
+    (certified or not), the roots `_candidates` yields, and the walk's
+    pinned root, yielded or not."""
+    pinned, _ = phase_walk(ac)
+    return [centre_root(ac), pinned,
+            *(root for root, _ in kink._candidates(ac, []))]
+
+
+def test_roots_carry_their_residual_and_energy():
+    # 1 + 0.5 cos: a saddle at the centre, the site root at x = -0.5,
+    # the walk's free root at +0.5 and its pinned root, whose held row
+    # is 1.25e-6; the flat constant cubic yields its phase-pinned root
+    ac, _ = sourced_cos_case()
+    _, _, flat = reduced_problem(
+        constant_cubic(lam=-3.4027223133471085, n_per=128), 7.0, 128)
+    for reduction, count in ((ac, 4), (flat, 3)):
+        roots = carried_roots(reduction)
+        assert len(roots) == count
+        for root in roots:
+            assert root.residual.tobytes() == _residual_values(
+                reduction, root.values).tobytes()
+            assert root.residual_sup == float(np.max(np.abs(root.residual)))
+            energy_value, _ = kink._certify(reduction, root, np.inf)
+            assert energy_value == (_energy_values(reduction, root.values)
+                                    if root.converged else np.inf)
+    pinned, pin = phase_walk(ac)
+    assert pinned.residual[pin] != 0.0
+    # the site roots come lowest energy first, no higher than the bound
+    # the centre root's certificate set
+    roots, _ = site_scan(ac)
+    energies = [_energy_values(ac, root.values) for root in roots]
+    assert energies == sorted(energies)
+    assert energies[0] <= _energy_values(ac, centre_root(ac).values)
+
+
+def test_correction_starts_from_the_carried_residual():
+    # the free correction from a root's carried residual minus the source
+    # has the bits of the one that forms the sourced residual afresh; on
+    # the stalled constant cubic (seed 951, b22.const0) the held solve
+    # follows, and its result carries its full residual too
+    ac, source_of = sourced_cos_case()
+    _, bg, flat = reduced_problem(
+        constant_cubic(lam=-3.8034336019150903, n_per=128), 7.0, 128)
+    for reduction, root, source_map in (
+            (ac, site_scan(ac)[0][0], source_of),
+            (flat, centre_root(flat),
+             lambda w: correction_source(flat, bg, w))):
+        source = source_map(Profile(reduction.grid, root.values))
+        got = kink._correct(reduction, root, source)
+        free = _newton_polish(root.values, reduction, source=source)
+        assert got.converged
+        assert got.residual.tobytes() == _residual_values(
+            reduction, got.values, source).tobytes()
+        if free.converged:
+            assert got.values.tobytes() == free.values.tobytes()
+            assert got.history == free.history
+            assert got.iterations == free.iterations > 0
+        else:
+            assert reduction is flat
+            assert got.iterations > free.iterations
+
+
 def test_flat_landscape_keeps_the_pinned_root():
     # seed 951, b12.const0: a constant cubic whose translation eigenvalue,
     # 3.5e-12, is below what dpttrf resolves, so no Newton root
@@ -515,10 +674,12 @@ def test_pinning_sites():
 
 def site_scan(ac):
     """`_site_scan` as `_candidates` calls it: after the centre root,
-    bounded by the centred guess's energy."""
+    bounded by the lower of the centred guess's energy and the energy
+    the centre root's certificate found."""
     start = _initial_guess(ac.grid, _guess_rate(ac))
-    return kink._site_scan(ac, centre_root(ac),
-                           energy(Profile(ac.grid, start), ac))
+    bound = energy(Profile(ac.grid, start), ac)
+    centre_energy, _ = kink._certify(ac, centre_root(ac), bound)
+    return kink._site_scan(ac, min(bound, centre_energy))
 
 
 def site_root(ac, x0):
