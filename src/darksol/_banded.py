@@ -55,41 +55,29 @@ def lapack():
     return module
 
 
-def _prefix(dtype):
-    """The LAPACK type prefix `scipy.linalg.get_lapack_funcs` picks for
-    `dtype`: s for the types float32 holds exactly (bool, 8- and 16-bit
-    integers, float16, float32), c for complex64, z for complex128 and
-    wider complex, d for everything else (wider integers, float64,
-    long double, and types LAPACK has no routine for)."""
-    char = np.dtype(dtype).char
-    if char in "?bBhHef":
-        return "s"
-    if char == "F":
-        return "c"
-    if char in "DG":
-        return "z"
-    return "d"
-
-
 @cache
 def _gtsv(dtype):
-    """LAPACK's ?gtsv for `dtype`, looked up once per dtype."""
-    return getattr(lapack(), _prefix(dtype) + "gtsv")
+    """LAPACK's ?gtsv for one of the two working types: zgtsv for
+    complex128, dgtsv for float64."""
+    return lapack().zgtsv if dtype == np.complex128 else lapack().dgtsv
 
 
 def solve_tridiagonal(lower, diag, upper, rhs, overwrite=False):
     """Solve A y = rhs for tridiagonal A.
 
     lower[i] multiplies y[i-1] in row i (lower[0] ignored), upper[i]
-    multiplies y[i+1] (upper[-1] ignored). Works for real and complex
-    data; raises SingularLinearization if the factorization fails.
+    multiplies y[i+1] (upper[-1] ignored). Solves in complex128 when
+    any argument is complex and in float64 otherwise; raises
+    SingularLinearization if the factorization fails.
     Finiteness is the caller's contract: nothing scans for nans, which
     keeps the hot path cheap and lets divergence checks see them.
     The arguments are left as they were unless overwrite is set: then
     LAPACK works in the four arrays and leaves them clobbered, with no
-    copies when they are contiguous, of one dtype and share no memory.
+    copies when they are contiguous, of the working type and share no
+    memory.
     """
-    dtype = np.result_type(lower, diag, upper, rhs)
+    dtype = (np.complex128 if np.result_type(lower, diag, upper, rhs).kind
+             == "c" else np.float64)
     _, _, _, y, info = _gtsv(dtype)(
         np.asarray(lower, dtype=dtype)[1:], np.asarray(diag, dtype=dtype),
         np.asarray(upper, dtype=dtype)[:-1], np.asarray(rhs, dtype=dtype),
@@ -136,14 +124,12 @@ def factor_cyclic(lower, diag, upper):
 
     alpha = lower[0]   # A[0, n-1]
     beta = upper[-1]   # A[n-1, 0]
-    wrapped = alpha != 0.0 or beta != 0.0
+    # A = T + u v^T with u = (gamma, 0, .., 0, beta),
+    # v = (1, 0, .., 0, alpha/gamma); zero wrap entries need no case.
+    gamma = -diag[0] if diag[0] != 0.0 else 1.0
     d = diag.copy()
-    if wrapped:
-        # A = T + u v^T with u = (gamma, 0, .., 0, beta),
-        # v = (1, 0, .., 0, alpha/gamma).
-        gamma = -diag[0] if diag[0] != 0.0 else 1.0
-        d[0] -= gamma
-        d[-1] -= alpha * beta / gamma
+    d[0] -= gamma
+    d[-1] -= alpha * beta / gamma
     bindings = lapack()
     dl, d, du, du2, ipiv, info = bindings.dgttrf(lower[1:], d, upper[:-1])
     if info != 0:
@@ -154,9 +140,6 @@ def factor_cyclic(lower, diag, upper):
     def solve_open(rhs):
         y, _ = dgttrs(dl, d, du, du2, ipiv, np.asarray(rhs, dtype=float))
         return y
-
-    if not wrapped:
-        return solve_open
 
     u = np.zeros(n)
     u[0] = gamma

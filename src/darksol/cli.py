@@ -28,7 +28,7 @@ from .kink import select_truncation  # noqa: F401  (bench/spans.py TARGETS)
 from .model import Grid, Problem, Profile, sample_coefficient, validate_problem
 from .pipeline import run_background, run_soliton, truncated_background
 from .reduction import lift, residual_reduced, to_allen_cahn
-from .verify import TAIL_FRACTION, build_report
+from .verify import build_report
 
 SCHEMA_VERSION = 1
 # Fixed evolution gates: sup | |psi| - |psi_0| |, phase-slope relative error
@@ -38,7 +38,7 @@ _PHASE_TOL = 1e-3
 _KNOWN_KEYS = {
     "problem": {"kind", "lambda", "period", "n_per_period", "g", "g_table",
                 "v", "v_table", "g1"},
-    "domain": {"l", "tail_fraction"},
+    "domain": {"l"},
     "evolve": {"dt", "t_max", "snapshot_every", "initial"},
     "sweep": {"lambda", "amplitude"},
 }
@@ -53,7 +53,6 @@ class RunConfig:
     coefficient_source: object
     g1: float
     half_length: float | None
-    tail_fraction: float
     dt: float | None
     t_max: float | None
     snapshot_every: int
@@ -127,8 +126,6 @@ def load_config(path) -> RunConfig:
         kind=kind, lam=lam, period=period, n_per_period=n_per,
         coefficient_source=source, g1=g1,
         half_length=get("domain", "l", float),
-        tail_fraction=get("domain", "tail_fraction", float,
-                          default=TAIL_FRACTION),
         dt=get("evolve", "dt", float),
         t_max=get("evolve", "t_max", float),
         snapshot_every=get("evolve", "snapshot_every", int, default=100),
@@ -283,12 +280,6 @@ def cmd_solve_periodic(cfg: RunConfig, out_dir) -> int:
     return EXIT_CODES[report["status"]]
 
 
-def _run_soliton(cfg: RunConfig, problem: Problem):
-    """The one soliton run every command makes, with the config's settings."""
-    return run_soliton(problem, half_length=cfg.half_length,
-                       tail_fraction=cfg.tail_fraction)
-
-
 _SOLITON_COLUMNS = ("x", "phi_plus_ext", "w", "phi", "residual_reduced")
 
 
@@ -301,7 +292,7 @@ def _soliton_columns(w: Profile, background: Profile, ac) -> dict:
 
 
 def cmd_solve_soliton(cfg: RunConfig, out_dir) -> int:
-    run = _run_soliton(cfg, build_problem(cfg))
+    run = run_soliton(build_problem(cfg), cfg.half_length)
     _write_phi_plus(out_dir, run.periodic)
     columns = _soliton_columns(run.w, run.background_ext, run.ac)
     write_csv(os.path.join(out_dir, "soliton.csv"), list(columns),
@@ -363,8 +354,7 @@ def cmd_verify(cfg: RunConfig, out_dir) -> int:
     validate_problem(problem, grid)
     background, w = Profile(grid, background), Profile(grid, w)
     ac = to_allen_cahn(problem, background)
-    recomputed = build_report(problem, w, background,
-                              tail_fraction=cfg.tail_fraction, ac=ac)
+    recomputed = build_report(problem, w, background, ac=ac)
 
     mismatches = [
         f"soliton.csv column {name!r} differs from its rebuild"
@@ -398,10 +388,9 @@ def cmd_evolve(cfg: RunConfig, out_dir) -> int:
     problem = build_problem(cfg)
     track_front = cfg.initial == "soliton"
     if track_front:
-        reference = _run_soliton(cfg, problem).phi
+        reference = run_soliton(problem, cfg.half_length).phi
     else:
-        _, reference = truncated_background(problem, cfg.half_length,
-                                            cfg.tail_fraction)
+        _, reference = truncated_background(problem, cfg.half_length)
 
     psi0 = make_ansatz(reference, problem.lam)
     traj = evolve_nls(psi0, problem, options)
@@ -465,8 +454,8 @@ def _sweep_row(payload) -> dict:
     row["lambda"] = lam
     row["amplitude"] = float("nan") if amplitude is None else amplitude
     try:
-        run = _run_soliton(cfg, build_problem(cfg, lam=lam,
-                                              amplitude=amplitude))
+        run = run_soliton(build_problem(cfg, lam=lam, amplitude=amplitude),
+                          cfg.half_length)
         rep = run.report
         row.update({
             "half_length": run.grid.xmax,

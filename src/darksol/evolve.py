@@ -87,11 +87,12 @@ class PhaseCheck:
     ref_index: int
 
 
-def make_ansatz(phi: Profile, lam: float, t: float = 0.0) -> ComplexField:
-    """Stationary profile lifted to the rotating complex field at time t."""
-    return ComplexField(grid=phi.grid,
-                        re=phi.values * np.cos(lam * t),
-                        im=phi.values * np.sin(lam * t))
+def make_ansatz(phi: Profile, lam: float) -> ComplexField:
+    """Stationary profile lifted to the field phi exp(i lam t) that
+    rotates at rate `lam`, at t = 0: re is phi, im is phi sin(lam 0), a
+    zero with the sign of phi lam."""
+    return ComplexField(grid=phi.grid, re=phi.values,
+                        im=phi.values * (lam * 0.0))
 
 
 def _compact_operator(problem: Problem, grid: Grid):

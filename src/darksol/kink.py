@@ -45,7 +45,8 @@ Each quantity of a root is evaluated once and handed on. A Newton
 solve returns its last iterate's full residual, which the line search
 has already formed, and the walk's free solve and the correction start
 from it (`_newton_from`); the certificate's energy of a root also sets
-the site scan's bound and order.
+the site scan's bound and order, and the walk's pinned root hands its
+energy on as the bound of the free root's certificate.
 """
 
 from dataclasses import dataclass, replace
@@ -370,13 +371,16 @@ def _shifted(w: np.ndarray, nodes: int) -> np.ndarray:
 
 def _phase_walk(ac, start: np.ndarray):
     """Walk the phase condition w(x0) = 0 downhill over the nodes x0;
-    returns (lowest pinned root, its node, Newton iterations).
+    returns (lowest pinned root, its node, its energy, Newton
+    iterations).
 
     The pin starts at the centre node, where the start crosses zero.
     Each move solves the pinned equation from the best root so far,
     shifted by the stride; the stride doubles while the energy falls,
     then halves, trying both sides, down to one node. A pinned solve
-    whose free rows miss the tolerance counts as infinite energy.
+    whose free rows miss the tolerance counts as infinite energy; when
+    the first one does, there is no walk, and its root comes back with
+    its finite energy.
     """
     def solve(w, node):
         root = _newton_polish(w, ac, pin=node, search=True)
@@ -387,8 +391,10 @@ def _phase_walk(ac, start: np.ndarray):
     pin = ac.grid.n // 2
     best, energy = solve(start, pin)
     iterations = best.iterations
+    if not energy < np.inf:
+        return best, pin, _energy_values(ac, best.values), iterations
     seen = {pin}
-    stride, sign, growing = int(energy < np.inf), 1, True
+    stride, sign, growing = 1, 1, True
     while stride:
         for side in (sign,) if growing and stride > 1 else (sign, -sign):
             node = pin + side * stride
@@ -406,7 +412,7 @@ def _phase_walk(ac, start: np.ndarray):
             continue
         if growing:
             stride *= 2
-    return best, pin, iterations
+    return best, pin, energy, iterations
 
 
 def minimize(ac: WeightedAC, source_of) -> MinimizeResult:
@@ -472,10 +478,10 @@ def _candidates(ac, spent: list):
     spent.append(iterations)
     for root in roots:
         yield root, ()
-    pinned, pin, iterations = _phase_walk(ac, start)
+    pinned, pin, pinned_energy, iterations = _phase_walk(ac, start)
     free = _newton_from(pinned.values, pinned.residual, ac)
     spent.extend((iterations, free.iterations))
-    if _certify(ac, free, _energy_values(ac, pinned.values))[1]:
+    if _certify(ac, free, pinned_energy)[1]:
         yield free, ()
     if pinned.converged and _is_strict_minimizer(ac, pinned.values, pin):
         yield pinned, ("phase_pinned",)

@@ -13,6 +13,7 @@ monotone oracle, with their disagreement.
 """
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -23,8 +24,7 @@ from .model import Grid, Problem, Profile, validate_problem
 from .periodic import (PeriodicResult, monotone_iteration_oracle,
                        solve_periodic)
 from .reduction import WeightedAC, correction_source, lift, to_allen_cahn
-from .verify import (TAIL_FRACTION, SolitonReport, _check_tail_fraction,
-                     build_report)
+from .verify import TAIL_FRACTION, SolitonReport, build_report
 
 __all__ = ["SolitonRun", "run_background", "run_soliton",
            "truncated_background"]
@@ -43,7 +43,8 @@ class SolitonRun:
     crossing: float
     report: SolitonReport
     status: str
-    tail_fraction: float
+    # the outer share of the half-domain that the report's tail checks read
+    tail_fraction: ClassVar[float] = TAIL_FRACTION
 
 
 def run_background(problem: Problem):
@@ -57,13 +58,11 @@ def run_background(problem: Problem):
 
 
 def truncated_background(problem: Problem,
-                         half_length: float | None = None,
-                         tail_fraction: float = TAIL_FRACTION):
+                         half_length: float | None = None):
     """`(periodic, background_ext)`: the validated problem's background
     solve and its extension onto [-L, L], L by `select_truncation` when
-    no half length is given; a bad tail fraction is refused first."""
+    no half length is given."""
     validate_problem(problem)
-    _check_tail_fraction(tail_fraction)
     periodic = solve_periodic(problem)
     if half_length is None:
         half_length = select_truncation(problem, periodic.profile)
@@ -72,11 +71,9 @@ def truncated_background(problem: Problem,
 
 
 def run_soliton(problem: Problem,
-                half_length: float | None = None,
-                tail_fraction: float = TAIL_FRACTION) -> SolitonRun:
+                half_length: float | None = None) -> SolitonRun:
     """Full pipeline from problem data to a verified front profile."""
-    periodic, background_ext = truncated_background(problem, half_length,
-                                                    tail_fraction)
+    periodic, background_ext = truncated_background(problem, half_length)
     ac = to_allen_cahn(problem, background_ext)
 
     result = minimize(
@@ -87,10 +84,8 @@ def run_soliton(problem: Problem,
     # The report carries only what is recomputable from the written
     # profiles; solver-side flags stay on the run object. It reads the
     # run's own reduction, with the bits a fresh one gives.
-    report = build_report(problem, w, background_ext,
-                          tail_fraction=tail_fraction, ac=ac)
+    report = build_report(problem, w, background_ext, ac=ac)
     return SolitonRun(problem=problem, periodic=periodic,
                       grid=background_ext.grid, background_ext=background_ext,
                       ac=ac, minimize=result, w=w, phi=phi, crossing=crossing,
-                      report=report, status=_verdict_status(report.verified),
-                      tail_fraction=tail_fraction)
+                      report=report, status=_verdict_status(report.verified))

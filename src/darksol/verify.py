@@ -25,7 +25,7 @@ __all__ = ["SolitonReport", "build_report"]
 # are excluded from decay fits.
 _TAIL_FLOOR = 1e-14
 _MIN_FIT_POINTS = 5
-# Default outer share of the half-domain that the tail checks read.
+# The outer share of the half-domain that every run's tail checks read.
 TAIL_FRACTION = 0.25
 
 
@@ -138,11 +138,6 @@ def _residual_phi(phi: Profile, eq: Equation) -> float:
     return float(np.max(np.abs(res[1:-1])))
 
 
-def _check_tail_fraction(tail_fraction: float):
-    if not 0 < tail_fraction < 1:
-        raise ValidationError("tail_fraction must lie in (0, 1)")
-
-
 def build_report(problem: Problem, w: Profile, background_ext: Profile,
                  tail_fraction: float = TAIL_FRACTION,
                  ac: WeightedAC | None = None) -> SolitonReport:
@@ -155,13 +150,15 @@ def build_report(problem: Problem, w: Profile, background_ext: Profile,
     The amplitude margin is 1 - max |w| over the interior nodes (the
     boundary is pinned at -1 and 1), the monotonicity margin the least
     forward difference quotient of w. The tail fits read the outer
-    `tail_fraction` of the half-domain with a two-period collar next to
+    `tail_fraction` of the half-domain (in every run's report the outer
+    quarter, `TAIL_FRACTION`) with a two-period collar next to
     the boundary removed, so neither the core of the front nor the
     pinned edge contaminates the slope. The ratio errors are the sups of
     |phi / background + 1| and |phi / background - 1| over the outer
     `tail_fraction` of the left and the right half, collar included.
     """
-    _check_tail_fraction(tail_fraction)
+    if not 0 < tail_fraction < 1:
+        raise ValidationError("tail_fraction must lie in (0, 1)")
     if ac is None:
         ac = to_allen_cahn(problem, background_ext)
     phi = lift(w, background_ext)

@@ -111,6 +111,8 @@ def test_cyclic_laplacian_style_system():
 
 
 def test_cyclic_falls_back_without_wrap_entries(rng):
+    # with both wrap entries zero the rank-one update leaves the open
+    # chain's solution
     n = 12
     lower = rng.standard_normal(n)
     upper = rng.standard_normal(n)
@@ -197,12 +199,16 @@ def test_positive_definite_matches_lowest_eigenvalue(rng):
     np.int8, np.int64, np.float16, np.float32, np.float64, np.longdouble,
     np.complex64, np.complex128, np.clongdouble])
 def test_gtsv_is_the_routine_scipy_picks(dtype):
-    # the extension's own routine objects, chosen by scipy's type rule:
-    # s for types float32 holds exactly, d for wider integers and long
-    # double, z for wider complex
-    dtype = np.dtype(dtype)
-    assert _banded._gtsv(dtype) is get_lapack_funcs(("gtsv",),
-                                                    dtype=dtype)[0]
+    # bands of any type solve in one of the two working types, complex128
+    # for complex data and float64 otherwise, with the extension's own
+    # routine object that scipy's type rule picks for that type
+    work = np.complex128 if np.dtype(dtype).kind == "c" else np.float64
+    bands = [np.array(band, dtype=dtype)
+             for band in ([0, 1, 1, 1], [4, 4, 4, 4], [1, 1, 1, 0],
+                          [1, 2, 3, 4])]
+    assert solve_tridiagonal(*bands).dtype == work
+    assert _banded._gtsv(work) is get_lapack_funcs(("gtsv",),
+                                                   dtype=work)[0]
 
 
 def test_tridiagonal_integer_bands_solve_in_float64():

@@ -59,7 +59,6 @@ def test_load_config_fields(tmp_path):
     assert cfg.coefficient_source == "1"
     assert cfg.config_hash == hashlib.sha256(path.read_bytes()).hexdigest()
     # defaults
-    assert cfg.tail_fraction == 0.25
     assert cfg.sweep_lambdas == ()
     assert cfg.sweep_amplitudes is None
 
@@ -327,15 +326,18 @@ def test_every_error_has_an_exit_code():
     assert failures < set(EXIT_CODES)
 
 
-TAIL_UNDERFLOW = BASE.replace("l = 4", "l = 4\ntail_fraction = 0.001")
+# a steep front (decay rate 8) on a long domain: the tail has reached
+# the background to the last bit long before the report's outer quarter
+TAIL_UNDERFLOW = BASE.replace("lambda = -1.0", "lambda = -16.0").replace(
+    "l = 4", "l = 8")
 
 
 def test_tail_underflow_is_a_property_violation(tmp_path, capsys):
     config = write_config(tmp_path, TAIL_UNDERFLOW)
     assert run_cli("solve-soliton", config, tmp_path / "out") == 4
-    assert "usable tail samples" in capsys.readouterr().err
+    assert "only 0 usable tail samples" in capsys.readouterr().err
     config = write_config(tmp_path, TAIL_UNDERFLOW
-                          + "\n[sweep]\nlambda = -1\n", name="sweep.ini")
+                          + "\n[sweep]\nlambda = -16\n", name="sweep.ini")
     out = tmp_path / "sweep"
     assert run_cli("sweep", config, out) == 0
     report = json.loads((out / "report.json").read_text())
@@ -432,11 +434,14 @@ def test_evolve_background_has_no_front(tmp_path):
 
 @pytest.mark.parametrize("initial", ["soliton", "background"])
 def test_evolve_refuses_a_bad_tail_fraction(tmp_path, capsys, initial):
+    # the tail window is no setting: whatever evolve starts from, a
+    # config that sets one is refused as an unknown key
     text = BASE.replace("l = 4", "l = 4\ntail_fraction = 1.5")
     config = write_config(tmp_path, text + "\n[evolve]\ndt = 2e-3\n"
                           f"t_max = 0.05\ninitial = {initial}\n")
     assert run_cli("evolve", config, tmp_path / "out") == 2
-    assert "tail_fraction" in capsys.readouterr().err
+    assert "unknown key 'tail_fraction' in [domain]" in \
+        capsys.readouterr().err
 
 
 def test_sweep_rows_and_failure_isolation(tmp_path):
@@ -614,13 +619,18 @@ def test_evolve_gates_are_not_config_keys(tmp_path, capsys, key):
     assert "unknown key" in capsys.readouterr().err
 
 
-def test_sweep_books_a_bad_tail_fraction_per_row(tmp_path):
-    text = BASE.replace("l = 4", "l = 4\ntail_fraction = 1.5")
+@pytest.mark.parametrize("command", ["solve-periodic", "solve-soliton",
+                                     "verify", "sweep"])
+def test_tail_fraction_is_an_unknown_key(tmp_path, capsys, command):
+    # every report's tail checks read the outer quarter of each half;
+    # a config that still sets the window is refused before any work
+    text = BASE.replace("l = 4", "l = 4\ntail_fraction = 0.25")
     config = write_config(tmp_path, text + "\n[sweep]\nlambda = -1, -4\n")
     out = tmp_path / "out"
-    assert run_cli("sweep", config, out) == 0
-    report = json.loads((out / "report.json").read_text())
-    assert report["statuses"] == ["validation_error"] * 2
+    assert run_cli(command, config, out) == 2
+    assert "unknown key 'tail_fraction' in [domain]" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_repeat_runs_are_byte_identical(tmp_path):

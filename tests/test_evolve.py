@@ -29,6 +29,9 @@ def test_make_ansatz_at_zero_time(soliton_run):
     field = make_ansatz(soliton_run.phi, -1.0)
     np.testing.assert_array_equal(field.re, soliton_run.phi.values)
     np.testing.assert_array_equal(field.im, np.zeros(field.grid.n))
+    # the zeros are phi sin(lam 0): with lam < 0, of the sign of -phi
+    assert np.array_equal(np.signbit(field.im),
+                          ~np.signbit(soliton_run.phi.values))
     np.testing.assert_array_equal(field.modulus(),
                                   np.abs(soliton_run.phi.values))
 

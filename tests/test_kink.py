@@ -380,7 +380,7 @@ def lowest_hessian_eigenvalue(ac, w):
 def phase_walk(ac):
     """The pinned root at the lowest node of the phase walk from the
     centred guess, and that node, as `minimize` computes them."""
-    pinned, pin, _ = kink._phase_walk(
+    pinned, pin, _, _ = kink._phase_walk(
         ac, _initial_guess(ac.grid, _guess_rate(ac)))
     return pinned, pin
 
@@ -611,6 +611,22 @@ def test_roots_carry_their_residual_and_energy():
     energies = [_energy_values(ac, root.values) for root in roots]
     assert energies == sorted(energies)
     assert energies[0] <= _energy_values(ac, centre_root(ac).values)
+
+
+def test_walk_hands_on_its_roots_energy(monkeypatch):
+    # the energy the walk returns is its root's, the free root's bound;
+    # with a target no pinned solve meets, the first one misses, there
+    # is no walk, and the bound is still that root's finite energy, not
+    # the inf the walk compares with
+    ac, _ = sourced_cos_case()
+    start = _initial_guess(ac.grid, _guess_rate(ac))
+    for target in (kink._target_residual(ac), 0.0):
+        monkeypatch.setattr(kink, "_target_residual",
+                            lambda ac, target=target: target)
+        pinned, pin, walk_energy, _ = kink._phase_walk(ac, start)
+        assert walk_energy == _energy_values(ac, pinned.values)
+    assert pin == ac.grid.n // 2
+    assert np.isfinite(walk_energy)
 
 
 def test_correction_starts_from_the_carried_residual():

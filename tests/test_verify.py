@@ -3,11 +3,10 @@ import json
 import numpy as np
 import pytest
 
-import darksol
 from darksol import (Grid, Profile, build_report, run_soliton,
                      to_allen_cahn)
 from darksol.errors import GridMismatchError, TailUnderflow, ValidationError
-from darksol.verify import _fit_tail, _residual_phi
+from darksol.verify import TAIL_FRACTION, _fit_tail, _residual_phi
 
 from conftest import constant_cubic, sinusoidal_cubic, sinusoidal_quintic
 
@@ -147,18 +146,6 @@ def test_build_report_refuses_tail_fraction(tail_fraction):
         build_report(unit_problem(), phi, bg, tail_fraction=tail_fraction)
 
 
-@pytest.mark.parametrize("tail_fraction", [0.0, 1.0, 1.5, float("nan")])
-def test_run_soliton_refuses_tail_fraction_before_solving(monkeypatch,
-                                                         tail_fraction):
-    def no_solve(problem):
-        raise AssertionError("the background was solved")
-
-    monkeypatch.setattr(darksol.pipeline, "solve_periodic", no_solve)
-    with pytest.raises(ValidationError, match="tail_fraction"):
-        run_soliton(unit_problem(), half_length=6.0,
-                    tail_fraction=tail_fraction)
-
-
 def test_asymptotic_ratio_conventions():
     grid, phi, bg = synthetic_pair(rate=2.0)
     report = report_of(phi, bg)
@@ -197,18 +184,16 @@ def test_constant_front_decay_rate(constant_run):
     assert report.asymptotic_ratio_err_right < 1e-3
 
 
-@pytest.mark.parametrize("make, half_length, tail_fraction", [
-    (lambda: sinusoidal_cubic(lam=-1.0, amp=0.5, n_per=128), 6.0, 0.25),
-    (lambda: sinusoidal_quintic(lam=-1.0, amp=0.3, g1=0.5, n_per=128),
-     None, 0.3),
-    (lambda: constant_cubic(lam=-1.0, n_per=128), 6.0, 0.2),
+@pytest.mark.parametrize("make, half_length", [
+    (lambda: sinusoidal_cubic(lam=-1.0, amp=0.5, n_per=128), 6.0),
+    (lambda: sinusoidal_quintic(lam=-1.0, amp=0.3, g1=0.5, n_per=128), None),
+    (lambda: constant_cubic(lam=-1.0, n_per=128), 6.0),
 ], ids=["cubic", "cubic-quintic", "constant"])
-def test_run_report_is_the_recomputed_report(make, half_length,
-                                             tail_fraction):
+def test_run_report_is_the_recomputed_report(make, half_length):
     # the run's report reads the run's reduction; built afresh from the
     # written profiles it must come out the same, bit for bit
-    run = run_soliton(make(), half_length=half_length,
-                      tail_fraction=tail_fraction)
+    run = run_soliton(make(), half_length=half_length)
+    assert run.tail_fraction == TAIL_FRACTION
     assert run.status == "ok"
     again = build_report(run.problem, run.w, run.background_ext,
                          tail_fraction=run.tail_fraction)
