@@ -27,6 +27,8 @@ __all__ = ["solve_tridiagonal", "solve_cyclic", "factor_cyclic",
 
 
 _FLAPACK = "scipy.linalg._flapack"
+# The cyclic correction's singularity bound, in units of its terms' size.
+_SINGULAR_UNITS = 16.0 * np.finfo(float).eps
 
 
 @cache
@@ -100,8 +102,9 @@ def is_positive_definite(diag, upper) -> bool:
 
 
 def solve_cyclic(lower, diag, upper, rhs):
-    """Solve the periodic tridiagonal system A y = rhs once; see
-    `factor_cyclic` for the layout of A."""
+    """Solve the periodic tridiagonal system A y = rhs once, for one
+    right side or for each column of an (n, m) rhs; see `factor_cyclic`
+    for the layout of A."""
     return factor_cyclic(lower, diag, upper)(rhs)
 
 
@@ -112,7 +115,9 @@ def factor_cyclic(lower, diag, upper):
     lower[i], diag[i], upper[i]; the wrap entries A[0, n-1] = lower[0]
     and A[n-1, 0] = upper[n-1] are folded in by a rank-one update whose
     correction vector is solved here, so each call of the returned
-    `solve(rhs)` costs one pair of triangular sweeps. Requires n >= 3;
+    `solve(rhs)` costs one pair of triangular sweeps per column. An
+    (n, m) rhs is solved column by column in one LAPACK call, each
+    column with the bits of its own one-column solve. Requires n >= 3;
     raises SingularLinearization if A is singular.
     """
     lower = np.asarray(lower, dtype=float)
@@ -150,11 +155,11 @@ def factor_cyclic(lower, diag, upper):
     # A singular A leaves the denominator at the rounding level of its
     # three terms, not at zero; a nan or inf fails the test as well.
     scale = 1.0 + abs(z[0]) + abs(ratio * z[-1])
-    if not abs(denom) > 16.0 * np.finfo(float).eps * scale:
+    if not abs(denom) > _SINGULAR_UNITS * scale:
         raise SingularLinearization("cyclic correction is singular")
 
     def solve(rhs):
         y = solve_open(rhs)
-        return y - ((y[0] + ratio * y[-1]) / denom) * z
+        return y - np.multiply.outer(z, (y[0] + ratio * y[-1]) / denom)
 
     return solve

@@ -13,7 +13,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,8 @@ from .evolve import (EvolveOptions, evolve_nls, kink_drift, make_ansatz,
                      modulus_deviation, phase_rotation_check)
 from .exprparse import compile_expression
 from .kink import select_truncation  # noqa: F401  (bench/spans.py TARGETS)
-from .model import Grid, Problem, Profile, sample_coefficient, validate_problem
+from .model import (Grid, Problem, Profile, period_cell, sample_coefficient,
+                    validate_problem)
 from .pipeline import run_background, run_soliton, truncated_background
 from .reduction import lift, residual_reduced, to_allen_cahn
 from .verify import build_report
@@ -330,10 +330,10 @@ def cmd_solve_soliton(cfg: RunConfig, out_dir) -> int:
 def cmd_verify(cfg: RunConfig, out_dir) -> int:
     """Re-read a solve-soliton output directory and recompute its report.
 
-    Every column of soliton.csv, rebuilt from x, phi_plus_ext and w, and
-    the recomputed scalar block must equal the stored ones exactly; the
-    files are written with round-trip precision, so any difference means
-    they no longer describe the run.
+    Every column of soliton.csv, rebuilt from x, the first period of
+    phi_plus_ext and w, and the recomputed scalar block must equal the
+    stored ones exactly; the files are written with round-trip
+    precision, so any difference means they no longer describe the run.
     """
     report_path = os.path.join(out_dir, "report.json")
     try:
@@ -352,7 +352,11 @@ def cmd_verify(cfg: RunConfig, out_dir) -> int:
     x, background, w = (columns[name] for name in _SOLITON_COLUMNS[:3])
     grid = Grid(xmin=float(x[0]), xmax=float(x[-1]), n=int(x.size))
     validate_problem(problem, grid)
-    background, w = Profile(grid, background), Profile(grid, w)
+    # the periodic background is rebuilt from its first period, which is
+    # all the reduction reads; its column is compared like the others
+    cell, idx = period_cell(Profile(grid, background),
+                            problem.model_coefficient)
+    background, w = Profile(grid, cell[idx]), Profile(grid, w)
     ac = to_allen_cahn(problem, background)
     recomputed = build_report(problem, w, background, ac=ac)
 
@@ -492,6 +496,10 @@ def cmd_sweep(cfg: RunConfig, out_dir, workers: int) -> int:
             payloads.append({"index": len(payloads), "cfg": cfg,
                              "lam": lam, "amplitude": amplitude})
     if workers > 1 and payloads:
+        # the process pool's module is imported here, by the pooled
+        # sweep alone, so that no other command pays for its import
+        from concurrent.futures import ProcessPoolExecutor
+
         # Bound here, LAPACK is inherited by forked workers instead of
         # imported by each; a worker beyond one per row would sit idle.
         lapack()

@@ -43,8 +43,9 @@ each root `minimize` tries, the deferred correction.
 
 Each quantity of a root is evaluated once and handed on. A Newton
 solve returns its last iterate's full residual, which the line search
-has already formed, and the walk's free solve and the correction start
-from it (`_newton_from`); the certificate's energy of a root also sets
+has already formed; the deferred-correction source is built from it,
+and the walk's free solve and the correction start from it
+(`_newton_from`); the certificate's energy of a root also sets
 the site scan's bound and order, and the walk's pinned root hands its
 energy on as the bound of the free root's certificate.
 """
@@ -419,7 +420,8 @@ def minimize(ac: WeightedAC, source_of) -> MinimizeResult:
     """Fourth-order front: the first certified root of the reduced
     equation whose deferred correction converges, corrected.
 
-    `source_of` maps a root, as a Profile, to its deferred-correction
+    `source_of` maps a root, as a Profile, and its residual R(w), the
+    root's carried `residual` (read only), to its deferred-correction
     source (see `reduction.correction_source`); a map that returns None
     gives the second-order minimizer itself. Roots are tried in the
     order of `_candidates`, and a route runs only once every earlier
@@ -441,7 +443,8 @@ def minimize(ac: WeightedAC, source_of) -> MinimizeResult:
     spent = []
     residual = float("nan")
     for root, flags in _candidates(ac, spent):
-        front = _correct(ac, root, source_of(Profile(ac.grid, root.values)))
+        front = _correct(ac, root, source_of(Profile(ac.grid, root.values),
+                                             root.residual))
         spent.append(front.iterations)
         if front.converged:
             return _front_result(ac, front.values, front.residual_sup,

@@ -2,10 +2,10 @@
 
 Newton's method on the periodic discretization, started from the
 constant supersolution, certifies its own answer with a sub- and
-supersolution pair one cyclic solve away (the enclosure below). A
-monotone fixed-point iteration driven from the constant sub- and
-supersolutions reaches the same object by a second route; it is kept
-as an independent oracle for the first.
+supersolution pair one more solve against its last factorization away
+(the enclosure below). A monotone fixed-point iteration driven from the
+constant sub- and supersolutions reaches the same object by a second
+route; it is kept as an independent oracle for the first.
 
 The object is unique for every problem `validate_problem` accepts
 (Brezis & Oswald, Nonlinear Anal. 10, 55, 1986, on the discrete
@@ -50,16 +50,18 @@ residual's rounding floor such a move is cut back; at the floor the
 first step that fails to move every node is noise and ends the solve.
 
 Enclosure. With phi_N Newton's last iterate and floor(u) the rounding
-floor of the residual at u (`_rounding_floor`), one cyclic solve with
-Newton's bands gives d = J(phi_N)^-1 (|G(phi_N)| + floor(phi_N)), and
-u+- = phi_N +- 1.5 d is to first order a strict super- and subsolution
-pair, the 1.5 leaving d/2 for the curvature of f. `_enclose` requires
-d > 0, u- > 0, G(u+) > floor(u+) and G(u-) < -floor(u-) at every node,
-so the computed signs are the exact ones. By the sub/supersolution
-argument the oracle's shifted sweeps from u- and u+ stay in [u-, u+]
-and end at positive solutions, which by uniqueness are phi+. So phi+
-lies in [u-, u+], whose width `enclosure_width` bounds Newton's error,
-rounding included.
+floor of the residual at u (`_rounding_floor`), one more solve against
+Newton's last factorization, that of J(phi_N), gives
+d = J(phi_N)^-1 (|G(phi_N)| + floor(phi_N)): at the floor, where a step
+may be the last, each step's solve takes that right side as a second
+column. Then u+- = phi_N +- 1.5 d is to first order a strict super- and
+subsolution pair, the 1.5 leaving d/2 for the curvature of f. `_enclose`
+requires d > 0, u- > 0, G(u+) > floor(u+) and G(u-) < -floor(u-) at
+every node, so the computed signs are the exact ones. By the
+sub/supersolution argument the oracle's shifted sweeps from u- and u+
+stay in [u-, u+] and end at positive solutions, which by uniqueness are
+phi+. So phi+ lies in [u-, u+], whose width `enclosure_width` bounds
+Newton's error, rounding included.
 """
 
 from dataclasses import dataclass
@@ -84,6 +86,8 @@ __all__ = [
 # bracket.upper is 31 times the background.
 _MAX_SWEEPS = 200
 _MAX_NEWTON_STEPS = 50
+# The residual's rounding floor, in units of its terms' size.
+_ROUNDING_UNITS = 16.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -162,7 +166,9 @@ def solve_periodic(problem: Problem) -> PeriodicResult:
     Starts from the constant supersolution `bracket.upper`, undamped,
     and takes each step by `_advance`: every exact step lowers every
     node (module docstring). `iterations` counts the accepted steps.
-    The result is certified by `_enclose`, whose width it carries.
+    The result is certified by `_enclose`, whose width it carries; its
+    d comes out of the last step's solve as a second column, taken by
+    every step at the rounding floor, since any of those may be the last.
     """
     bracket = bracket_bounds(problem)
     eq = problem.equation()
@@ -173,24 +179,32 @@ def solve_periodic(problem: Problem) -> PeriodicResult:
     phi = np.full(n, bracket.upper)
     res = _residual(eq, phi, h)
     for iterations in range(_MAX_NEWTON_STEPS + 1):
-        trial = phi + solve_cyclic(off, _jacobian_diag(eq, phi, h), off,
-                                   -res)
-        trial, done = _advance(floor, phi, res, trial, bracket.lower, phi,
-                               "periodic Newton step", iterations)
+        size = np.abs(res)
+        residual_sup, bound = float(size.max()), floor(phi)
+        diag = _jacobian_diag(eq, phi, h)
+        if residual_sup > bound:
+            step = solve_cyclic(off, diag, off, -res)
+        else:
+            rhs = np.empty((n, 2))
+            np.negative(res, out=rhs[:, 0])
+            np.add(size, bound, out=rhs[:, 1])
+            step, d = solve_cyclic(off, diag, off, rhs).T
+        trial, done = _advance(residual_sup, bound, phi, phi + step,
+                               bracket.lower, phi, "periodic Newton step",
+                               iterations)
         if done:
             break
         if iterations == _MAX_NEWTON_STEPS:
             raise NonConvergence(
                 f"periodic Newton still falling after {iterations} steps",
-                final_residual=float(np.max(np.abs(res))),
-                iterations=iterations)
+                final_residual=residual_sup, iterations=iterations)
         phi = trial
         res = _residual(eq, phi, h)
-    width = _enclose(eq, h, phi)
+    # a step ends the solve only at the floor, so its solve gave d
+    width = _enclose(eq, h, floor, phi, d)
     profile, coefficient = _package_background(problem, phi)
     return PeriodicResult(profile=profile, coefficient=coefficient,
-                          bracket=bracket,
-                          residual_sup=float(np.max(np.abs(res))),
+                          bracket=bracket, residual_sup=residual_sup,
                           iterations=iterations, enclosure_width=width)
 
 
@@ -199,13 +213,11 @@ def _jacobian_diag(eq: Equation, phi: np.ndarray, h: float) -> np.ndarray:
     return eq.k * (2.0 / h**2 + _forcing_slope(eq, phi))
 
 
-def _enclose(eq: Equation, h: float, phi: np.ndarray) -> float:
-    """Width of a verified sub/supersolution pair around `phi` (module
-    docstring, Enclosure); NonConvergence names the first failed check."""
-    floor = _rounding_floor(eq, h)
-    off = np.full(phi.size, -eq.k / h**2)
-    d = solve_cyclic(off, _jacobian_diag(eq, phi, h), off,
-                     np.abs(_residual(eq, phi, h)) + floor(phi))
+def _enclose(eq: Equation, h: float, floor, phi: np.ndarray,
+             d: np.ndarray) -> float:
+    """Width of a verified sub/supersolution pair around `phi`, given
+    d = J(phi)^-1 (|G(phi)| + floor(phi)) (module docstring, Enclosure);
+    NonConvergence names the first failed check."""
     upper, lower = phi + 1.5 * d, phi - 1.5 * d
     checks = (("d > 0", d > 0), ("u- > 0", lower > 0),
               ("G(u+) > floor", _residual(eq, upper, h) > floor(upper)),
@@ -218,21 +230,20 @@ def _enclose(eq: Equation, h: float, phi: np.ndarray) -> float:
     return float(np.max(upper - lower))
 
 
-def _advance(floor, old: np.ndarray, res: np.ndarray, new: np.ndarray,
-             lo, hi, what: str, done: int):
+def _advance(residual_sup: float, bound: float, old: np.ndarray,
+             new: np.ndarray, lo, hi, what: str, done: int):
     """One step from `old` to `new`: (next iterate, whether to stop).
 
     The exact `new` moves every node of `old` into [lo, hi], which has
-    `old` at one end. While the residual `res` at `old` is above
-    `floor(old)`, `new` is cut back into [lo, hi], and raises
-    NonConvergence if it then moves no node; at the floor it must move
-    every node inside [lo, hi]. `done` counts the steps before this one.
+    `old` at one end. While the residual's sup at `old`, `residual_sup`,
+    is above its rounding floor there, `bound`, `new` is cut back into
+    [lo, hi], and raises NonConvergence if it then moves no node; at the
+    floor it must move every node inside [lo, hi]. `done` counts the
+    steps before this one.
     """
-    residual_sup = float(np.abs(res).max())
-    if not np.all(np.isfinite(new)):
+    if not np.isfinite(new).all():
         raise NonConvergence(f"{what} {done + 1} is not finite",
                              final_residual=residual_sup, iterations=done)
-    bound = floor(old)
     if residual_sup > bound:
         new = np.minimum(np.maximum(new, lo), hi)
         if np.array_equal(new, old):
@@ -257,7 +268,7 @@ def _rounding_floor(eq: Equation, h: float):
     def floor(phi: np.ndarray) -> float:
         top = float(phi.max())
         size = linear * top + sum(c * top**p for p, c in powers)
-        return 16.0 * np.finfo(float).eps * size
+        return _ROUNDING_UNITS * size
 
     return floor
 
@@ -320,7 +331,8 @@ def monotone_iteration_oracle(problem: Problem) -> MonotoneResult:
 
         def sweep(end, lo, hi, side):
             res = _residual(eq, end, h)
-            return _advance(floor, end, res, end + solve(res / eq.k), lo, hi,
+            return _advance(float(np.abs(res).max()), floor(end), end,
+                            end + solve(res / eq.k), lo, hi,
                             f"{side} monotone sweep", iterations - 1)
 
         if not done_below:

@@ -76,8 +76,8 @@ def run_soliton(problem: Problem,
     periodic, background_ext = truncated_background(problem, half_length)
     ac = to_allen_cahn(problem, background_ext)
 
-    result = minimize(
-        ac, lambda w: correction_source(ac, background_ext, w))
+    result = minimize(ac, lambda w, residual: correction_source(
+        ac, background_ext, w, residual))
     w = result.profile
     phi = lift(w, background_ext)
     crossing = report_crossing(w)

@@ -31,7 +31,7 @@ from operator import iadd, imul, isub, mul
 import numpy as np
 
 from .errors import GridMismatchError, ValidationError
-from .model import Equation, Grid, Problem, Profile
+from .model import Equation, Grid, Problem, Profile, period_cell
 
 __all__ = [
     "WeightedAC", "to_allen_cahn", "energy", "residual_reduced", "lift",
@@ -114,20 +114,26 @@ class WeightedAC:
 def to_allen_cahn(problem: Problem, background: Profile) -> WeightedAC:
     """Build the weighted Allen-Cahn data from a positive background.
 
-    The background may live on the period cell or on any larger grid
-    aligned with the coefficient nodes.
+    The background is periodic: it may live on the period cell or on
+    any larger grid aligned with the coefficient nodes, and must repeat
+    its first period there bit for bit, as every extension by
+    `Coefficient.on_grid` does (ValidationError otherwise). The weights
+    are formed on that period and extended by the coefficient's index
+    map, which gives the bits of forming them on the whole grid.
     """
     phi = background.values
     if np.min(phi) <= 0:
         raise ValidationError("background must be strictly positive")
-    grid = background.grid
-    eq = problem.equation(grid)
+    cell, idx = period_cell(background, problem.model_coefficient)
+    if not np.array_equal(cell[idx], phi):
+        raise ValidationError("background does not repeat its first period")
+    eq = problem.equation()
     # -k (a w')' + sum_p c_p phi^(p+1) (w^p - w) = 0: the equation for
     # w phi minus w times the background's, multiplied by phi.
-    return WeightedAC(grid=grid, a=phi**2,
-                      powers=tuple((p, (c / eq.k) * phi**(p + 1))
+    return WeightedAC(grid=background.grid, a=(cell**2)[idx],
+                      powers=tuple((p, ((c / eq.k) * cell**(p + 1))[idx])
                                    for p, c in eq.powers),
-                      kinetic_factor=0.5 / eq.k, equation=eq)
+                      kinetic_factor=0.5 / eq.k, equation=eq.on_nodes(idx))
 
 
 def _check_profile(w: Profile, ac: WeightedAC) -> np.ndarray:
@@ -280,8 +286,10 @@ def _numerov_defect(eq: Equation, background_ext: Profile,
 
 
 def correction_source(ac: WeightedAC, background_ext: Profile,
-                      w: Profile) -> np.ndarray:
-    """Deferred-correction source s = R(w) - T(w) for a solved front w.
+                      w: Profile, residual: np.ndarray) -> np.ndarray:
+    """Deferred-correction source s = R(w) - T(w) for a solved front w,
+    given its reduced residual R(w) (a Newton root carries it; only
+    read here).
 
     R is the second-order reduced residual and T the Numerov defect.
     Solving R(v) = s moves the front to the root of T up to O(h^4) in
@@ -294,8 +302,7 @@ def correction_source(ac: WeightedAC, background_ext: Profile,
     if background_ext.grid != ac.grid:
         raise GridMismatchError(
             "background grid differs from the reduction grid")
-    source = _residual_values(ac, vals) - _numerov_defect(
-        ac.equation, background_ext, vals)
+    source = residual - _numerov_defect(ac.equation, background_ext, vals)
     floor = _SOURCE_FLOOR_ULPS * np.finfo(float).eps * np.max(ac.a) / ac.h**2
     source[np.abs(source) <= floor] = 0.0
     return source

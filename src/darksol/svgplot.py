@@ -34,6 +34,7 @@ def line_plot(path, curves, title="", xlabel="", ylabel=""):
     pad = 0.05 * (ymax - ymin)
     ymin, ymax = ymin - pad, ymax + pad
 
+    # screen coordinates of a value or, elementwise, of an array
     def sx(v):
         return _ML + (v - xmin) / (xmax - xmin) * pw
 
@@ -83,7 +84,8 @@ def line_plot(path, curves, title="", xlabel="", ylabel=""):
             stride = int(np.ceil(x.size / _MAX_POINTS))
             x, y = x[::stride], y[::stride]
         color = _COLORS[idx % len(_COLORS)]
-        pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, y))
+        pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(
+            sx(x).tolist(), sy(y).tolist()))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.5"/>')
         ly = _MT + 16 + 16 * idx

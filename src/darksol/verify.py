@@ -30,27 +30,34 @@ TAIL_FRACTION = 0.25
 
 
 def _fit_line(t: np.ndarray, y: np.ndarray):
-    """Least-squares line through (t, y) in closed form: (slope, r^2)."""
-    t_mean, y_mean = np.mean(t), np.mean(y)
+    """Least-squares line through (t, y) in closed form: (slope, r^2).
+
+    Its sums are `np.add.reduce`, the reduction under `np.sum` and
+    `np.mean` (a mean is the sum over the count), called directly: the
+    same bits without the wrappers' dispatch, four fits per report.
+    """
+    total = np.add.reduce
+    t_mean, y_mean = total(t) / t.size, total(y) / y.size
     dt = t - t_mean
     slope = float(np.dot(dt, y) / np.dot(dt, dt))
     fitted = slope * t + (y_mean - slope * t_mean)
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - y_mean) ** 2))
+    ss_res = float(total((y - fitted) ** 2))
+    ss_tot = float(total((y - y_mean) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
     return slope, float(r2)
 
 
 def _one_tail(t: np.ndarray, diff: np.ndarray, side: str, flags: set):
-    keep = np.abs(diff) >= _TAIL_FLOOR
-    if np.count_nonzero(keep) < diff.size:
+    size = np.abs(diff)
+    keep = size >= _TAIL_FLOOR
+    usable = np.count_nonzero(keep)
+    if usable < diff.size:
         flags.add(f"tail_floor_{side}")
-    if np.count_nonzero(keep) < _MIN_FIT_POINTS:
+    if usable < _MIN_FIT_POINTS:
         raise TailUnderflow(
-            f"only {np.count_nonzero(keep)} usable tail samples on the "
-            f"{side} side")
-    t, diff = t[keep], np.abs(diff[keep])
-    slope, r2 = _fit_line(t, np.log(diff))
+            f"only {usable} usable tail samples on the {side} side")
+    t = t[keep]
+    slope, r2 = _fit_line(t, np.log(size[keep]))
     return -slope, r2, int(t.size)
 
 
@@ -58,7 +65,8 @@ def _fit_tail(phi: Profile, background_ext: Profile, x: np.ndarray,
               start: float, inner: float, side: str, flags: set):
     """Exponential approach rate of phi to +background on the right
     (`side` "right", window start <= x <= inner) or to -background on
-    the left (its mirror image), read outward from the core.
+    the left (its mirror image), read outward from the core. The window
+    is a slice of the ascending nodes x, its ends found by bisection.
 
     The tail's first difference is fitted the same way as an independent
     consistency check on the rate; being one cancellation noisier, an
@@ -66,13 +74,15 @@ def _fit_tail(phi: Profile, background_ext: Profile, x: np.ndarray,
     points, deriv_rate, deriv_r2).
     """
     if side == "right":
-        mask = (x >= start) & (x <= inner)
-        t = x[mask]
-        d = phi.values[mask] - background_ext.values[mask]
+        window = slice(np.searchsorted(x, start, "left"),
+                       np.searchsorted(x, inner, "right"))
+        t = x[window]
+        d = phi.values[window] - background_ext.values[window]
     else:
-        mask = (x <= -start) & (x >= -inner)
-        t = -x[mask][::-1]
-        d = (phi.values[mask] + background_ext.values[mask])[::-1]
+        window = slice(np.searchsorted(x, -inner, "left"),
+                       np.searchsorted(x, -start, "right"))
+        t = -x[window][::-1]
+        d = (phi.values[window] + background_ext.values[window])[::-1]
     rate, r2, points = _one_tail(t, d, side, flags)
     h = phi.grid.h
     try:
@@ -178,7 +188,9 @@ def build_report(problem: Problem, w: Profile, background_ext: Profile,
     rate_l, r2_l, _, deriv_rate_l, deriv_r2_l = _fit_tail(
         phi, background_ext, x, start, inner, "left", flags)
     cut = grid.xmax * (1.0 - tail_fraction)
-    ratio = phi.values / background_ext.values
+    # the outer windows x <= -cut and x >= cut, as slices of the nodes
+    left = slice(np.searchsorted(x, -cut, "right"))
+    right = slice(np.searchsorted(x, cut, "left"), None)
     return SolitonReport(
         residual_phi_sup=_residual_phi(phi, ac.equation),
         residual_reduced_sup=res_reduced,
@@ -190,9 +202,9 @@ def build_report(problem: Problem, w: Profile, background_ext: Profile,
         decay_fit_r2_right=r2_r,
         decay_rate_deriv_left=deriv_rate_l,
         decay_rate_deriv_right=deriv_rate_r,
-        asymptotic_ratio_err_left=float(
-            np.max(np.abs(ratio[x <= -cut] + 1.0))),
-        asymptotic_ratio_err_right=float(
-            np.max(np.abs(ratio[x >= cut] - 1.0))),
+        asymptotic_ratio_err_left=float(np.max(np.abs(
+            phi.values[left] / background_ext.values[left] + 1.0))),
+        asymptotic_ratio_err_right=float(np.max(np.abs(
+            phi.values[right] / background_ext.values[right] - 1.0))),
         diagnostic_flags=tuple(sorted(flags)),
     )

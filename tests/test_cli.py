@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -494,7 +495,8 @@ def test_sweep_pool_has_at_most_one_worker_per_row(tmp_path, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(darksol.cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
     config = write_config(
         tmp_path, BASE + "\n[sweep]\nlambda = -0.25, -1, 0.5\n")
     for workers, pool_size in (("4", 3), ("2", 2)):
@@ -510,12 +512,16 @@ import darksol
 assert "scipy" not in sys.modules, "import darksol"
 from darksol import cli
 assert "scipy" not in sys.modules, "import darksol.cli"
+pool = "concurrent.futures.process"
+assert pool not in sys.modules, "import darksol.cli"
 config, out, fresh = sys.argv[1:]
 assert cli.main(["verify", "--config", config, "--out", out]) == 0
 assert "scipy" not in sys.modules, "verify"
+assert pool not in sys.modules, "verify"
 assert cli.main(["solve-soliton", "--config", config, "--out", fresh]) == 0
 assert "scipy" in sys.modules, "solve-soliton"
 assert "scipy.linalg" not in sys.modules, "solve-soliton"
+assert pool not in sys.modules, "solve-soliton"
 import scipy.linalg.lapack
 from darksol import _banded
 assert _banded.lapack() is scipy.linalg.lapack._flapack
@@ -527,7 +533,8 @@ def test_scipy_loads_at_the_first_linear_solve(tmp_path):
     # fresh interpreters, since this one imported scipy for the oracles:
     # importing the package and verifying a stored run solve nothing, and
     # a solve loads LAPACK's extension without the scipy.linalg package,
-    # which a later import of it then shares
+    # which a later import of it then shares; the process pool's module
+    # is left to the pooled sweep
     env = {**os.environ,
            "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     config = write_config(tmp_path, BASE)

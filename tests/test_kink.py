@@ -30,10 +30,15 @@ def reduced_problem(problem, half_length, n_per):
     return bg.grid, bg, to_allen_cahn(problem, bg)
 
 
-def no_correction(w):
+def no_correction(w, residual):
     """The source map under which `minimize` returns the second-order
     minimizer itself: no source, so the correction takes no step."""
     return None
+
+
+def source_at(ac, bg, w):
+    """The correction source of the Profile w, its residual formed afresh."""
+    return correction_source(ac, bg, w, residual_reduced(w, ac).values)
 
 
 def auto_truncation(problem):
@@ -208,7 +213,7 @@ def test_grad_tol_below_the_rounding_floor_is_refused(tmp_path, capsys):
     _, _, ac = reduced_problem(problem, 3.0, 1024)
     given = []
     with pytest.raises(ValidationError) as err:
-        minimize(ac, given.append)
+        minimize(ac, lambda w, residual: given.append(w))
     assert "2.980e-08" in str(err.value)
     assert not given
     config = tmp_path / "run.ini"
@@ -228,9 +233,9 @@ def recording(ac, bg):
     the last is the one whose correction `minimize` returned."""
     given = []
 
-    def source_of(w):
+    def source_of(w, residual):
         given.append(w.values)
-        return correction_source(ac, bg, w)
+        return correction_source(ac, bg, w, residual)
 
     return source_of, given
 
@@ -248,7 +253,7 @@ def test_correct_lifts_the_minimizer_to_fourth_order():
     # corrected from the minimizer itself, the centre root
     assert len(given) == 1
     np.testing.assert_array_equal(given[0], first.profile.values)
-    source = correction_source(ac, bg, first.profile)
+    source = source_at(ac, bg, first.profile)
     x = grid.x()
     collar = np.abs(x) <= 4.0
 
@@ -281,7 +286,7 @@ def test_correct_pins_the_front_where_newton_stalls():
     problem = constant_cubic(lam=lam, n_per=128)
     grid, bg, ac = reduced_problem(problem, 7.0, 128)
     first = minimize(ac, no_correction)
-    source = correction_source(ac, bg, first.profile)
+    source = source_at(ac, bg, first.profile)
     for search in (False, True):
         free = _newton_polish(first.profile.values, ac, source=source,
                               search=search)
@@ -316,7 +321,7 @@ def sourced_cos_case(expr="1 + 0.5*cos(2*pi*x)"):
     g = sample_coefficient(expr, 1.0, 128, positive=True)
     problem = Problem(kind="cubic", lam=-1.0, period=1.0, g=g)
     grid, bg, ac = reduced_problem(problem, 6.0, 128)
-    return ac, lambda w: correction_source(ac, bg, w)
+    return ac, lambda w, residual: correction_source(ac, bg, w, residual)
 
 
 def test_a_root_whose_correction_fails_hands_on_to_the_next():
@@ -325,9 +330,10 @@ def test_a_root_whose_correction_fails_hands_on_to_the_next():
     ac, source_of = sourced_cos_case()
     given = []
 
-    def first_unmet(w):
+    def first_unmet(w, residual):
         given.append(w)
-        return np.full(ac.grid.n, 1e3) if len(given) == 1 else source_of(w)
+        return (np.full(ac.grid.n, 1e3) if len(given) == 1
+                else source_of(w, residual))
 
     front = minimize(ac, first_unmet)
     assert len(given) == 2
@@ -351,7 +357,7 @@ def test_no_root_that_corrects_is_one_nonconvergence():
     assert sites[0] + sites[1] != ac.grid.n - 1
     given = []
 
-    def unmet(w):
+    def unmet(w, residual):
         given.append(w)
         return np.full(ac.grid.n, 1e3)
 
@@ -559,7 +565,7 @@ def test_newton_solve_keeps_its_bits(problem):
     held = grid.n // 2 + 7
     signed = guess.copy()
     signed[held] = -0.0
-    sources = (None, correction_source(ac, bg, Profile(grid, guess)))
+    sources = (None, source_at(ac, bg, Profile(grid, guess)))
     steps = set()
     for start in (guess, flat, signed):
         for source in sources:
@@ -640,8 +646,9 @@ def test_correction_starts_from_the_carried_residual():
     for reduction, root, source_map in (
             (ac, site_scan(ac)[0][0], source_of),
             (flat, centre_root(flat),
-             lambda w: correction_source(flat, bg, w))):
-        source = source_map(Profile(reduction.grid, root.values))
+             lambda w, residual: correction_source(flat, bg, w, residual))):
+        source = source_map(Profile(reduction.grid, root.values),
+                            root.residual)
         got = kink._correct(reduction, root, source)
         free = _newton_polish(root.values, reduction, source=source)
         assert got.converged
@@ -654,6 +661,37 @@ def test_correction_starts_from_the_carried_residual():
         else:
             assert reduction is flat
             assert got.iterations > free.iterations
+
+
+@pytest.mark.parametrize("make, half_length", [
+    (lambda: sinusoidal_cubic(lam=-1.0, amp=0.5, n_per=128), 6.0),
+    (lambda: sinusoidal_quintic(lam=-1.0, amp=0.3, g1=0.5, n_per=128), 6.0),
+    (lambda: Problem(kind="cubic", lam=-1.0, period=1.0, g=sample_coefficient(
+        "1 + 0.5*cos(2*pi*(x - 0.1))", 1.0, 128, positive=True)), 6.0),
+    (lambda: constant_cubic(lam=-3.4027223133471085, n_per=128), 7.0),
+], ids=["cubic", "cubic-quintic", "cos-phase", "pinned"])
+def test_source_from_the_carried_residual_keeps_its_bits(make, half_length):
+    # every root `minimize` tries hands the source map its carried
+    # residual, which is R(w) bit for bit, so the source from it is the
+    # one that forms R(w) afresh; a map that meets no correction is
+    # given every root: the centre's, the sites', the walk's free and
+    # pinned ones
+    _, bg, ac = reduced_problem(make(), half_length, 128)
+    given = []
+
+    def unmet(w, residual):
+        given.append((w, residual))
+        return np.full(ac.grid.n, 1e3)
+
+    with pytest.raises(NonConvergence):
+        minimize(ac, unmet)
+    assert given
+    for w, residual in given:
+        fresh = _residual_values(ac, w.values)
+        assert residual.tobytes() == fresh.tobytes()
+        carried = correction_source(ac, bg, w, residual)
+        assert carried.tobytes() == source_at(ac, bg, w).tobytes()
+        assert residual.tobytes() == fresh.tobytes()  # only read
 
 
 def test_flat_landscape_keeps_the_pinned_root():
@@ -798,9 +836,9 @@ def run_front(monkeypatch, problem, half_length):
     its front: the last root the run's source map was given."""
     given = []
 
-    def source(ac, bg, w):
+    def source(ac, bg, w, residual):
         given.append((ac, w))
-        return correction_source(ac, bg, w)
+        return correction_source(ac, bg, w, residual)
 
     monkeypatch.setattr(pipeline, "correction_source", source)
     run = run_soliton(problem, half_length=half_length)

@@ -1,8 +1,10 @@
+import pickle
+
 import numpy as np
 import pytest
 
-from darksol import (Grid, Problem, Profile, sample_coefficient,
-                     validate_problem)
+from darksol import (Coefficient, Grid, Problem, Profile,
+                     sample_coefficient, validate_problem)
 from darksol.errors import GridMismatchError, ValidationError
 from darksol.evolve import _compact_operator
 from darksol.reduction import to_allen_cahn
@@ -17,6 +19,25 @@ def test_grid_basics():
     x = grid.x()
     assert x[0] == -6.0 and x[-1] == 6.0
     assert x.shape == (grid.n,)
+
+
+@pytest.mark.parametrize("xmin, xmax, n", [
+    (-8.0, 8.0, 2049), (0.0, 1.0, 129), (-2.0 + 5.0 / 128, 1.0 + 5.0 / 128,
+                                         3 * 128 + 1), (-0.3, 7.1, 1001)])
+def test_grid_nodes_are_built_once_and_read_only(xmin, xmax, n):
+    # the nodes are linspace's, formed at the first call and shared
+    # read-only by every later one; equality and hashing see the fields
+    grid = Grid(xmin, xmax, n)
+    x = grid.x()
+    assert x is grid.x()
+    assert not x.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    assert x.tobytes() == np.linspace(xmin, xmax, n).tobytes()
+    assert Grid(xmin, xmax, n) == grid
+    assert hash(Grid(xmin, xmax, n)) == hash(grid)
+    again = pickle.loads(pickle.dumps(grid))
+    assert again == grid and again.x().tobytes() == x.tobytes()
 
 
 def test_grid_rejects_bad_arguments():
@@ -171,10 +192,11 @@ def test_validate_problem_grid_commensurability():
 ], ids=["modulated-cubic", "constant-quintic-g1-0", "modulated-quintic"])
 def test_equation_states_both_models(problem, rng):
     # Hand-written from the two forms in Problem's docstring, on a
-    # random positive profile: the equation (the cubic-quintic one
-    # times -1), the reduced weights and the evolver's d(rho).
+    # random positive periodic profile (a background repeats its period):
+    # the equation (the cubic-quintic one times -1), the reduced weights
+    # and the evolver's d(rho).
     grid = Grid(-1.0, 1.0, 2 * 32 + 1)
-    phi = rng.uniform(0.5, 1.5, grid.n)
+    phi = Coefficient(rng.uniform(0.5, 1.5, 32), 1.0).on_grid(grid)
     lap = rng.normal(size=grid.n)
     lam = problem.lam
     if problem.is_cubic:

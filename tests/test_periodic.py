@@ -202,29 +202,79 @@ def test_non_finite_newton_step_raises(monkeypatch):
     assert np.isfinite(err.value.final_residual)
 
 
+def recorded_solves(monkeypatch):
+    """The list that every cyclic solve of the background Newton goes
+    onto, as (right side, solution)."""
+    solves = []
+    solve = periodic.solve_cyclic
+
+    def recording(lower, diag, upper, rhs):
+        solves.append((rhs, solve(lower, diag, upper, rhs)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(periodic, "solve_cyclic", recording)
+    return solves
+
+
 def test_every_accepted_newton_step_falls_at_every_node(monkeypatch):
     # from the supersolution each step lowers every node (the periodic
     # module's docstring); the first that does not is noise and is
     # discarded, so it is the one step that is not counted. The last
-    # cyclic solve is the enclosure's d, positive at every node
-    steps = []
-    solve = periodic.solve_cyclic
-
-    def recording(*args):
-        steps.append(solve(*args))
-        return steps[-1]
-
-    monkeypatch.setattr(periodic, "solve_cyclic", recording)
+    # cyclic solve's second column is the enclosure's d, positive at
+    # every node
+    solves = recorded_solves(monkeypatch)
     for problem in (sinusoidal_cubic(lam=-1.0, amp=0.5),
                     sinusoidal_cubic(lam=-4.0, n_per=128, amp=0.99),
                     sinusoidal_quintic(lam=-2.0, g1=-1.0)):
-        steps.clear()
+        solves.clear()
         result = solve_periodic(problem)
-        *newton, d = steps
+        newton = [y if y.ndim == 1 else y[:, 0] for _, y in solves]
+        d = solves[-1][1][:, 1]
         assert np.all(d > 0)
         assert result.iterations == len(newton) - 1 >= 3
         for step in newton[:-1]:
             assert np.all(step < 0)
+
+
+def fresh_d(problem, phi):
+    """d = J(phi)^-1 (|G(phi)| + floor(phi)), its Jacobian factored and
+    its residual formed afresh, in a one-column solve."""
+    eq, h = problem.equation(), problem.period / problem.n_per
+    off = np.full(phi.size, -eq.k / h**2)
+    floor = periodic._rounding_floor(eq, h)
+    return periodic.solve_cyclic(
+        off, periodic._jacobian_diag(eq, phi, h), off,
+        np.abs(periodic._residual(eq, phi, h)) + floor(phi))
+
+
+@pytest.mark.parametrize("problem", [
+    constant_cubic(lam=-1.0),
+    sinusoidal_cubic(lam=-1.0, amp=0.5),
+    sinusoidal_cubic(lam=-4.0, n_per=128, amp=0.99),
+    sinusoidal_cubic(lam=-0.01, n_per=1024, amp=0.99),
+    sinusoidal_quintic(lam=-2.0, g1=-1.0),
+    attractive_quintic(),
+], ids=["constant", "sin05", "sin099-lam4", "sin099-lam001-1024",
+        "quintic", "quintic-g1-20"])
+def test_enclosure_reuses_the_last_factorization_bit_for_bit(monkeypatch,
+                                                              problem):
+    # the second column of Newton's last solve is the d of a fresh
+    # factor-and-solve at phi_N, and the width from it the width from
+    # that: its right sides are -G(phi_N) and |G(phi_N)| + floor(phi_N)
+    solves = recorded_solves(monkeypatch)
+    result = solve_periodic(problem)
+    phi = result.profile.values[:-1]
+    eq, h = problem.equation(), problem.period / problem.n_per
+    floor = periodic._rounding_floor(eq, h)
+    res = periodic._residual(eq, phi, h)
+    rhs, y = solves[-1]
+    assert rhs.shape == y.shape == (phi.size, 2)
+    assert rhs[:, 0].tobytes() == (-res).tobytes()
+    assert rhs[:, 1].tobytes() == (np.abs(res) + floor(phi)).tobytes()
+    d = fresh_d(problem, phi)
+    assert y[:, 1].tobytes() == d.tobytes()
+    assert periodic._enclose(eq, h, floor, phi, d) == result.enclosure_width
+    assert result.residual_sup == float(np.max(np.abs(res)))
 
 
 @pytest.mark.parametrize("problem", [
@@ -348,9 +398,11 @@ def test_enclosure_refuses_a_profile_off_the_root():
     # curvature of f over 1.5 d outweighs the floor and G(u-) > 0
     problem = sinusoidal_cubic(lam=-1.0, amp=0.5)
     eq, h = problem.equation(), problem.period / problem.n_per
+    floor = periodic._rounding_floor(eq, h)
     phi = solve_periodic(problem).profile.values[:-1].copy()
-    assert 0 < periodic._enclose(eq, h, phi) <= 1e-9
+    assert 0 < periodic._enclose(eq, h, floor, phi,
+                                 fresh_d(problem, phi)) <= 1e-9
     phi[10] += 1e-6
     with pytest.raises(NonConvergence,
                        match=r"enclosure: G\(u-\) < -floor fails at"):
-        periodic._enclose(eq, h, phi)
+        periodic._enclose(eq, h, floor, phi, fresh_d(problem, phi))

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from darksol import (Grid, Profile, build_report, run_soliton,
-                     to_allen_cahn)
+                     sample_coefficient, to_allen_cahn)
 from darksol.errors import GridMismatchError, TailUnderflow, ValidationError
+from darksol import verify
 from darksol.verify import TAIL_FRACTION, _fit_tail, _residual_phi
 
 from conftest import constant_cubic, sinusoidal_cubic, sinusoidal_quintic
@@ -122,6 +123,58 @@ def test_decay_fit_floor_flag():
     assert window_points(phi, bg, "right") >= 5
 
 
+def masked_tails(run):
+    """The report's tail fits, ratio errors and flags with each window
+    cut by a boolean mask over the whole grid, the cut before slices."""
+    phi, bg, x = run.phi.values, run.background_ext.values, run.grid.x()
+    inner = run.grid.xmax - 2.0 * run.problem.period
+    start = inner * (1.0 - TAIL_FRACTION)
+    flags, fits = set(), {}
+    for side, mask in (("right", (x >= start) & (x <= inner)),
+                       ("left", (x <= -start) & (x >= -inner))):
+        if side == "right":
+            t, d = x[mask], phi[mask] - bg[mask]
+        else:
+            t, d = -x[mask][::-1], (phi[mask] + bg[mask])[::-1]
+        rate, r2, _ = verify._one_tail(t, d, side, flags)
+        deriv = verify._one_tail(t[:-1] + 0.5 * run.grid.h,
+                                 np.diff(d) / run.grid.h, f"{side}_deriv",
+                                 flags)
+        fits[side] = (rate, r2, deriv[0], deriv[1])
+    cut = run.grid.xmax * (1.0 - TAIL_FRACTION)
+    ratio = phi / bg
+    return (fits["left"], fits["right"],
+            float(np.max(np.abs(ratio[x <= -cut] + 1.0))),
+            float(np.max(np.abs(ratio[x >= cut] - 1.0))),
+            tuple(sorted(flags)))
+
+
+@pytest.mark.parametrize("problem, flagged", [
+    (constant_cubic(lam=-1.0, n_per=128), False),
+    (sinusoidal_cubic(lam=-1.0, amp=0.5, n_per=128), False),
+    (sinusoidal_quintic(lam=-1.0, amp=0.3, g1=0.5, n_per=128), False),
+    (constant_cubic(lam=-9.0, n_per=128), True),
+], ids=["constant", "cubic", "cubic-quintic", "tail-floor"])
+def test_sliced_tail_windows_are_the_masked_ones(problem, flagged):
+    # at L = 8 and 128 nodes per period the window ends, 4.5 and 6, and
+    # the ratio cut, 6, are nodes, where < and <= differ; the slices hold
+    # the nodes the masks do, so every tail quantity keeps its bits, and
+    # at lambda = -9 the fits drop floored samples
+    run = run_soliton(problem, half_length=8.0)
+    x = run.grid.x()
+    assert {4.5, 6.0, -4.5, -6.0} <= set(x.tolist())
+    left, right, err_left, err_right, flags = masked_tails(run)
+    report = run.report
+    assert (report.decay_rate_fit_left, report.decay_fit_r2_left,
+            report.decay_rate_deriv_left) == (left[0], left[1], left[2])
+    assert (report.decay_rate_fit_right, report.decay_fit_r2_right,
+            report.decay_rate_deriv_right) == (right[0], right[1], right[2])
+    assert (report.asymptotic_ratio_err_left,
+            report.asymptotic_ratio_err_right) == (err_left, err_right)
+    assert report.diagnostic_flags == flags
+    assert any(f.startswith("tail_floor_") for f in flags) == flagged
+
+
 def test_decay_fit_underflow():
     grid = Grid(-10.0, 10.0, 2561)
     x = grid.x()
@@ -158,7 +211,8 @@ def test_asymptotic_ratio_conventions():
     # the exact front shape sign(x) phi+ meets both limits exactly; it
     # takes that shape only beyond the cut, so the tail still has a fit
     x = grid.x()
-    modulated = Profile(grid, 1.0 + 0.3 * np.cos(2.0 * np.pi * x))
+    modulated = Profile(grid, sample_coefficient(
+        "1 + 0.3*cos(2*pi*x)", 1.0, 128).on_grid(grid))
     w = np.where(np.abs(x) >= cut, np.sign(x), phi.values)
     report = build_report(unit_problem(), Profile(grid, w), modulated)
     assert (report.asymptotic_ratio_err_left,
