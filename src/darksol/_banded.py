@@ -27,8 +27,6 @@ __all__ = ["solve_tridiagonal", "solve_cyclic", "factor_cyclic",
 
 
 _FLAPACK = "scipy.linalg._flapack"
-# The cyclic correction's singularity bound, in units of its terms' size.
-_SINGULAR_UNITS = 16.0 * np.finfo(float).eps
 
 
 @cache
@@ -155,7 +153,7 @@ def factor_cyclic(lower, diag, upper):
     # A singular A leaves the denominator at the rounding level of its
     # three terms, not at zero; a nan or inf fails the test as well.
     scale = 1.0 + abs(z[0]) + abs(ratio * z[-1])
-    if not abs(denom) > _SINGULAR_UNITS * scale:
+    if not abs(denom) > 16.0 * np.finfo(float).eps * scale:
         raise SingularLinearization("cyclic correction is singular")
 
     def solve(rhs):

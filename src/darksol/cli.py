@@ -24,8 +24,7 @@ from .evolve import (EvolveOptions, evolve_nls, kink_drift, make_ansatz,
                      modulus_deviation, phase_rotation_check)
 from .exprparse import compile_expression
 from .kink import select_truncation  # noqa: F401  (bench/spans.py TARGETS)
-from .model import (Grid, Problem, Profile, period_cell, sample_coefficient,
-                    validate_problem)
+from .model import Grid, Problem, Profile, sample_coefficient, validate_problem
 from .pipeline import run_background, run_soliton, truncated_background
 from .reduction import lift, residual_reduced, to_allen_cahn
 from .verify import build_report
@@ -330,10 +329,10 @@ def cmd_solve_soliton(cfg: RunConfig, out_dir) -> int:
 def cmd_verify(cfg: RunConfig, out_dir) -> int:
     """Re-read a solve-soliton output directory and recompute its report.
 
-    Every column of soliton.csv, rebuilt from x, the first period of
-    phi_plus_ext and w, and the recomputed scalar block must equal the
-    stored ones exactly; the files are written with round-trip
-    precision, so any difference means they no longer describe the run.
+    Every column of soliton.csv, rebuilt from x, phi_plus_ext and w, and
+    the recomputed scalar block must equal the stored ones exactly; the
+    files are written with round-trip precision, so any difference means
+    they no longer describe the run.
     """
     report_path = os.path.join(out_dir, "report.json")
     try:
@@ -352,11 +351,7 @@ def cmd_verify(cfg: RunConfig, out_dir) -> int:
     x, background, w = (columns[name] for name in _SOLITON_COLUMNS[:3])
     grid = Grid(xmin=float(x[0]), xmax=float(x[-1]), n=int(x.size))
     validate_problem(problem, grid)
-    # the periodic background is rebuilt from its first period, which is
-    # all the reduction reads; its column is compared like the others
-    cell, idx = period_cell(Profile(grid, background),
-                            problem.model_coefficient)
-    background, w = Profile(grid, cell[idx]), Profile(grid, w)
+    background, w = Profile(grid, background), Profile(grid, w)
     ac = to_allen_cahn(problem, background)
     recomputed = build_report(problem, w, background, ac=ac)
 

@@ -17,7 +17,7 @@ from .exprparse import compile_expression
 
 __all__ = [
     "Grid", "Profile", "Coefficient", "Equation", "Problem",
-    "sample_coefficient", "period_cell", "validate_problem",
+    "sample_coefficient", "validate_problem",
 ]
 
 # Relative slack for node alignment checks. Grid spacings that agree to
@@ -113,19 +113,11 @@ class Coefficient:
         return self.period / self.n_per
 
     def on_grid(self, grid: Grid) -> np.ndarray:
-        """Extend the sampled period onto a commensurate aligned grid:
-        the samples at `index_map(grid)`, read-only."""
-        out = self.samples[self.index_map(grid)]
-        out.flags.writeable = False
-        return out
-
-    def index_map(self, grid: Grid) -> np.ndarray:
-        """The sample index of each node of a commensurate aligned grid.
+        """Extend the sampled period onto a commensurate aligned grid.
 
         The grid spacing must equal the sample spacing and every grid
-        node must land on a sample node; GridMismatchError otherwise.
-        Any array of one value per sample, taken at these indices, is
-        its exact extension onto the grid.
+        node must land on a sample node; the extension is then an exact
+        integer index map into the stored period.
         """
         if abs(grid.h - self.h) > _ALIGN_RTOL * self.h:
             raise GridMismatchError(
@@ -135,34 +127,10 @@ class Coefficient:
         if abs(grid.xmin - k0 * self.h) > _ALIGN_RTOL * max(1.0, abs(grid.xmin)):
             raise GridMismatchError(
                 f"grid origin {grid.xmin} is not aligned with coefficient nodes")
-        # rows of 0 .. n_per - 1, read from node k0's sample on: the
-        # same integers as (k0 + arange(n)) % n_per, without a division
-        n_per = self.n_per
-        start = k0 % n_per
-        rows = np.empty((-(-(start + grid.n) // n_per), n_per), dtype=np.intp)
-        rows[:] = np.arange(n_per)
-        return rows.reshape(-1)[start:start + grid.n]
-
-
-def period_cell(profile: Profile, coefficient: Coefficient):
-    """(cell, idx): the values of `profile` on the period that starts at
-    its first node, in the order of `coefficient`'s samples, and the
-    coefficient's `index_map` onto the profile's grid.
-
-    `cell[idx]` is the profile exactly when the profile repeats that
-    period, as every extension by `Coefficient.on_grid` does. The grid
-    must hold at least one period (ValidationError) and be aligned with
-    the coefficient's nodes (GridMismatchError).
-    """
-    grid, n_per = profile.grid, coefficient.n_per
-    idx = coefficient.index_map(grid)
-    if grid.n < n_per:
-        raise ValidationError(
-            f"a grid of {grid.n} nodes holds less than one period of "
-            f"{n_per} samples")
-    cell = np.empty(n_per)
-    cell[idx[:n_per]] = profile.values[:n_per]
-    return cell, idx
+        idx = (k0 + np.arange(grid.n)) % self.n_per
+        out = self.samples[idx]
+        out.flags.writeable = False
+        return out
 
 
 def sample_coefficient(source, period: float, n_per_period: int,
@@ -226,16 +194,6 @@ class Equation:
             out = out + c * phi**p
         return out
 
-    def on_nodes(self, idx: np.ndarray) -> "Equation":
-        """This equation, sampled on one period, taken at the sample
-        indices `idx` (a `Coefficient.index_map`): every array entry is
-        the one at its sample, bit for bit."""
-        def at(values):
-            return values[idx] if np.ndim(values) else values
-
-        return Equation(k=self.k, mu=at(self.mu), potential=at(self.potential),
-                        powers=tuple((p, at(c)) for p, c in self.powers))
-
     def diagonal(self, rho, out=None):
         """d(rho) = sum_p c_p rho^((p - 1) / 2) - V, by Horner's rule in rho,
         evaluated in `out` when given (a new array otherwise)."""
@@ -295,15 +253,14 @@ class Problem:
 
     def equation(self, grid: Grid | None = None) -> Equation:
         """This problem as an `Equation`, its coefficients sampled on one
-        period, or extended onto `grid` (which must be aligned) by the
-        model coefficient's index map."""
-        if grid is not None:
-            return self.equation().on_nodes(
-                self.model_coefficient.index_map(grid))
+        period, or extended onto `grid` (which must be aligned)."""
+        def sampled(coeff):
+            return coeff.samples if grid is None else coeff.on_grid(grid)
+
         if self.is_cubic:
             return Equation(k=0.5, mu=self.lam, potential=0.0,
-                            powers=((3, self.g.samples),))
-        potential = self.potential.samples
+                            powers=((3, sampled(self.g)),))
+        potential = sampled(self.potential)
         return Equation(k=1.0, mu=self.lam - potential, potential=potential,
                         powers=((3, self.g1), (5, 1.0)))
 

@@ -86,8 +86,6 @@ __all__ = [
 # bracket.upper is 31 times the background.
 _MAX_SWEEPS = 200
 _MAX_NEWTON_STEPS = 50
-# The residual's rounding floor, in units of its terms' size.
-_ROUNDING_UNITS = 16.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -183,8 +181,13 @@ def solve_periodic(problem: Problem) -> PeriodicResult:
         residual_sup, bound = float(size.max()), floor(phi)
         diag = _jacobian_diag(eq, phi, h)
         if residual_sup > bound:
+            # `_advance` cannot end the solve above the floor, so this
+            # step needs no d; a second column on every step would cost
+            # more than the enclosure's own factorization saves
             step = solve_cyclic(off, diag, off, -res)
         else:
+            # this step may be the last: its solve also gives the
+            # enclosure's d = J(phi)^-1 (|G(phi)| + floor(phi))
             rhs = np.empty((n, 2))
             np.negative(res, out=rhs[:, 0])
             np.add(size, bound, out=rhs[:, 1])
@@ -200,7 +203,7 @@ def solve_periodic(problem: Problem) -> PeriodicResult:
                 final_residual=residual_sup, iterations=iterations)
         phi = trial
         res = _residual(eq, phi, h)
-    # a step ends the solve only at the floor, so its solve gave d
+    # `_advance` ends the solve only at the floor, whose solves give d
     width = _enclose(eq, h, floor, phi, d)
     profile, coefficient = _package_background(problem, phi)
     return PeriodicResult(profile=profile, coefficient=coefficient,
@@ -268,7 +271,7 @@ def _rounding_floor(eq: Equation, h: float):
     def floor(phi: np.ndarray) -> float:
         top = float(phi.max())
         size = linear * top + sum(c * top**p for p, c in powers)
-        return _ROUNDING_UNITS * size
+        return 16.0 * np.finfo(float).eps * size
 
     return floor
 

@@ -31,7 +31,7 @@ from operator import iadd, imul, isub, mul
 import numpy as np
 
 from .errors import GridMismatchError, ValidationError
-from .model import Equation, Grid, Problem, Profile, period_cell
+from .model import Equation, Grid, Problem, Profile
 
 __all__ = [
     "WeightedAC", "to_allen_cahn", "energy", "residual_reduced", "lift",
@@ -114,26 +114,20 @@ class WeightedAC:
 def to_allen_cahn(problem: Problem, background: Profile) -> WeightedAC:
     """Build the weighted Allen-Cahn data from a positive background.
 
-    The background is periodic: it may live on the period cell or on
-    any larger grid aligned with the coefficient nodes, and must repeat
-    its first period there bit for bit, as every extension by
-    `Coefficient.on_grid` does (ValidationError otherwise). The weights
-    are formed on that period and extended by the coefficient's index
-    map, which gives the bits of forming them on the whole grid.
+    The background may live on the period cell or on any larger grid
+    aligned with the coefficient nodes.
     """
     phi = background.values
     if np.min(phi) <= 0:
         raise ValidationError("background must be strictly positive")
-    cell, idx = period_cell(background, problem.model_coefficient)
-    if not np.array_equal(cell[idx], phi):
-        raise ValidationError("background does not repeat its first period")
-    eq = problem.equation()
+    grid = background.grid
+    eq = problem.equation(grid)
     # -k (a w')' + sum_p c_p phi^(p+1) (w^p - w) = 0: the equation for
     # w phi minus w times the background's, multiplied by phi.
-    return WeightedAC(grid=background.grid, a=(cell**2)[idx],
-                      powers=tuple((p, ((c / eq.k) * cell**(p + 1))[idx])
+    return WeightedAC(grid=grid, a=phi**2,
+                      powers=tuple((p, (c / eq.k) * phi**(p + 1))
                                    for p, c in eq.powers),
-                      kinetic_factor=0.5 / eq.k, equation=eq.on_nodes(idx))
+                      kinetic_factor=0.5 / eq.k, equation=eq)
 
 
 def _check_profile(w: Profile, ac: WeightedAC) -> np.ndarray:

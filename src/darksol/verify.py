@@ -30,19 +30,13 @@ TAIL_FRACTION = 0.25
 
 
 def _fit_line(t: np.ndarray, y: np.ndarray):
-    """Least-squares line through (t, y) in closed form: (slope, r^2).
-
-    Its sums are `np.add.reduce`, the reduction under `np.sum` and
-    `np.mean` (a mean is the sum over the count), called directly: the
-    same bits without the wrappers' dispatch, four fits per report.
-    """
-    total = np.add.reduce
-    t_mean, y_mean = total(t) / t.size, total(y) / y.size
+    """Least-squares line through (t, y) in closed form: (slope, r^2)."""
+    t_mean, y_mean = t.mean(), y.mean()
     dt = t - t_mean
     slope = float(np.dot(dt, y) / np.dot(dt, dt))
     fitted = slope * t + (y_mean - slope * t_mean)
-    ss_res = float(total((y - fitted) ** 2))
-    ss_tot = float(total((y - y_mean) ** 2))
+    ss_res = float(((y - fitted) ** 2).sum())
+    ss_tot = float(((y - y_mean) ** 2).sum())
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
     return slope, float(r2)
 

@@ -3,8 +3,8 @@ import pickle
 import numpy as np
 import pytest
 
-from darksol import (Coefficient, Grid, Problem, Profile,
-                     sample_coefficient, validate_problem)
+from darksol import (Grid, Problem, Profile, sample_coefficient,
+                     validate_problem)
 from darksol.errors import GridMismatchError, ValidationError
 from darksol.evolve import _compact_operator
 from darksol.reduction import to_allen_cahn
@@ -192,11 +192,10 @@ def test_validate_problem_grid_commensurability():
 ], ids=["modulated-cubic", "constant-quintic-g1-0", "modulated-quintic"])
 def test_equation_states_both_models(problem, rng):
     # Hand-written from the two forms in Problem's docstring, on a
-    # random positive periodic profile (a background repeats its period):
-    # the equation (the cubic-quintic one times -1), the reduced weights
-    # and the evolver's d(rho).
+    # random positive profile: the equation (the cubic-quintic one
+    # times -1), the reduced weights and the evolver's d(rho).
     grid = Grid(-1.0, 1.0, 2 * 32 + 1)
-    phi = Coefficient(rng.uniform(0.5, 1.5, 32), 1.0).on_grid(grid)
+    phi = rng.uniform(0.5, 1.5, grid.n)
     lap = rng.normal(size=grid.n)
     lam = problem.lam
     if problem.is_cubic:

@@ -219,15 +219,17 @@ def recorded_solves(monkeypatch):
 def test_every_accepted_newton_step_falls_at_every_node(monkeypatch):
     # from the supersolution each step lowers every node (the periodic
     # module's docstring); the first that does not is noise and is
-    # discarded, so it is the one step that is not counted. The last
-    # cyclic solve's second column is the enclosure's d, positive at
-    # every node
+    # discarded, so it is the one step that is not counted. A solve at
+    # the rounding floor has a second column, the enclosure's right
+    # side; the last solve is one, and its second column is the
+    # enclosure's d, positive at every node
     solves = recorded_solves(monkeypatch)
     for problem in (sinusoidal_cubic(lam=-1.0, amp=0.5),
                     sinusoidal_cubic(lam=-4.0, n_per=128, amp=0.99),
                     sinusoidal_quintic(lam=-2.0, g1=-1.0)):
         solves.clear()
         result = solve_periodic(problem)
+        assert solves[-1][1].shape == (problem.n_per, 2)
         newton = [y if y.ndim == 1 else y[:, 0] for _, y in solves]
         d = solves[-1][1][:, 1]
         assert np.all(d > 0)

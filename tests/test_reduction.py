@@ -215,49 +215,6 @@ def test_to_allen_cahn_needs_positive_background():
         to_allen_cahn(problem, bad)
 
 
-@pytest.mark.parametrize("problem", [
-    sinusoidal_cubic(lam=-1.0, amp=0.5, n_per=128),
-    sinusoidal_quintic(lam=-1.0, amp=0.3, g1=0.5, n_per=128),
-    sinusoidal_quintic(lam=-1.0, amp=0.3, g1=-0.3, n_per=64),
-], ids=["cubic", "quintic", "quintic-negative-g1"])
-def test_cell_built_weights_keep_the_grid_built_bits(problem):
-    # the weights are formed on one period and extended by the
-    # coefficient's index map: on the period cell, on a symmetric grid
-    # and on one whose first node is not a period's first node, every
-    # weight has the bits of the expression on the whole grid
-    res = solve_periodic(problem)
-    n_per = problem.n_per
-    grids = [res.profile.grid, Grid(-6.0, 6.0, 12 * n_per + 1),
-             Grid(-2.0 + 5.0 / n_per, 1.0 + 5.0 / n_per, 3 * n_per + 1)]
-    for grid in grids:
-        bg = (res.profile if grid is res.profile.grid
-              else Profile(grid, res.coefficient.on_grid(grid)))
-        ac = to_allen_cahn(problem, bg)
-        eq = problem.equation(grid)
-        phi = bg.values
-        assert ac.a.tobytes() == (phi**2).tobytes()
-        assert [p for p, _ in ac.powers] == [p for p, _ in eq.powers]
-        for (p, got), (_, c) in zip(ac.powers, eq.powers):
-            assert got.tobytes() == ((c / eq.k) * phi**(p + 1)).tobytes()
-        assert ac.kinetic_factor == 0.5 / eq.k
-        np.testing.assert_array_equal(ac.equation.mu, eq.mu)
-
-
-def test_to_allen_cahn_needs_a_periodic_background():
-    # the weights read the background's first period: a background that
-    # does not repeat it, or that holds less than one, is refused
-    problem = sinusoidal_cubic(lam=-1.0, amp=0.5, n_per=32)
-    res = solve_periodic(problem)
-    grid = Grid(-2.0, 2.0, 4 * 32 + 1)
-    values = np.array(res.coefficient.on_grid(grid))
-    values[70] = np.nextafter(values[70], 2.0)
-    with pytest.raises(ValidationError, match="does not repeat"):
-        to_allen_cahn(problem, Profile(grid, values))
-    short = Grid(0.0, 0.5, 17)
-    with pytest.raises(ValidationError, match="less than one period"):
-        to_allen_cahn(problem, Profile(short, res.coefficient.on_grid(short)))
-
-
 def test_density_is_nonnegative_for_an_attractive_quintic():
     # the density is (1 - w^2)^2 phi+^4 (g1/4 + phi+^2 (2 + w^2)/6), and
     # phi+^2 >= rho1^2 > -g1 on the bracket keeps it nonnegative even

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from darksol import (Grid, Profile, build_report, run_soliton,
-                     sample_coefficient, to_allen_cahn)
+                     to_allen_cahn)
 from darksol.errors import GridMismatchError, TailUnderflow, ValidationError
 from darksol import verify
 from darksol.verify import TAIL_FRACTION, _fit_tail, _residual_phi
@@ -211,8 +211,7 @@ def test_asymptotic_ratio_conventions():
     # the exact front shape sign(x) phi+ meets both limits exactly; it
     # takes that shape only beyond the cut, so the tail still has a fit
     x = grid.x()
-    modulated = Profile(grid, sample_coefficient(
-        "1 + 0.3*cos(2*pi*x)", 1.0, 128).on_grid(grid))
+    modulated = Profile(grid, 1.0 + 0.3 * np.cos(2.0 * np.pi * x))
     w = np.where(np.abs(x) >= cut, np.sign(x), phi.values)
     report = build_report(unit_problem(), Profile(grid, w), modulated)
     assert (report.asymptotic_ratio_err_left,
