@@ -101,8 +101,7 @@ def is_positive_definite(diag, upper) -> bool:
 
 def solve_cyclic(lower, diag, upper, rhs):
     """Solve the periodic tridiagonal system A y = rhs once, for one
-    right side or for each column of an (n, m) rhs; see `factor_cyclic`
-    for the layout of A."""
+    right side of length n; see `factor_cyclic` for the layout of A."""
     return factor_cyclic(lower, diag, upper)(rhs)
 
 
@@ -113,10 +112,9 @@ def factor_cyclic(lower, diag, upper):
     lower[i], diag[i], upper[i]; the wrap entries A[0, n-1] = lower[0]
     and A[n-1, 0] = upper[n-1] are folded in by a rank-one update whose
     correction vector is solved here, so each call of the returned
-    `solve(rhs)` costs one pair of triangular sweeps per column. An
-    (n, m) rhs is solved column by column in one LAPACK call, each
-    column with the bits of its own one-column solve. Requires n >= 3;
-    raises SingularLinearization if A is singular.
+    `solve(rhs)`, for one right side of length n, costs one pair of
+    triangular sweeps. Requires n >= 3; raises SingularLinearization if
+    A is singular.
     """
     lower = np.asarray(lower, dtype=float)
     diag = np.asarray(diag, dtype=float)
@@ -158,6 +156,6 @@ def factor_cyclic(lower, diag, upper):
 
     def solve(rhs):
         y = solve_open(rhs)
-        return y - np.multiply.outer(z, (y[0] + ratio * y[-1]) / denom)
+        return y - z * ((y[0] + ratio * y[-1]) / denom)
 
     return solve

@@ -312,13 +312,14 @@ def _pinning_sites(ac: WeightedAC) -> np.ndarray:
     return sites[np.argsort(np.abs(sites - centre), kind="stable")]
 
 
-def _site_scan(ac, bound: float):
+def _site_scan(ac, bound: float, kappa: float):
     """Newton at each pinning site; returns (the certified roots, lowest
     energy first, Newton iterations).
 
     Each site solve is a search (see `_newton_polish`); the walk of
     `_candidates` covers what it leaves. It starts from a tanh guess at
-    the site, or, when the mirror site was solved first and converged,
+    the site with the decay rate kappa (`_guess_rate`, formed once by
+    the caller), or, when the mirror site was solved first and converged,
     from that root reflected, -w[::-1]. A reflection that already meets
     the tolerance is the mirror twin of a root in hand, and adds
     nothing: of two mirror sites, the first one solved stands for both.
@@ -332,7 +333,6 @@ def _site_scan(ac, bound: float):
     first.
     """
     x, last = ac.grid.x(), ac.grid.n - 1
-    kappa = _guess_rate(ac)
     iterations = 0
     solved, failed, roots = {}, set(), []
     for site in _pinning_sites(ac):
@@ -470,14 +470,15 @@ def _candidates(ac, spent: list):
     `phase_pinned`, if its full residual meets the tolerance and it is a
     strict minimizer with the node held.
     """
-    start = _initial_guess(ac.grid, _guess_rate(ac))
+    kappa = _guess_rate(ac)
+    start = _initial_guess(ac.grid, kappa)
     energy = _energy_values(ac, start)
     first = _newton_polish(start, ac, search=True)
     spent.append(first.iterations)
     first_energy, certified = _certify(ac, first, energy)
     if certified:
         yield first, ()
-    roots, iterations = _site_scan(ac, min(energy, first_energy))
+    roots, iterations = _site_scan(ac, min(energy, first_energy), kappa)
     spent.append(iterations)
     for root in roots:
         yield root, ()

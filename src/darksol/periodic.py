@@ -2,8 +2,8 @@
 
 Newton's method on the periodic discretization, started from the
 constant supersolution, certifies its own answer with a sub- and
-supersolution pair one more solve against its last factorization away
-(the enclosure below). A monotone fixed-point iteration driven from the
+supersolution pair one more solve with its last Jacobian away (the
+enclosure below). A monotone fixed-point iteration driven from the
 constant sub- and supersolutions reaches the same object by a second
 route; it is kept as an independent oracle for the first.
 
@@ -50,11 +50,12 @@ residual's rounding floor such a move is cut back; at the floor the
 first step that fails to move every node is noise and ends the solve.
 
 Enclosure. With phi_N Newton's last iterate and floor(u) the rounding
-floor of the residual at u (`_rounding_floor`), one more solve against
-Newton's last factorization, that of J(phi_N), gives
-d = J(phi_N)^-1 (|G(phi_N)| + floor(phi_N)): at the floor, where a step
-may be the last, each step's solve takes that right side as a second
-column. Then u+- = phi_N +- 1.5 d is to first order a strict super- and
+floor of the residual at u (`_rounding_floor`), one more cyclic solve
+with Newton's Jacobian at phi_N gives
+d = J(phi_N)^-1 (|G(phi_N)| + floor(phi_N)), once, after the last
+step: the step that ended the solve was taken at phi_N, so its
+Jacobian diagonal, residual and floor are reused, not formed again.
+Then u+- = phi_N +- 1.5 d is to first order a strict super- and
 subsolution pair, the 1.5 leaving d/2 for the curvature of f. `_enclose`
 requires d > 0, u- > 0, G(u+) > floor(u+) and G(u-) < -floor(u-) at
 every node, so the computed signs are the exact ones. By the
@@ -165,8 +166,8 @@ def solve_periodic(problem: Problem) -> PeriodicResult:
     and takes each step by `_advance`: every exact step lowers every
     node (module docstring). `iterations` counts the accepted steps.
     The result is certified by `_enclose`, whose width it carries; its
-    d comes out of the last step's solve as a second column, taken by
-    every step at the rounding floor, since any of those may be the last.
+    d is one more solve with the Jacobian of the step that ended the
+    solve, formed at the last iterate.
     """
     bracket = bracket_bounds(problem)
     eq = problem.equation()
@@ -180,18 +181,7 @@ def solve_periodic(problem: Problem) -> PeriodicResult:
         size = np.abs(res)
         residual_sup, bound = float(size.max()), floor(phi)
         diag = _jacobian_diag(eq, phi, h)
-        if residual_sup > bound:
-            # `_advance` cannot end the solve above the floor, so this
-            # step needs no d; a second column on every step would cost
-            # more than the enclosure's own factorization saves
-            step = solve_cyclic(off, diag, off, -res)
-        else:
-            # this step may be the last: its solve also gives the
-            # enclosure's d = J(phi)^-1 (|G(phi)| + floor(phi))
-            rhs = np.empty((n, 2))
-            np.negative(res, out=rhs[:, 0])
-            np.add(size, bound, out=rhs[:, 1])
-            step, d = solve_cyclic(off, diag, off, rhs).T
+        step = solve_cyclic(off, diag, off, -res)
         trial, done = _advance(residual_sup, bound, phi, phi + step,
                                bracket.lower, phi, "periodic Newton step",
                                iterations)
@@ -203,7 +193,8 @@ def solve_periodic(problem: Problem) -> PeriodicResult:
                 final_residual=residual_sup, iterations=iterations)
         phi = trial
         res = _residual(eq, phi, h)
-    # `_advance` ends the solve only at the floor, whose solves give d
+    # size, bound and diag were formed at phi_N by the step that ended
+    d = solve_cyclic(off, diag, off, size + bound)
     width = _enclose(eq, h, floor, phi, d)
     profile, coefficient = _package_background(problem, phi)
     return PeriodicResult(profile=profile, coefficient=coefficient,

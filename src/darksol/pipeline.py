@@ -39,12 +39,16 @@ class SolitonRun:
     ac: WeightedAC
     minimize: MinimizeResult
     w: Profile
-    phi: Profile
     crossing: float
     report: SolitonReport
     status: str
     # the outer share of the half-domain that the report's tail checks read
     tail_fraction: ClassVar[float] = TAIL_FRACTION
+
+    @property
+    def phi(self) -> Profile:
+        """The front lifted to phi = w phi+, formed on each read."""
+        return lift(self.w, self.background_ext)
 
 
 def run_background(problem: Problem):
@@ -79,7 +83,6 @@ def run_soliton(problem: Problem,
     result = minimize(ac, lambda w, residual: correction_source(
         ac, background_ext, w, residual))
     w = result.profile
-    phi = lift(w, background_ext)
     crossing = report_crossing(w)
     # The report carries only what is recomputable from the written
     # profiles; solver-side flags stay on the run object. It reads the
@@ -87,5 +90,5 @@ def run_soliton(problem: Problem,
     report = build_report(problem, w, background_ext, ac=ac)
     return SolitonRun(problem=problem, periodic=periodic,
                       grid=background_ext.grid, background_ext=background_ext,
-                      ac=ac, minimize=result, w=w, phi=phi, crossing=crossing,
+                      ac=ac, minimize=result, w=w, crossing=crossing,
                       report=report, status=_verdict_status(report.verified))

@@ -156,27 +156,6 @@ def test_factored_cyclic_solver_is_reusable(rng):
                                                       rhs))
 
 
-@pytest.mark.parametrize("weight", [5.0, 0.5], ids=["dominant", "pivoting"])
-def test_two_column_cyclic_solve_keeps_each_columns_bits(rng, weight):
-    # the background Newton solves its step and the enclosure's d as two
-    # columns of one solve: each column must have the bits of its own
-    # one-column solve, with and without row interchanges
-    for n in (3, 4, 17, 128, 1024):
-        for _ in range(20):
-            lower = rng.standard_normal(n)
-            upper = rng.standard_normal(n)
-            diag = weight * rng.standard_normal(n) + weight
-            rhs = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-12, 3)
-            try:
-                both = solve_cyclic(lower, diag, upper, rhs)
-            except SingularLinearization:
-                continue
-            assert both.shape == (n, 2)
-            for j in range(2):
-                one = solve_cyclic(lower, diag, upper, rhs[:, j].copy())
-                assert both[:, j].tobytes() == one.tobytes()
-
-
 def test_factored_cyclic_singular_matrix_is_reported():
     # exactly singular, caught by each of the three checks: a zero pivot
     # of the open chain, then with wrap entries a zero pivot of the

@@ -733,7 +733,7 @@ def site_scan(ac):
     start = _initial_guess(ac.grid, _guess_rate(ac))
     bound = energy(Profile(ac.grid, start), ac)
     centre_energy, _ = kink._certify(ac, centre_root(ac), bound)
-    return kink._site_scan(ac, min(bound, centre_energy))
+    return kink._site_scan(ac, min(bound, centre_energy), _guess_rate(ac))
 
 
 def site_root(ac, x0):
@@ -755,6 +755,30 @@ def test_mirror_sites_give_one_root():
     left = site_root(ac, -0.5)
     assert roots[0].values.tobytes() == left.values.tobytes()
     assert iterations == left.iterations > 0
+
+
+def test_minimize_forms_the_decay_rate_once(monkeypatch):
+    # the centre root of 1 + 0.5 cos is a saddle, so the site scan runs;
+    # it reads the rate the centred guess was built with
+    _, _, ac = cubic_case("1 + 0.5*cos(2*pi*x)")
+    calls = []
+
+    def counting(ac):
+        calls.append(ac)
+        return _guess_rate(ac)
+
+    scans = []
+    scan = kink._site_scan
+
+    def recording(*args):
+        scans.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(kink, "_guess_rate", counting)
+    monkeypatch.setattr(kink, "_site_scan", recording)
+    minimize(ac, no_correction)
+    assert len(scans) == 1
+    assert len(calls) == 1
 
 
 def test_bit_even_weights_keep_the_left_site_root():

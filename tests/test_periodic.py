@@ -204,13 +204,13 @@ def test_non_finite_newton_step_raises(monkeypatch):
 
 def recorded_solves(monkeypatch):
     """The list that every cyclic solve of the background Newton goes
-    onto, as (right side, solution)."""
+    onto, as (diagonal, right side, solution)."""
     solves = []
     solve = periodic.solve_cyclic
 
     def recording(lower, diag, upper, rhs):
-        solves.append((rhs, solve(lower, diag, upper, rhs)))
-        return solves[-1][1]
+        solves.append((diag, rhs, solve(lower, diag, upper, rhs)))
+        return solves[-1][2]
 
     monkeypatch.setattr(periodic, "solve_cyclic", recording)
     return solves
@@ -219,22 +219,20 @@ def recorded_solves(monkeypatch):
 def test_every_accepted_newton_step_falls_at_every_node(monkeypatch):
     # from the supersolution each step lowers every node (the periodic
     # module's docstring); the first that does not is noise and is
-    # discarded, so it is the one step that is not counted. A solve at
-    # the rounding floor has a second column, the enclosure's right
-    # side; the last solve is one, and its second column is the
-    # enclosure's d, positive at every node
+    # discarded, so it is the one step that is not counted. One more
+    # solve, with that step's Jacobian at phi_N, gives the enclosure's
+    # d, positive at every node: iterations + 2 one-column solves
     solves = recorded_solves(monkeypatch)
     for problem in (sinusoidal_cubic(lam=-1.0, amp=0.5),
                     sinusoidal_cubic(lam=-4.0, n_per=128, amp=0.99),
                     sinusoidal_quintic(lam=-2.0, g1=-1.0)):
         solves.clear()
         result = solve_periodic(problem)
-        assert solves[-1][1].shape == (problem.n_per, 2)
-        newton = [y if y.ndim == 1 else y[:, 0] for _, y in solves]
-        d = solves[-1][1][:, 1]
-        assert np.all(d > 0)
-        assert result.iterations == len(newton) - 1 >= 3
-        for step in newton[:-1]:
+        assert all(rhs.shape == y.shape == (problem.n_per,)
+                   for _, rhs, y in solves)
+        assert result.iterations == len(solves) - 2 >= 3
+        assert np.all(solves[-1][2] > 0)
+        for _, _, step in solves[:-2]:
             assert np.all(step < 0)
 
 
@@ -260,21 +258,22 @@ def fresh_d(problem, phi):
         "quintic", "quintic-g1-20"])
 def test_enclosure_reuses_the_last_factorization_bit_for_bit(monkeypatch,
                                                               problem):
-    # the second column of Newton's last solve is the d of a fresh
-    # factor-and-solve at phi_N, and the width from it the width from
-    # that: its right sides are -G(phi_N) and |G(phi_N)| + floor(phi_N)
+    # the solve after the last step is the d of a fresh factor-and-solve
+    # at phi_N, and the width from it the width from that: it factors the
+    # last step's matrix, and its right side is |G(phi_N)| + floor(phi_N)
     solves = recorded_solves(monkeypatch)
     result = solve_periodic(problem)
     phi = result.profile.values[:-1]
     eq, h = problem.equation(), problem.period / problem.n_per
     floor = periodic._rounding_floor(eq, h)
     res = periodic._residual(eq, phi, h)
-    rhs, y = solves[-1]
-    assert rhs.shape == y.shape == (phi.size, 2)
-    assert rhs[:, 0].tobytes() == (-res).tobytes()
-    assert rhs[:, 1].tobytes() == (np.abs(res) + floor(phi)).tobytes()
+    (step_diag, step_rhs, _), (diag, rhs, y) = solves[-2:]
+    assert diag.tobytes() == step_diag.tobytes()
+    assert step_rhs.tobytes() == (-res).tobytes()
+    assert rhs.tobytes() == (np.abs(res) + floor(phi)).tobytes()
     d = fresh_d(problem, phi)
-    assert y[:, 1].tobytes() == d.tobytes()
+    assert np.all(d > 0)
+    assert y.tobytes() == d.tobytes()
     assert periodic._enclose(eq, h, floor, phi, d) == result.enclosure_width
     assert result.residual_sup == float(np.max(np.abs(res)))
 

@@ -6,7 +6,8 @@ import pytest
 from darksol import (Grid, Profile, build_report, run_soliton,
                      to_allen_cahn)
 from darksol.errors import GridMismatchError, TailUnderflow, ValidationError
-from darksol import verify
+from darksol import pipeline, verify
+from darksol.reduction import lift
 from darksol.verify import TAIL_FRACTION, _fit_tail, _residual_phi
 
 from conftest import constant_cubic, sinusoidal_cubic, sinusoidal_quintic
@@ -57,6 +58,25 @@ def test_residual_phi_tracks_reduced_residual(constant_run):
                - 0.5 * run.report.residual_reduced_sup) <= 1e-12
     assert _residual_phi(run.phi, run.problem.equation(run.grid)) \
         == run.report.residual_phi_sup
+
+
+def test_a_run_lifts_its_front_once(monkeypatch):
+    # the report lifts the front; the run's phi is that lift again, on
+    # read, with the same bits
+    lifts = []
+    for module in (pipeline, verify):
+        def counting(w, background_ext, lift=module.lift):
+            lifts.append(w)
+            return lift(w, background_ext)
+
+        monkeypatch.setattr(module, "lift", counting)
+    run = run_soliton(sinusoidal_cubic(lam=-1.0, amp=0.5, n_per=128),
+                      half_length=6.0)
+    assert len(lifts) == 1
+    monkeypatch.undo()
+    assert run.phi.values.tobytes() == \
+        lift(run.w, run.background_ext).values.tobytes()
+    assert run.phi.grid == run.grid
 
 
 def test_residual_phi_second_order_in_h():
