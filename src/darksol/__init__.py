@@ -7,9 +7,9 @@ darksol.cli.
 """
 
 from .errors import (ConfigError, DarksolError, ExpressionError,
-                     GridMismatchError, MonotonicityLoss, NonConvergence,
-                     NoSignChange, PhaseUndefined, SingularLinearization,
-                     StepDivergence, TailUnderflow, ValidationError)
+                     GridMismatchError, NonConvergence, NoSignChange,
+                     PhaseUndefined, SingularLinearization, StepDivergence,
+                     ValidationError)
 from .evolve import (ComplexField, EvolveOptions, PhaseCheck, Trajectory,
                      evolve_nls, kink_drift, make_ansatz, modulus_deviation,
                      phase_rotation_check)

@@ -2,8 +2,9 @@
 
 Every class carries `status`, the outcome a run that raises it is
 booked as (a sweep row's status); `_verdict_status` books a finished
-run. `EXIT_CODES` is the one table from a status to the command-line
-exit code.
+run from its report's verdict, so a front run raises only when there
+is no front. `EXIT_CODES` is the one table from a status to the
+command-line exit code.
 """
 
 EXIT_CODES = {
@@ -77,12 +78,6 @@ class SingularLinearization(DarksolError):
     """Linearized system is singular or the Newton correction diverges."""
 
 
-class MonotonicityLoss(DarksolError):
-    """Converged front profile is not monotone, so the run is not trustworthy."""
-
-    status = "property_violation"
-
-
 class NoSignChange(DarksolError):
     """Profile has no sign change, so there is no front position to report."""
 
@@ -96,8 +91,3 @@ class StepDivergence(DarksolError):
 class PhaseUndefined(DarksolError):
     """Phase history cannot be fitted (too few samples or vanishing modulus)."""
 
-
-class TailUnderflow(DarksolError):
-    """Too few tail samples above the floating-point floor to fit a decay rate."""
-
-    status = "property_violation"

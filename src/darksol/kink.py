@@ -2,7 +2,8 @@
 
 The ratio w is a minimizer of the reduced energy, lifted to fourth
 order by one deferred correction. `minimize` tries certified roots in
-a fixed order and returns the first whose correction converges. A
+a fixed order and returns the first whose correction converges; it does
+not judge that front, whose one verdict is the report's (`verify`). A
 root is certified when it is a converged, monotone Newton root that
 does not raise the energy and is a strict local minimizer: the energy
 Hessian is -2 kf h times the residual Jacobian, a symmetric tridiagonal
@@ -53,12 +54,13 @@ energy on as the bound of the free root's certificate.
 from dataclasses import dataclass, replace
 from functools import reduce
 from operator import add
+from typing import ClassVar
 
 import numpy as np
 
 from ._banded import is_positive_definite, solve_tridiagonal
-from .errors import (GridMismatchError, MonotonicityLoss, NoSignChange,
-                     NonConvergence, SingularLinearization, ValidationError)
+from .errors import (GridMismatchError, NoSignChange, NonConvergence,
+                     SingularLinearization, ValidationError)
 from .model import Grid, Problem, Profile
 from .reduction import (WeightedAC, _energy_values, _jacobian_bands,
                         _residual_values, to_allen_cahn)
@@ -110,10 +112,10 @@ class _PolishResult:
 class MinimizeResult:
     profile: Profile
     final_energy: float
-    flow_iterations: int  # always 0: no gradient flow step remains
     polish_iterations: int
     grad_sup_per_h: float
     flags: frozenset
+    flow_iterations: ClassVar[int] = 0  # no gradient flow step remains
 
 
 def select_truncation(problem: Problem, background: Profile) -> float:
@@ -431,8 +433,8 @@ def minimize(ac: WeightedAC, source_of) -> MinimizeResult:
     equation. `polish_iterations` sums every Newton iteration, searches
     and corrections alike. A grid whose gradient rounding floor,
     2 kf eps max(a) / h^2, is above 1e-8 raises ValidationError before
-    any root is sought; NonConvergence is raised when no root corrects;
-    a non-monotone front raises MonotonicityLoss.
+    any root is sought; NonConvergence is raised when no root is
+    certified or none corrects. The front is returned unjudged.
     """
     floor = (2.0 * ac.kinetic_factor * np.finfo(float).eps
              * float(np.max(ac.a)) / ac.h**2)
@@ -441,15 +443,23 @@ def minimize(ac: WeightedAC, source_of) -> MinimizeResult:
             f"the front tolerance {_GRAD_TOL:.0e} is below the rounding "
             f"floor {floor:.3e} of the gradient on this grid")
     spent = []
-    residual = float("nan")
+    residual = None
     for root, flags in _candidates(ac, spent):
         front = _correct(ac, root, source_of(Profile(ac.grid, root.values),
                                              root.residual))
         spent.append(front.iterations)
         if front.converged:
-            return _front_result(ac, front.values, front.residual_sup,
-                                 sum(spent), flags)
+            w = front.values
+            grad_sup = 2.0 * ac.kinetic_factor * ac.h * front.residual_sup
+            return MinimizeResult(profile=Profile(ac.grid, w),
+                                  final_energy=_energy_values(ac, w),
+                                  polish_iterations=sum(spent),
+                                  grad_sup_per_h=grad_sup / ac.h,
+                                  flags=frozenset(flags))
         residual = front.residual_sup
+    if residual is None:
+        raise NonConvergence(f"no root was certified ({sum(spent)} Newton "
+                             f"iterations)", iterations=sum(spent))
     raise NonConvergence(
         f"no certified root whose deferred correction converges (last "
         f"correction residual {residual:.3e})",
@@ -513,22 +523,6 @@ def _correct(ac, root: _PolishResult, source) -> _PolishResult:
     start[pin] = 0.0
     pinned = _newton_polish(start, ac, source=source, pin=pin)
     return replace(pinned, iterations=free.iterations + pinned.iterations)
-
-
-def _front_result(ac, w, res_sup, polish_iterations, flags) -> MinimizeResult:
-    """Check and package a converged front; not monotone raises."""
-    if np.any(np.diff(w) < 0):
-        raise MonotonicityLoss("converged front is not monotone")
-    flags = set(flags)
-    if float(np.max(np.abs(w[1:-1]))) >= 1.0:
-        flags.add("amplitude_saturated")
-    grad_sup = 2.0 * ac.kinetic_factor * ac.h * res_sup
-    return MinimizeResult(profile=Profile(ac.grid, w),
-                          final_energy=_energy_values(ac, w),
-                          flow_iterations=0,
-                          polish_iterations=polish_iterations,
-                          grad_sup_per_h=grad_sup / ac.h,
-                          flags=frozenset(flags))
 
 
 def report_crossing(w: Profile) -> float:

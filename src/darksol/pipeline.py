@@ -5,9 +5,10 @@ once (Newton, certified by its own sub/supersolution enclosure), extend
 it to a truncated symmetric domain, reduce, find the front (a certified
 minimizer of the reduced energy, lifted to fourth order by one deferred
 correction), and assemble the verification report; the first three
-steps are `truncated_background`. The run's status is `ok` when the
-report verifies and `property_violation` when it does not. Everything
-the command line writes comes out of the run object built here.
+steps are `truncated_background`. The run's status is read from the
+report's one verdict: `ok` when it verifies, else `property_violation`.
+Everything the command line writes comes out of the run object built
+here.
 `run_background` is the two-route background check: Newton and the
 monotone oracle, with their disagreement.
 """
@@ -41,7 +42,6 @@ class SolitonRun:
     w: Profile
     crossing: float
     report: SolitonReport
-    status: str
     # the outer share of the half-domain that the report's tail checks read
     tail_fraction: ClassVar[float] = TAIL_FRACTION
 
@@ -49,6 +49,11 @@ class SolitonRun:
     def phi(self) -> Profile:
         """The front lifted to phi = w phi+, formed on each read."""
         return lift(self.w, self.background_ext)
+
+    @property
+    def status(self) -> str:
+        """`ok` when the report verifies, else `property_violation`."""
+        return _verdict_status(self.report.verified)
 
 
 def run_background(problem: Problem):
@@ -91,4 +96,4 @@ def run_soliton(problem: Problem,
     return SolitonRun(problem=problem, periodic=periodic,
                       grid=background_ext.grid, background_ext=background_ext,
                       ac=ac, minimize=result, w=w, crossing=crossing,
-                      report=report, status=_verdict_status(report.verified))
+                      report=report)

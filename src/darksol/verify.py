@@ -7,14 +7,16 @@ amplitude and monotonicity margins of the ratio, exponential tail rates
 fitted on each side (of the tail and of its first difference), and the
 distance of phi / background from its limits -1 and +1 in the outer
 windows. The report is what the command line writes and re-reads, and
-what downstream runs are judged by.
+what downstream runs are judged by: its `verified` is the one verdict
+on a computed front. A failed property never raises; it shows in the
+margins and the flags, and fails the verdict.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError, TailUnderflow, ValidationError
+from .errors import GridMismatchError, ValidationError
 from .model import Equation, Problem, Profile
 from .reduction import (WeightedAC, _odd_power, _residual_values, lift,
                         to_allen_cahn)
@@ -27,6 +29,8 @@ _TAIL_FLOOR = 1e-14
 _MIN_FIT_POINTS = 5
 # The outer share of the half-domain that every run's tail checks read.
 TAIL_FRACTION = 0.25
+# The flags of a side whose tail has no decay fit: either fails the verdict.
+_UNFITTED = ("tail_fit_unavailable_left", "tail_fit_unavailable_right")
 
 
 def _fit_line(t: np.ndarray, y: np.ndarray):
@@ -42,14 +46,17 @@ def _fit_line(t: np.ndarray, y: np.ndarray):
 
 
 def _one_tail(t: np.ndarray, diff: np.ndarray, side: str, flags: set):
+    """(rate, r2, points) of log |diff| over the samples above the floor;
+    with fewer than `_MIN_FIT_POINTS` the side is flagged
+    `tail_fit_unavailable_<side>` and rate and r2 are 0.0."""
     size = np.abs(diff)
     keep = size >= _TAIL_FLOOR
     usable = np.count_nonzero(keep)
     if usable < diff.size:
         flags.add(f"tail_floor_{side}")
     if usable < _MIN_FIT_POINTS:
-        raise TailUnderflow(
-            f"only {usable} usable tail samples on the {side} side")
+        flags.add(f"tail_fit_unavailable_{side}")
+        return 0.0, 0.0, int(usable)
     t = t[keep]
     slope, r2 = _fit_line(t, np.log(size[keep]))
     return -slope, r2, int(t.size)
@@ -63,9 +70,10 @@ def _fit_tail(phi: Profile, background_ext: Profile, x: np.ndarray,
     is a slice of the ascending nodes x, its ends found by bisection.
 
     The tail's first difference is fitted the same way as an independent
-    consistency check on the rate; being one cancellation noisier, an
-    unusable derivative fit is flagged, not fatal. Returns (rate, r2,
-    points, deriv_rate, deriv_r2).
+    consistency check on the rate. A side without enough samples above
+    the floor is flagged (see `_one_tail`); only the tail's own flag
+    fails the report's verdict. Returns (rate, r2, points, deriv_rate,
+    deriv_r2).
     """
     if side == "right":
         window = slice(np.searchsorted(x, start, "left"),
@@ -79,12 +87,8 @@ def _fit_tail(phi: Profile, background_ext: Profile, x: np.ndarray,
         d = (phi.values[window] + background_ext.values[window])[::-1]
     rate, r2, points = _one_tail(t, d, side, flags)
     h = phi.grid.h
-    try:
-        deriv_rate, deriv_r2, _ = _one_tail(t[:-1] + 0.5 * h, np.diff(d) / h,
-                                            f"{side}_deriv", flags)
-    except TailUnderflow:
-        flags.add(f"deriv_fit_unavailable_{side}_deriv")
-        deriv_rate, deriv_r2 = 0.0, 0.0
+    deriv_rate, deriv_r2, _ = _one_tail(t[:-1] + 0.5 * h, np.diff(d) / h,
+                                        f"{side}_deriv", flags)
     return rate, r2, points, deriv_rate, deriv_r2
 
 
@@ -108,7 +112,9 @@ class SolitonReport:
 
     @property
     def verified(self) -> bool:
-        return self.amplitude_margin > 0 and self.monotonicity_margin > 0
+        """Both margins positive and a decay fit on each side."""
+        return (self.amplitude_margin > 0 and self.monotonicity_margin > 0
+                and all(f not in self.diagnostic_flags for f in _UNFITTED))
 
     def to_dict(self) -> dict:
         return {

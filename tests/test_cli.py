@@ -333,10 +333,21 @@ TAIL_UNDERFLOW = BASE.replace("lambda = -1.0", "lambda = -16.0").replace(
     "l = 4", "l = 8")
 
 
-def test_tail_underflow_is_a_property_violation(tmp_path, capsys):
+def test_tail_underflow_is_a_property_violation(tmp_path):
+    # the run writes its outputs, and the unfitted tails fail the verdict
+    # there and in verify, which re-reads them
     config = write_config(tmp_path, TAIL_UNDERFLOW)
-    assert run_cli("solve-soliton", config, tmp_path / "out") == 4
-    assert "only 0 usable tail samples" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert run_cli("solve-soliton", config, out) == 4
+    for name in ("phi_plus.csv", "soliton.csv", "plot.svg"):
+        assert (out / name).is_file()
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "property_violation"
+    assert report["verified"] is False
+    flags = report["soliton_report"]["diagnostic_flags"]
+    assert {"tail_fit_unavailable_left",
+            "tail_fit_unavailable_right"} <= set(flags)
+    assert run_cli("verify", config, out) == 4
     config = write_config(tmp_path, TAIL_UNDERFLOW
                           + "\n[sweep]\nlambda = -16\n", name="sweep.ini")
     out = tmp_path / "sweep"

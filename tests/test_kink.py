@@ -369,6 +369,35 @@ def test_no_root_that_corrects_is_one_nonconvergence():
     assert err.value.iterations > 0
 
 
+def test_no_certified_root_is_named_in_the_nonconvergence(monkeypatch):
+    # with no certified root no correction runs: the message says so and
+    # gives the Newton iterations spent, and there is no residual
+    ac, _ = sourced_cos_case("1 + 0.5*cos(2*pi*(x - 0.1))")
+
+    def none_certified(ac, spent):
+        spent.extend((5, 7))
+        yield from ()
+
+    monkeypatch.setattr(kink, "_candidates", none_certified)
+    with pytest.raises(NonConvergence,
+                       match=r"no root was certified \(12 Newton iterations\)"
+                       ) as err:
+        minimize(ac, no_correction)
+    assert np.isnan(err.value.final_residual)
+    assert err.value.iterations == 12
+
+
+def test_saturated_front_is_judged_by_its_report():
+    # the constant cubic at lambda = -4 on L = 10: the front reaches 1
+    # at interior nodes, so the amplitude margin is 0; minimize returns
+    # it unjudged and the report's verdict alone makes the violation
+    run = run_soliton(constant_cubic(lam=-4.0, n_per=256), half_length=10.0)
+    assert run.report.amplitude_margin == 0.0
+    assert run.report.verified is False
+    assert run.status == "property_violation"
+    assert "amplitude_saturated" not in run.minimize.flags
+
+
 def cubic_case(expr, half_length=6.0, n_per=128):
     g = sample_coefficient(expr, 1.0, n_per, positive=True)
     problem = Problem(kind="cubic", lam=-1.0, period=1.0, g=g)

@@ -5,7 +5,7 @@ import pytest
 
 from darksol import (Grid, Profile, build_report, run_soliton,
                      to_allen_cahn)
-from darksol.errors import GridMismatchError, TailUnderflow, ValidationError
+from darksol.errors import GridMismatchError, ValidationError
 from darksol import pipeline, verify
 from darksol.reduction import lift
 from darksol.verify import TAIL_FRACTION, _fit_tail, _residual_phi
@@ -195,15 +195,40 @@ def test_sliced_tail_windows_are_the_masked_ones(problem, flagged):
     assert any(f.startswith("tail_floor_") for f in flags) == flagged
 
 
+UNFITTED = {"tail_fit_unavailable_left", "tail_fit_unavailable_right",
+            "tail_fit_unavailable_left_deriv",
+            "tail_fit_unavailable_right_deriv"}
+
+
 def test_decay_fit_underflow():
+    # no tail sample above the floor on either side: each side and its
+    # derivative is flagged, its fit reads 0, and the report fails
     grid = Grid(-10.0, 10.0, 2561)
     x = grid.x()
     vals = np.clip(np.tanh(x), -1.0, 1.0)
     vals[x >= 3.0] = 1.0
     vals[x <= -3.0] = -1.0
     bg = Profile(grid, np.ones(grid.n))
-    with pytest.raises(TailUnderflow):
-        report_of(Profile(grid, vals), bg)
+    report = report_of(Profile(grid, vals), bg)
+    assert UNFITTED <= set(report.diagnostic_flags)
+    assert (report.decay_rate_fit_left, report.decay_fit_r2_left,
+            report.decay_rate_fit_right, report.decay_fit_r2_right) \
+        == (0.0, 0.0, 0.0, 0.0)
+    assert report.verified is False
+    assert report.to_dict()["verified"] is False
+
+
+def test_missing_tail_fit_alone_fails_the_verdict():
+    # a tanh front on a background of 1e-10: its tail differences all
+    # lie below the floor, while both margins stay positive
+    grid = Grid(-10.0, 10.0, 2561)
+    bg = Profile(grid, np.full(grid.n, 1e-10))
+    report = build_report(unit_problem(), Profile(grid, np.tanh(grid.x())),
+                          bg)
+    assert report.amplitude_margin == pytest.approx(4.187e-9, rel=1e-3)
+    assert report.monotonicity_margin == pytest.approx(8.309e-9, rel=1e-3)
+    assert UNFITTED <= set(report.diagnostic_flags)
+    assert report.verified is False
 
 
 def test_decay_fit_rejects_short_domain():
