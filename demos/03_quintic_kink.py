@@ -23,7 +23,7 @@ err = np.max(np.abs(run.w.values - exact)[core])
 print(f"status                 {run.status}")
 print(f"grid                   {run.grid.n} nodes, h = {run.grid.h:g}")
 print(f"closed-form sup error  {err:.3e}  (|x| <= 7)")
-print(f"decay rate (fit)       {run.report.decay_rate_fit_right:.4f}  "
+print(f"decay rate (1 period)  {run.report.decay_rate_fit_right:.4f}  "
       f"(slope of the linearization: 2)")
 print(f"amplitude margin       {run.report.amplitude_margin:.3e}")
 print(f"monotonicity margin    {run.report.monotonicity_margin:.3e}")

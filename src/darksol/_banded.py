@@ -62,7 +62,7 @@ def _gtsv(dtype):
     return lapack().zgtsv if dtype == np.complex128 else lapack().dgtsv
 
 
-def solve_tridiagonal(lower, diag, upper, rhs, overwrite=False):
+def solve_tridiagonal(lower, diag, upper, rhs):
     """Solve A y = rhs for tridiagonal A.
 
     lower[i] multiplies y[i-1] in row i (lower[0] ignored), upper[i]
@@ -71,18 +71,18 @@ def solve_tridiagonal(lower, diag, upper, rhs, overwrite=False):
     SingularLinearization if the factorization fails.
     Finiteness is the caller's contract: nothing scans for nans, which
     keeps the hot path cheap and lets divergence checks see them.
-    The arguments are left as they were unless overwrite is set: then
-    LAPACK works in the four arrays and leaves them clobbered, with no
-    copies when they are contiguous, of the working type and share no
-    memory.
+    The solve is in place: LAPACK works in the four arrays and leaves
+    them clobbered, with no copies when they are contiguous and of the
+    working type. So they must share no memory, and a caller that reads
+    them again passes copies.
     """
     dtype = (np.complex128 if np.result_type(lower, diag, upper, rhs).kind
              == "c" else np.float64)
     _, _, _, y, info = _gtsv(dtype)(
         np.asarray(lower, dtype=dtype)[1:], np.asarray(diag, dtype=dtype),
         np.asarray(upper, dtype=dtype)[:-1], np.asarray(rhs, dtype=dtype),
-        overwrite_dl=overwrite, overwrite_d=overwrite,
-        overwrite_du=overwrite, overwrite_b=overwrite)
+        overwrite_dl=True, overwrite_d=True, overwrite_du=True,
+        overwrite_b=True)
     if info != 0:
         raise SingularLinearization(
             f"tridiagonal solve has a zero pivot at row {info}")

@@ -439,8 +439,7 @@ def cmd_evolve(cfg: RunConfig, out_dir) -> int:
 
 _SWEEP_COLUMNS = ["index", "lambda", "amplitude", "half_length", "energy",
                   "crossing", "residual_reduced_sup", "amplitude_margin",
-                  "monotonicity_margin", "c0_left", "c0_right", "r2_left",
-                  "r2_right", "status"]
+                  "monotonicity_margin", "c0_left", "c0_right", "status"]
 
 
 def _sweep_row(payload) -> dict:
@@ -465,8 +464,6 @@ def _sweep_row(payload) -> dict:
             "monotonicity_margin": rep.monotonicity_margin,
             "c0_left": rep.decay_rate_fit_left,
             "c0_right": rep.decay_rate_fit_right,
-            "r2_left": rep.decay_fit_r2_left,
-            "r2_right": rep.decay_fit_r2_right,
         })
         row["status"] = run.status
     except DarksolError as exc:

@@ -23,7 +23,7 @@ import numpy as np
 from ._banded import solve_tridiagonal
 from .errors import PhaseUndefined, StepDivergence, ValidationError
 from .kink import report_crossing
-from .model import Grid, Problem, Profile
+from .model import Grid, Problem, Profile, _frozen_array
 
 __all__ = [
     "ComplexField", "EvolveOptions", "Trajectory", "PhaseCheck",
@@ -42,13 +42,8 @@ class ComplexField:
 
     def __post_init__(self):
         for name in ("re", "im"):
-            arr = np.array(getattr(self, name), dtype=float, copy=True)
-            if arr.shape != (self.grid.n,):
-                raise ValidationError(f"field {name} does not match the grid")
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError(f"field {name} has non-finite entries")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen_array(
+                getattr(self, name), self.grid.n, f"field {name}"))
 
     @property
     def psi(self) -> np.ndarray:
@@ -171,8 +166,7 @@ def evolve_nls(psi0: ComplexField, problem: Problem,
         np.add(plus_off, e[:-2], out=lower)
         np.add(plus_off, e[2:], out=upper)
         np.add(plus_diag, ten_e, out=diag)
-        interior[:] = solve_tridiagonal(lower, diag, upper, rhs,
-                                        overwrite=True)
+        interior[:] = solve_tridiagonal(lower, diag, upper, rhs)
         psi[0], psi[-1] = new_left, new_right
         # The new density serves the check and the next step's diagonal;
         # a nan or inf anywhere makes its maximum non-finite.

@@ -224,7 +224,7 @@ def _newton_from(w: np.ndarray, res: np.ndarray, ac: WeightedAC,
             rhs[pin - 1] = -0.0  # the held row's zero, negated
         try:
             # every band is a new array, and so is the right side
-            delta = solve_tridiagonal(*bands, rhs, overwrite=True)
+            delta = solve_tridiagonal(*bands, rhs)
         except SingularLinearization:
             break
         if not float(np.max(np.abs(delta))) <= step_cap:

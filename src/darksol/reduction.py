@@ -31,7 +31,7 @@ from operator import iadd, imul, isub, mul
 import numpy as np
 
 from .errors import GridMismatchError, ValidationError
-from .model import Equation, Grid, Problem, Profile
+from .model import Equation, Grid, Problem, Profile, _frozen_array
 
 __all__ = [
     "WeightedAC", "to_allen_cahn", "energy", "residual_reduced", "lift",
@@ -70,20 +70,13 @@ class WeightedAC:
     equation: Equation | None = None
 
     def __post_init__(self):
-        def checked(name, values):
-            arr = np.array(values, dtype=float, copy=True)
-            if arr.shape != (self.grid.n,):
-                raise ValidationError(f"weight {name} does not match the grid")
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError(f"weight {name} has non-finite entries")
-            arr.flags.writeable = False
-            return arr
-
-        object.__setattr__(self, "a", checked("a", self.a))
+        n = self.grid.n
+        object.__setattr__(self, "a", _frozen_array(self.a, n, "weight a"))
         if not self.powers or any(p < 3 or p % 2 == 0 for p, _ in self.powers):
             raise ValidationError("powers must be odd and at least 3")
         object.__setattr__(self, "powers", tuple(
-            (p, checked(f"b_{p}", b)) for p, b in self.powers))
+            (p, _frozen_array(b, n, f"weight b_{p}"))
+            for p, b in self.powers))
         if np.min(self.a) <= 0:
             raise ValidationError("weight a must be strictly positive")
         if self.kinetic_factor <= 0:

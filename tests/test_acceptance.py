@@ -24,7 +24,7 @@ from darksol.cli import main
 from darksol.kink import make_truncated_grid
 from darksol.periodic import bracket_bounds, periodic_residual
 from darksol.reduction import energy, residual_reduced, to_allen_cahn
-from darksol.verify import _residual_phi
+from darksol.verify import TAIL_FRACTION, _residual_phi
 
 
 def check(num, label, ok, detail):
@@ -177,7 +177,26 @@ def test_criterion_5_euler_lagrange_consistency(rng):
           worst <= tol, f"worst relative error {worst:.3e} vs tol {tol:.0e}")
 
 
+def inner_period_rates(run):
+    """(left, right) one-period rates read a period nearer the core than
+    the report's: ln(|d(x0 - T)| / |d(x0)|) / T at the report's x0."""
+    x, n, period = run.grid.x(), run.problem.n_per, run.problem.period
+    start = (run.grid.xmax - 2.0 * period) * (1.0 - TAIL_FRACTION)
+    phi, bg = run.phi.values, run.background_ext.values
+    right = np.searchsorted(x, start, "left")
+    left = np.searchsorted(x, -start, "right") - 1
+    return (np.log(abs((phi + bg)[left + n] / (phi + bg)[left])) / period,
+            np.log(abs((phi - bg)[right - n] / (phi - bg)[right])) / period)
+
+
 def test_criterion_6_decay_rate_law():
+    # The report reads each rate over [x0, x0 + T]; over [x0 - T, x0]
+    # the tail must decay at the same rate. For tanh the two differ by
+    # the tail's next term, about e^(-kappa (x0 - T)) / kappa relative
+    # (1.6e-3 at lam = -4, 3.6e-4 at lam = -1); 5e-3 leaves three times
+    # that and fails a tail whose rate drifts by half a percent in two
+    # periods.
+    agree = 5e-3
     ok = True
     details = []
     for lam, half in [(-0.25, 12.0), (-1.0, 8.0), (-4.0, 5.0)]:
@@ -186,12 +205,13 @@ def test_criterion_6_decay_rate_law():
         rep = run.report
         expected = 2.0 * np.sqrt(-lam)
         rates = (rep.decay_rate_fit_left, rep.decay_rate_fit_right)
-        r2s = (rep.decay_fit_r2_left, rep.decay_fit_r2_right)
+        drift = max(abs(inner - rate) / rate for inner, rate in
+                    zip(inner_period_rates(run), rates))
         this = all(abs(r - expected) / expected <= 0.03 for r in rates) \
-            and all(r2 >= 0.999 for r2 in r2s)
+            and drift <= agree
         ok = ok and this
         details.append(f"lam={lam}: C0=({rates[0]:.4f}, {rates[1]:.4f}) "
-                       f"vs {expected:g}, r2 >= {min(r2s):.5f}")
+                       f"vs {expected:g}, periods agree to {drift:.1e}")
     check(6, "exponential decay rates within 3%", ok, "; ".join(details))
 
 

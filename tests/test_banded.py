@@ -22,13 +22,19 @@ def dense_tridiagonal(lower, diag, upper, cyclic=False):
     return a
 
 
+def copies(*arrays):
+    """Fresh copies for a solve that works in its arguments, so the
+    originals stay for the dense reference."""
+    return [a.copy() for a in arrays]
+
+
 def test_tridiagonal_matches_dense(rng):
     n = 40
     lower = rng.standard_normal(n)
     upper = rng.standard_normal(n)
     diag = 4.0 + rng.standard_normal(n)
     rhs = rng.standard_normal(n)
-    y = solve_tridiagonal(lower, diag, upper, rhs)
+    y = solve_tridiagonal(*copies(lower, diag, upper, rhs))
     want = np.linalg.solve(dense_tridiagonal(lower, diag, upper), rhs)
     np.testing.assert_allclose(y, want, rtol=1e-12, atol=1e-13)
 
@@ -41,7 +47,7 @@ def test_tridiagonal_complex_weak_diagonal_matches_dense(rng):
     upper = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     diag = 0.5 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    y = solve_tridiagonal(lower, diag, upper, rhs)
+    y = solve_tridiagonal(*copies(lower, diag, upper, rhs))
     assert y.dtype == complex
     dense = dense_tridiagonal(lower, diag, upper)
     np.testing.assert_allclose(dense @ y, rhs, rtol=1e-9, atol=1e-9)
@@ -54,15 +60,16 @@ def test_tridiagonal_complex(rng):
     upper = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     diag = 5.0 + rng.standard_normal(n) + 1j * rng.standard_normal(n)
     rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    y = solve_tridiagonal(lower, diag, upper, rhs)
+    y = solve_tridiagonal(*copies(lower, diag, upper, rhs))
     want = np.linalg.solve(dense_tridiagonal(lower, diag, upper), rhs)
     np.testing.assert_allclose(y, want, rtol=1e-12, atol=1e-13)
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_tridiagonal_overwrite_contract(rng, dtype):
-    # By default the four arguments are left as they were; overwrite
-    # solves in the caller's arrays, with the same bits and no copy.
+    # The solve works in the caller's four arrays, with no copy: the
+    # solution is written into the right side, and the bits are those of
+    # LAPACK's own routine on fresh copies.
     n = 30
 
     def draw(shift=0.0):
@@ -70,14 +77,13 @@ def test_tridiagonal_overwrite_contract(rng, dtype):
         return x + 1j * rng.standard_normal(n) if dtype is complex else x
 
     args = (draw(), draw(5.0), draw(), draw())
-    kept = [a.copy() for a in args]
-    y = solve_tridiagonal(*args)
-    for a, b in zip(args, kept):
-        assert a.tobytes() == b.tobytes()
-    work = [a.copy() for a in args]
-    y_in_place = solve_tridiagonal(*work, overwrite=True)
-    assert y_in_place.tobytes() == y.tobytes()
-    assert np.shares_memory(y_in_place, work[3])
+    gtsv = get_lapack_funcs(("gtsv",), dtype=np.dtype(dtype))[0]
+    want = gtsv(args[0][1:], args[1].copy(), args[2][:-1],
+                args[3].copy())[3]
+    work = copies(*args)
+    y = solve_tridiagonal(*work)
+    assert y.tobytes() == want.tobytes()
+    assert np.shares_memory(y, work[3])
 
 
 def test_cyclic_matches_dense(rng):
@@ -216,7 +222,7 @@ def test_tridiagonal_integer_bands_solve_in_float64():
     diag = np.array([4, 4, 4, 4])
     upper = np.array([1, 1, 1, 0])
     rhs = np.array([1, 2, 3, 4])
-    y = solve_tridiagonal(lower, diag, upper, rhs)
+    y = solve_tridiagonal(*copies(lower, diag, upper, rhs))
     assert y.dtype == np.float64
     want = np.linalg.solve(dense_tridiagonal(lower, diag, upper), rhs)
     np.testing.assert_allclose(y, want, rtol=1e-14)

@@ -99,7 +99,8 @@ def test_one_tridiagonal_solve_per_step(soliton_run, monkeypatch):
 def reference_evolve(psi0, problem, options):
     """The allocating step loop that `evolve_nls` replaced, kept as the
     reference for its bits: every temporary is a new array, the solve
-    copies its arguments, and d(rho) is Horner's rule on new arrays."""
+    works on copies of the bands, and d(rho) is Horner's rule on new
+    arrays."""
     grid = psi0.grid
     n_steps = max(1, round(options.t_max / options.dt))
     eq = problem.equation(grid)
@@ -137,8 +138,9 @@ def reference_evolve(psi0, problem, options):
         new_left, new_right = rot * edge_left, rot * edge_right
         rhs[0] -= coupling[0] * new_left
         rhs[-1] -= coupling[-1] * new_right
-        interior = solve_tridiagonal(coupling[:-2], plus_diag + ten_e,
-                                     coupling[2:], rhs)
+        # the two off-diagonals are overlapping views of one array
+        interior = solve_tridiagonal(coupling[:-2].copy(), plus_diag + ten_e,
+                                     coupling[2:].copy(), rhs)
         psi = np.concatenate(([new_left], interior, [new_right]))
         if step % options.snapshot_every == 0 or step == n_steps:
             times.append(t_new)

@@ -546,7 +546,7 @@ def reference_newton(ac, w, source=None, pin=None, search=False):
         if pin is not None:
             kink._hold(bands, pin)
         try:
-            delta = solve_tridiagonal(*bands, -res[1:-1], overwrite=True)
+            delta = solve_tridiagonal(*bands, -res[1:-1])
         except SingularLinearization:
             break
         if not np.all(np.isfinite(delta)) or \
