@@ -1,7 +1,8 @@
 """Parameter sweep through the command-line entry point.
 
-Writes a config file, runs the sweep in-process, and tabulates the
-fitted decay constants against the linearized prediction 2 sqrt(-lam).
+Writes a config file, runs the sweep in-process, and tabulates each
+side's one-period decay rate (the `c0_left` and `c0_right` columns of
+`summary.csv`) against the linearized prediction 2 sqrt(-lam).
 """
 
 import json
@@ -40,10 +41,10 @@ print(f"exit code {code}; outputs in {out}")
 rows = read_csv(out / "summary.csv")
 # read_csv reads numbers; the status strings come from the sweep's report
 statuses = json.loads((out / "report.json").read_text())["statuses"]
-print(f"{'lambda':>8} {'amp':>5} {'C0 left':>9} {'C0 right':>9} "
+print(f"{'lambda':>8} {'amp':>5} {'rate left':>9} {'rate right':>10} "
       f"{'2*sqrt(-lam)':>13} {'status':>8}")
 for i in range(rows["lambda"].size):
     lam = rows["lambda"][i]
     print(f"{lam:8.2f} {rows['amplitude'][i]:5.2f} "
-          f"{rows['c0_left'][i]:9.4f} {rows['c0_right'][i]:9.4f} "
+          f"{rows['c0_left'][i]:9.4f} {rows['c0_right'][i]:10.4f} "
           f"{2 * np.sqrt(-lam):13.4f} {statuses[i]:>8}")

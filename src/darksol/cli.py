@@ -514,13 +514,13 @@ def cmd_sweep(cfg: RunConfig, out_dir, workers: int) -> int:
     ok = [row for row in rows if row["status"] == "ok"]
     if ok:
         lam_axis = np.asarray([row["lambda"] for row in ok])
-        c0_axis = np.asarray([row["c0_right"] for row in ok])
+        rate_axis = np.asarray([row["c0_right"] for row in ok])
         order = np.argsort(lam_axis)
         svgplot.line_plot(os.path.join(out_dir, "plot.svg"),
-                          [("fitted decay rate", lam_axis[order],
-                            c0_axis[order])],
+                          [("one-period decay rate, right", lam_axis[order],
+                            rate_axis[order])],
                           title="decay rate sweep", xlabel="lambda",
-                          ylabel="C0")
+                          ylabel="decay rate")
     return EXIT_CODES["ok"]
 
 

@@ -4,17 +4,16 @@ The ratio w is a minimizer of the reduced energy, lifted to fourth
 order by one deferred correction. `minimize` tries certified roots in
 a fixed order and returns the first whose correction converges; it does
 not judge that front, whose one verdict is the report's (`verify`). A
-root is certified when it is a converged, monotone Newton root that
-does not raise the energy and is a strict local minimizer: the energy
-Hessian is -2 kf h times the residual Jacobian, a symmetric tridiagonal
-matrix, and an LDL^T factorization with positive pivots proves it
-positive definite. The first root comes from one damped Newton solve
-from the centred tanh guess. A refused root is often a saddle: the
-front pinned on the wrong site of the periodic landscape. The next
-roots come from the other pinning sites, the strict extrema of the
-weight a nearest the centre: Newton runs from a tanh guess at each,
-and the certified roots follow lowest energy first, none above the
-centre root's energy. Of two mirror sites, the second starts from the
+root is certified when it is a converged, monotone Newton root that is
+a strict local minimizer: the energy Hessian is -2 kf h times the
+residual Jacobian, a symmetric tridiagonal matrix, and an LDL^T
+factorization with positive pivots proves it positive definite. The
+first root comes from one damped Newton solve from the centred tanh
+guess. A refused root is often a saddle: the front pinned on the wrong
+site of the periodic landscape. The next roots come from the other
+pinning sites, the strict extrema of the weight a nearest the centre:
+Newton runs from a tanh guess at each, and the certified roots follow
+lowest energy first. Of two mirror sites, the second starts from the
 first one's root reflected; when that start is already a root it is
 the mirror twin and is dropped, so the left site stands for both and
 no rounding-level energy difference decides. The last ones come from
@@ -23,7 +22,8 @@ Syst. 3, 2004): Newton with node x0 held, whose roots trace the
 pinning (Peierls-Nabarro) landscape E(x0) (Kivshar & Campbell, Phys.
 Rev. E 48, 3077, 1993). The pin walks downhill in E from the centre;
 unpinned Newton from the lowest node's root gives one more root, and
-the pinned root itself is the last. Every solve is tridiagonal, O(n).
+the pinned root itself, certified with its node held, is the last.
+Every solve is tridiagonal, O(n).
 
 Each Newton solve has one of two roles. A search (the centre, each
 site, each pinned solve of the walk) takes uncapped steps and gives up
@@ -46,9 +46,9 @@ Each quantity of a root is evaluated once and handed on. A Newton
 solve returns its last iterate's full residual, which the line search
 has already formed; the deferred-correction source is built from it,
 and the walk's free solve and the correction start from it
-(`_newton_from`); the certificate's energy of a root also sets
-the site scan's bound and order, and the walk's pinned root hands its
-energy on as the bound of the free root's certificate.
+(`_newton_from`). An energy is evaluated only where it decides
+something: to order the certified site roots, to steer the walk, and
+for the returned front.
 """
 
 from dataclasses import dataclass, replace
@@ -284,16 +284,12 @@ def _is_strict_minimizer(ac: WeightedAC, w: np.ndarray,
     return is_positive_definite(-diag, -upper)
 
 
-def _certify(ac, root: _PolishResult, bound: float):
-    """(energy, certified) of a Newton root: its energy, infinite when it
-    did not converge, and whether it is a converged, monotone root with
-    energy at most `bound` that is a strict local minimizer."""
-    if not root.converged:
-        return np.inf, False
-    energy = _energy_values(ac, root.values)
-    return energy, (energy <= bound
-                    and bool(np.all(np.diff(root.values) >= 0))
-                    and _is_strict_minimizer(ac, root.values))
+def _certify(ac, root: _PolishResult, pin: int | None = None) -> bool:
+    """Whether a Newton root is converged, monotone and a strict local
+    minimizer; with `pin`, on the variations that hold node `pin`."""
+    return (root.converged
+            and bool(np.all(np.diff(root.values) >= 0))
+            and _is_strict_minimizer(ac, root.values, pin))
 
 
 def _pinning_sites(ac: WeightedAC) -> np.ndarray:
@@ -314,7 +310,7 @@ def _pinning_sites(ac: WeightedAC) -> np.ndarray:
     return sites[np.argsort(np.abs(sites - centre), kind="stable")]
 
 
-def _site_scan(ac, bound: float, kappa: float):
+def _site_scan(ac, kappa: float):
     """Newton at each pinning site; returns (the certified roots, lowest
     energy first, Newton iterations).
 
@@ -329,10 +325,9 @@ def _site_scan(ac, bound: float, kappa: float):
     reversals bit for bit, the site is skipped: its solve would repeat
     the failed one, mirrored.
 
-    A site root counts if `_certify` passes it with an energy no higher
-    than `bound`, the start's and the centre root's; that energy orders
-    the roots. Of equal energies, the site nearest the centre comes
-    first.
+    A site root counts if `_certify` passes it; its energy, evaluated
+    for the certified roots only, orders them. Of equal energies, the
+    site nearest the centre comes first.
     """
     x, last = ac.grid.x(), ac.grid.n - 1
     iterations = 0
@@ -353,9 +348,8 @@ def _site_scan(ac, bound: float, kappa: float):
         if mirror is not None and root.iterations == 0:
             continue  # the mirror twin
         solved[site] = root
-        energy, certified = _certify(ac, root, bound)
-        if certified:
-            roots.append((energy, root))
+        if _certify(ac, root):
+            roots.append((_energy_values(ac, root.values), root))
     return [root for _, root in sorted(roots, key=lambda item: item[0])], \
         iterations
 
@@ -374,16 +368,14 @@ def _shifted(w: np.ndarray, nodes: int) -> np.ndarray:
 
 def _phase_walk(ac, start: np.ndarray):
     """Walk the phase condition w(x0) = 0 downhill over the nodes x0;
-    returns (lowest pinned root, its node, its energy, Newton
-    iterations).
+    returns (lowest pinned root, its node, Newton iterations).
 
     The pin starts at the centre node, where the start crosses zero.
     Each move solves the pinned equation from the best root so far,
     shifted by the stride; the stride doubles while the energy falls,
     then halves, trying both sides, down to one node. A pinned solve
     whose free rows miss the tolerance counts as infinite energy; when
-    the first one does, there is no walk, and its root comes back with
-    its finite energy.
+    the first one does, there is no walk, and its root comes back.
     """
     def solve(w, node):
         root = _newton_polish(w, ac, pin=node, search=True)
@@ -395,7 +387,7 @@ def _phase_walk(ac, start: np.ndarray):
     best, energy = solve(start, pin)
     iterations = best.iterations
     if not energy < np.inf:
-        return best, pin, _energy_values(ac, best.values), iterations
+        return best, pin, iterations
     seen = {pin}
     stride, sign, growing = 1, 1, True
     while stride:
@@ -415,7 +407,7 @@ def _phase_walk(ac, start: np.ndarray):
             continue
         if growing:
             stride *= 2
-    return best, pin, energy, iterations
+    return best, pin, iterations
 
 
 def minimize(ac: WeightedAC, source_of) -> MinimizeResult:
@@ -472,32 +464,29 @@ def _candidates(ac, spent: list):
     used up. The Newton iterations of every route go onto `spent`.
 
     First the centre root, a Newton search from the centred tanh guess;
-    then the site roots of `_site_scan`, bounded by the lower of the
-    guess's and the centre root's energy; then a finish, unpinned Newton
+    then the site roots of `_site_scan`; then a finish, unpinned Newton
     from the root at the lowest node of `_phase_walk` (whose pinned
-    solves are searches) and its full residual, certified with energy
-    no higher than that root's; last the pinned root itself, with flag
-    `phase_pinned`, if its full residual meets the tolerance and it is a
-    strict minimizer with the node held.
+    solves are searches) and its full residual; last the pinned root
+    itself, with flag `phase_pinned`, certified with its node held, so
+    its full residual, held row included, meets the tolerance. Each
+    root is yielded when `_certify` passes it.
     """
     kappa = _guess_rate(ac)
     start = _initial_guess(ac.grid, kappa)
-    energy = _energy_values(ac, start)
     first = _newton_polish(start, ac, search=True)
     spent.append(first.iterations)
-    first_energy, certified = _certify(ac, first, energy)
-    if certified:
+    if _certify(ac, first):
         yield first, ()
-    roots, iterations = _site_scan(ac, min(energy, first_energy), kappa)
+    roots, iterations = _site_scan(ac, kappa)
     spent.append(iterations)
     for root in roots:
         yield root, ()
-    pinned, pin, pinned_energy, iterations = _phase_walk(ac, start)
+    pinned, pin, iterations = _phase_walk(ac, start)
     free = _newton_from(pinned.values, pinned.residual, ac)
     spent.extend((iterations, free.iterations))
-    if _certify(ac, free, pinned_energy)[1]:
+    if _certify(ac, free):
         yield free, ()
-    if pinned.converged and _is_strict_minimizer(ac, pinned.values, pin):
+    if _certify(ac, pinned, pin):
         yield pinned, ("phase_pinned",)
 
 

@@ -415,7 +415,7 @@ def lowest_hessian_eigenvalue(ac, w):
 def phase_walk(ac):
     """The pinned root at the lowest node of the phase walk from the
     centred guess, and that node, as `minimize` computes them."""
-    pinned, pin, _, _ = kink._phase_walk(
+    pinned, pin, _ = kink._phase_walk(
         ac, _initial_guess(ac.grid, _guess_rate(ac)))
     return pinned, pin
 
@@ -635,33 +635,21 @@ def test_roots_carry_their_residual_and_energy():
             assert root.residual.tobytes() == _residual_values(
                 reduction, root.values).tobytes()
             assert root.residual_sup == float(np.max(np.abs(root.residual)))
-            energy_value, _ = kink._certify(reduction, root, np.inf)
-            assert energy_value == (_energy_values(reduction, root.values)
-                                    if root.converged else np.inf)
+        # every yielded root passes the one certificate, the pinned root
+        # with its node held
+        _, pin = phase_walk(reduction)
+        for root, flags in kink._candidates(reduction, []):
+            assert kink._certify(reduction, root,
+                                 pin if "phase_pinned" in flags else None)
     pinned, pin = phase_walk(ac)
     assert pinned.residual[pin] != 0.0
-    # the site roots come lowest energy first, no higher than the bound
-    # the centre root's certificate set
+    assert not kink._certify(ac, pinned, pin)
+    # the site roots come lowest energy first, the lowest below the
+    # centre saddle
     roots, _ = site_scan(ac)
     energies = [_energy_values(ac, root.values) for root in roots]
     assert energies == sorted(energies)
     assert energies[0] <= _energy_values(ac, centre_root(ac).values)
-
-
-def test_walk_hands_on_its_roots_energy(monkeypatch):
-    # the energy the walk returns is its root's, the free root's bound;
-    # with a target no pinned solve meets, the first one misses, there
-    # is no walk, and the bound is still that root's finite energy, not
-    # the inf the walk compares with
-    ac, _ = sourced_cos_case()
-    start = _initial_guess(ac.grid, _guess_rate(ac))
-    for target in (kink._target_residual(ac), 0.0):
-        monkeypatch.setattr(kink, "_target_residual",
-                            lambda ac, target=target: target)
-        pinned, pin, walk_energy, _ = kink._phase_walk(ac, start)
-        assert walk_energy == _energy_values(ac, pinned.values)
-    assert pin == ac.grid.n // 2
-    assert np.isfinite(walk_energy)
 
 
 def test_correction_starts_from_the_carried_residual():
@@ -756,13 +744,9 @@ def test_pinning_sites():
 
 
 def site_scan(ac):
-    """`_site_scan` as `_candidates` calls it: after the centre root,
-    bounded by the lower of the centred guess's energy and the energy
-    the centre root's certificate found."""
-    start = _initial_guess(ac.grid, _guess_rate(ac))
-    bound = energy(Profile(ac.grid, start), ac)
-    centre_energy, _ = kink._certify(ac, centre_root(ac), bound)
-    return kink._site_scan(ac, min(bound, centre_energy), _guess_rate(ac))
+    """`_site_scan` as `_candidates` calls it, with the decay rate of the
+    centred guess."""
+    return kink._site_scan(ac, _guess_rate(ac))
 
 
 def site_root(ac, x0):
@@ -946,6 +930,32 @@ def test_walk_certifies_the_weakly_pinned_fronts(monkeypatch, problem,
     assert saddle.converged
     assert lowest_hessian_eigenvalue(ac, saddle.values) < 0
     assert energy(root, ac) < energy(Profile(ac.grid, saddle.values), ac)
+
+
+def test_front_between_the_pinning_sites_comes_from_the_walk(monkeypatch):
+    # seed 951, b25.draw02: the front sits at x = 0.3575, more than T/8
+    # from the centre and from the sites at +-1/2, so no route that
+    # pins only the extrema of a reaches it; the walk runs once and its
+    # free root is the front
+    walks = []
+    walk = kink._phase_walk
+
+    def recording(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(kink, "_phase_walk", recording)
+    run, ac, root = run_front(
+        monkeypatch, weak_cubic(-0.2938059616545631, 0.16242277218869397,
+                                0.0, 128), 7.0)
+    assert run.status == "ok"
+    assert not run.minimize.flags
+    assert len(walks) == 1
+    assert run.crossing == pytest.approx(0.3575, abs=1e-4)
+    assert min(abs(run.crossing - site) for site in (-0.5, 0.0, 0.5)) > 1 / 8
+    pinned, _ = phase_walk(ac)
+    free = _newton_polish(pinned.values, ac)
+    assert root.values.tobytes() == free.values.tobytes()
 
 
 def test_stalled_site_solve_gives_up_early():
